@@ -80,7 +80,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     net = parse_dimacs(_read_in(args.input))
-    result = solve(net, args.mode, wm_capacity=args.wm_capacity)
+    result = solve(net, args.mode)
     _write_out(result.to_json() + "\n", args.out)
     return EXIT_OK
 
@@ -224,7 +224,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="run the spiking max-flow controller")
     p.add_argument("input", help="DIMACS max-flow file")
     p.add_argument("--mode", choices=[PAPER_FAITHFUL, RESIDUAL], default=PAPER_FAITHFUL)
-    p.add_argument("--wm-capacity", type=int, default=8)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_solve)
 

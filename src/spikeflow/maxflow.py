@@ -272,8 +272,10 @@ def recover_path_backward(
     A jammed tape still ends in a sink-edge readout, and every fired readout
     was excited by an event exactly one step earlier, so walking "who fired
     at t-1 into my tail" from the first sink event always reaches a source
-    edge.  Each hop re-consults the oracle (the query is deterministic, so
-    every consultation yields the identical tape) and scans it afresh.
+    edge.  Each hop is a new metered consultation that yields the identical
+    tape (the network has not changed since the jammed query), and the scan
+    reads it afresh; the oracle serves these consultations by replaying its
+    one run of the network rather than simulating it again.
     """
     oracle.clear_path()
     source = emap.net.source
@@ -322,10 +324,12 @@ def descend_path(
 ) -> PathRecord | None:
     """Residual-mode path extraction: one consultation per path arc.
 
-    Every consultation reruns the (identical, deterministic) backward wave
-    and stops at the first fired search neuron among the current node's
-    out-arcs; that arc's head is one hop closer to the sink, so the walk
-    terminates at the sink in shortest-path length many steps.
+    Every consultation is metered as a fresh run of the (identical,
+    deterministic) backward wave that stops at the first fired search neuron
+    among the current node's out-arcs; the oracle serves it by cutting its
+    one run of the network at that spike.  That arc's head is one hop closer
+    to the sink, so the walk terminates at the sink in shortest-path length
+    many steps.
     """
     source, sink = emap.net.source, emap.net.sink
     wm.write("head", source)
@@ -461,7 +465,7 @@ class SolveResult:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def solve(net: FlowNetwork, mode: str = PAPER_FAITHFUL, wm_capacity: int = 8) -> SolveResult:
+def solve(net: FlowNetwork, mode: str = PAPER_FAITHFUL, wm_capacity: int = len(_WM_WORDS)) -> SolveResult:
     """Full controller loop: build the oracle network once, then alternate
     search queries, path decoding and flow updates until no path remains.
 
@@ -469,6 +473,8 @@ def solve(net: FlowNetwork, mode: str = PAPER_FAITHFUL, wm_capacity: int = 8) ->
     (as zeros) once before the first query.  Its peak is therefore the frame
     size on every input, and a ``wm_capacity`` below it raises
     :class:`~spikeflow.errors.WorkingMemoryExceeded` before any query runs.
+    No other value changes the result; the parameter is there so that tests
+    can pin the frame.
     """
     if mode not in (PAPER_FAITHFUL, RESIDUAL):
         raise ValueError(f"unknown mode {mode!r}")

@@ -4,16 +4,22 @@ The conventional controller builds a spiking network on the oracle through
 metered write operations, consults it, and reads time-ordered spike events
 back.  Every abstract controller operation costs one time unit; oracle
 resources (timesteps, network size, spikes) are tallied per consultation.
+
+A consultation is deterministic in the network and its resting potentials,
+and a stop set only truncates the run.  So the oracle keeps one resumable
+simulation per network version and answers each consultation from its
+trace; the metering is that of a fresh run all the same.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import UndecidedError, UnknownNeuronError, WorkingMemoryExceeded
-from .snn import TAPE_ROLES, Neuron, Role, SpikingNetwork, Synapse, energy, run
+from .snn import Neuron, Role, SimulationState, SpikingNetwork, Synapse, run
 
 SpikeEvent = tuple[int, int]  # (time, neuron id)
 
@@ -51,7 +57,8 @@ class ConsultRecord:
     spikes: int
     network_size: int
     bit: int | None = None
-    # full spike trace kept for property checks; not part of the JSON report
+    # the consultation's spike trace, kept for property checks; not part of
+    # the JSON report
     trace: list[SpikeEvent] | None = None
 
 
@@ -136,9 +143,16 @@ class NeuromorphicOracle:
     """Holds a network under construction and simulates it on demand.
 
     Controller-facing writes mutate the stored network (including per-neuron
-    resting potentials); each consultation simulates from those potentials in
-    a fresh state, so values written between consultations persist while
-    within-episode dynamics do not.
+    resting potentials); each consultation answers as a run from those
+    potentials in a fresh state would, so values written between
+    consultations persist while within-episode dynamics do not.
+
+    Every network write (neuron, synapse, schedule, voltage) and
+    ``drop_network`` starts a new network version.  The first consultation of
+    a version runs the simulator; later ones cut that run's trace at their
+    own stop spike or limit, and step the saved state further only when the
+    trace so far does not decide the answer.  Metering does not change:
+    every consultation is recorded as the fresh run it replays.
     """
 
     def __init__(self, report: ResourceReport | None = None, overflow_reset: bool = False):
@@ -146,28 +160,31 @@ class NeuromorphicOracle:
         self.net = SpikingNetwork(overflow_reset=overflow_reset)
         self._v: dict[int, int] = {}
         self._path: list[int] = []
-
-    def _charge(self, n: int = 1) -> None:
-        self.report.charge(n)
+        self._sim: SimulationState | None = None  # run of the current version
+        self._charge = self.report.charge
 
     # --- construction (communication counts toward controller time) ---
 
     def write_neuron(self, neuron: Neuron) -> None:
         self._charge()
+        self._sim = None
         self.net.add_neuron(neuron)
         self._v[neuron.id] = neuron.v0
 
     def write_synapse(self, synapse: Synapse) -> None:
         self._charge()
+        self._sim = None
         self.net.add_synapse(synapse)
 
     def write_schedule(self, neuron_id: int, time: int) -> None:
         self._charge()
+        self._sim = None
         self.net.add_schedule(neuron_id, time)
 
     def write_voltage(self, neuron_id: int, delta: int) -> None:
         """Additively adjust a neuron's resting potential (Write_Voltage)."""
         self._charge()
+        self._sim = None
         if neuron_id not in self._v:
             raise UnknownNeuronError(f"no neuron {neuron_id}")
         value = self._v[neuron_id] + delta
@@ -190,6 +207,7 @@ class NeuromorphicOracle:
     def drop_network(self) -> None:
         """Discard the constructed network (a rebuild follows)."""
         self._charge()
+        self._sim = None
         overflow = self.net.overflow_reset
         self.net = SpikingNetwork(overflow_reset=overflow)
         self._v = {}
@@ -213,6 +231,21 @@ class NeuromorphicOracle:
 
     # --- consultation ---
 
+    def _replay(self, time_limit: int, stop: frozenset[int]) -> tuple[list[SpikeEvent], int]:
+        """The trace and step count of a fresh run of the current version to
+        ``time_limit`` that halts at the first spike in ``stop``."""
+        sim = self._sim
+        if sim is None:
+            sim = self._sim = run(self.net, time_limit, stop_on_fire=stop, initial_potentials=self._v)
+            cut = sim.t if sim.halted else None
+        else:
+            cut = _first_stop_time(sim.trace, stop, time_limit)
+            if cut is None and sim.steps_used < time_limit:
+                run(self.net, time_limit, stop_on_fire=stop, state=sim)
+                cut = sim.t if sim.halted else None
+        steps = time_limit if cut is None else cut + 1
+        return sim.trace[: bisect_left(sim.trace, (steps,))], steps
+
     def consult(
         self,
         mode: ConsultMode,
@@ -226,20 +259,15 @@ class NeuromorphicOracle:
             stop_on_fire = set(net.neurons_with_role(Role.ACCEPT)) | set(
                 net.neurons_with_role(Role.REJECT)
             )
-        state = run(net, time_limit, stop_on_fire=stop_on_fire, initial_potentials=self._v)
-        tape = OutputTape(
-            [
-                (t, nid)
-                for t, nid in state.trace
-                if net.neurons[nid].role in TAPE_ROLES
-            ]
-        )
+        trace, steps = self._replay(time_limit, frozenset(stop_on_fire or ()))
+        tape_ids = net.tape_ids
+        tape = OutputTape([event for event in trace if event[1] in tape_ids])
         record = ConsultRecord(
             mode=mode.value,
-            timesteps=state.steps_used,
-            spikes=energy(state),
+            timesteps=steps,
+            spikes=len(trace),
             network_size=net.size(),
-            trace=state.trace,
+            trace=trace,
         )
         if mode is ConsultMode.DECIDER:
             accepted = any(
@@ -259,3 +287,13 @@ class NeuromorphicOracle:
                 )
         self.report.add_consultation(record)
         return tape, record
+
+
+def _first_stop_time(trace: list[SpikeEvent], stop: frozenset[int], time_limit: int) -> int | None:
+    """Time of the first spike in ``stop`` before ``time_limit``, if any."""
+    for t, nid in trace:
+        if t >= time_limit:
+            return None
+        if nid in stop:
+            return t
+    return None

@@ -5,6 +5,29 @@ a neuron fires when V reaches its threshold and its potential then drops to the
 reset value (or, in overflow mode, the threshold is subtracted).  Potentials
 are clamped at zero only after all same-step arrivals have been summed, so
 inhibition can cancel excitation within a step.
+
+One timestep ``t`` runs in this order:
+
+1. scheduled neurons fire, whatever their potential;
+2. delayed spikes due at ``t`` are added;
+3. every neuron that received them, or sat at threshold after step ``t-1``
+   (or at the start), fires if ``V >= threshold``;
+4. the delay-0 output of every fire so far is added, and the neurons it
+   reached fire if they are now at threshold (one re-check);
+5. the delay-0 output of those re-check fires is added with no further check;
+6. touched potentials are clamped at zero, and any left at threshold are
+   checked first thing in step ``t+1``.
+
+So delay-0 propagation reaches two levels per step.  In a chain 0 -> 1 -> 2
+-> 3 of delay-0 synapses where neuron 0 fires at ``t``, neuron 1 fires at
+``t``, while neuron 2, which receives its input in (5), and neuron 3 fire at
+``t+1``.  The naive decider's timers and reject latch are two levels deep
+and rely on this (its ``accept_time`` is at least ``f_max + 5``).  A neuron
+fires at most once per step, and the trace lists each step's spikes by
+neuron id.
+
+Neurons with leak 1 keep a current potential and never decay; other leaks
+(0 or any fraction) are applied lazily when the neuron is next read.
 """
 
 from __future__ import annotations
@@ -12,6 +35,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, TextIO
 
 from .errors import ParseError, UnknownNeuronError
@@ -30,6 +55,10 @@ class Role(enum.Enum):
 
 # Roles whose spikes are visible on an oracle's output tape.
 TAPE_ROLES = frozenset({Role.READOUT, Role.ACCEPT, Role.REJECT})
+
+_first = itemgetter(0)
+
+_Pairs = list[tuple[int, int]]  # (post, weight) deliveries
 
 
 @dataclass(frozen=True)
@@ -65,6 +94,19 @@ class SpikingNetwork:
 
     ``overflow_reset=True`` switches firing to subtract-threshold semantics
     instead of jumping to the reset value (used by the reduction module).
+
+    Besides the public ``neurons`` / ``out_synapses`` / ``schedule`` records,
+    the ``add_*`` methods keep flat per-neuron tables that :func:`step` reads:
+    threshold, reset, initial potential, the leak of every neuron whose leak
+    is not 1 (stored as ``0`` when it is 0), the set of tape-role neurons,
+    and the synapse count.  In the first run of a network a firing neuron's
+    output is read from ``out_synapses``.  From the second run on, a neuron
+    that fires has its out-synapses split into a delay-0 ``(post, weight)``
+    list and ``(delay, [(post, weight), ...])`` groups, which its spikes
+    then queue whole; the split lives until a synapse is added to the
+    neuron.  So a network that serves many runs (an oracle's) is compiled
+    once, while one written and run once (the naive decider's, the
+    reduction's) pays for no split.
     """
 
     def __init__(self, overflow_reset: bool = False):
@@ -73,20 +115,49 @@ class SpikingNetwork:
         self.schedule: list[tuple[int, int]] = []  # (neuron id, fire time)
         self.overflow_reset = overflow_reset
         self._schedule_by_time: dict[int, list[int]] = {}
+        self._threshold: dict[int, int] = {}
+        self._reset: dict[int, int] = {}
+        self._v0: dict[int, int] = {}
+        self._leaky: dict[int, Fraction | int] = {}  # leak-1 neurons are absent
+        self._tape: set[int] = set()
+        self._out: dict[int, tuple[_Pairs, list[tuple[int, _Pairs]]]] = {}  # nid -> split
+        self._runs = 0  # simulations started on this network
+        self._n_synapses = 0
 
     def add_neuron(self, neuron: Neuron) -> Neuron:
-        if neuron.id in self.neurons:
-            raise ValueError(f"duplicate neuron id {neuron.id}")
-        self.neurons[neuron.id] = neuron
-        self.out_synapses[neuron.id] = []
+        nid = neuron.id
+        if nid in self.neurons:
+            raise ValueError(f"duplicate neuron id {nid}")
+        self.neurons[nid] = neuron
+        self.out_synapses[nid] = []
+        self._threshold[nid] = neuron.threshold
+        self._reset[nid] = neuron.reset
+        self._v0[nid] = neuron.v0
+        num, den = neuron.leak.as_integer_ratio()  # no Fraction comparison
+        if num != den:
+            self._leaky[nid] = neuron.leak if num else 0
+        if neuron.role in TAPE_ROLES:
+            self._tape.add(nid)
         return neuron
 
     def add_synapse(self, synapse: Synapse) -> Synapse:
-        for endpoint in (synapse.pre, synapse.post):
-            if endpoint not in self.neurons:
-                raise UnknownNeuronError(f"synapse endpoint {endpoint} not in network")
-        self.out_synapses[synapse.pre].append(synapse)
+        pre, post = synapse.pre, synapse.post
+        if pre not in self.neurons or post not in self.neurons:
+            missing = pre if pre not in self.neurons else post
+            raise UnknownNeuronError(f"synapse endpoint {missing} not in network")
+        self.out_synapses[pre].append(synapse)
+        # Spikes already in flight keep the old lists; the next fire re-splits.
+        self._out.pop(pre, None)
+        self._n_synapses += 1
         return synapse
+
+    def _split_out(self, nid: int) -> tuple[_Pairs, list[tuple[int, _Pairs]]]:
+        """The neuron's out-synapses as delay-0 pairs and per-delay groups."""
+        by_delay: dict[int, _Pairs] = {}
+        for s in self.out_synapses[nid]:
+            by_delay.setdefault(s.delay, []).append((s.post, s.weight))
+        out = self._out[nid] = (by_delay.pop(0, []), list(by_delay.items()))
+        return out
 
     def add_schedule(self, neuron_id: int, time: int) -> None:
         if neuron_id not in self.neurons:
@@ -101,7 +172,12 @@ class SpikingNetwork:
 
     def size(self) -> int:
         """Neuron count plus synapse count (the oracle's space measure)."""
-        return len(self.neurons) + sum(len(s) for s in self.out_synapses.values())
+        return len(self.neurons) + self._n_synapses
+
+    @property
+    def tape_ids(self) -> set[int]:
+        """Ids of the neurons whose spikes appear on an oracle's output tape."""
+        return self._tape
 
     def neurons_with_role(self, role: Role) -> list[int]:
         return sorted(n.id for n in self.neurons.values() if n.role is role)
@@ -110,12 +186,16 @@ class SpikingNetwork:
 @dataclass
 class SimulationState:
     """Mutable run state; ``t`` is the next step to execute (or the halting
-    step once a stop condition has triggered inside :func:`run`)."""
+    step once a stop condition has triggered inside :func:`run`).
+
+    ``potentials`` holds every neuron's V.  A leak-1 potential is always
+    current; a leaky one is current as of ``last_update`` and decays lazily.
+    """
 
     t: int = 0
     potentials: dict[int, int] = field(default_factory=dict)
     last_update: dict[int, int] = field(default_factory=dict)
-    pending: dict[int, dict[int, int]] = field(default_factory=dict)
+    pending: dict[int, list[_Pairs]] = field(default_factory=dict)  # step -> batches due
     trace: list[tuple[int, int]] = field(default_factory=list)
     halted: bool = False
     _recheck: set[int] = field(default_factory=set)
@@ -125,14 +205,19 @@ class SimulationState:
         cls, net: SpikingNetwork, potentials: dict[int, int] | None = None
     ) -> "SimulationState":
         state = cls()
-        for nid, neuron in net.neurons.items():
-            v = neuron.v0 if potentials is None else potentials.get(nid, neuron.v0)
-            state.potentials[nid] = v
-            state.last_update[nid] = 0
+        values = dict(net._v0)
+        if potentials is not None:
+            if potentials.keys() <= values.keys():
+                values.update(potentials)
+            else:  # ids outside the network are ignored
+                for nid in values.keys() & potentials.keys():
+                    values[nid] = potentials[nid]
+        state.potentials = values
+        state.last_update = dict.fromkeys(net._leaky, 0)
+        net._runs += 1
         # Neurons already at threshold fire at t=0, before any synaptic input.
-        state._recheck = {
-            nid for nid, n in net.neurons.items() if state.potentials[nid] >= n.threshold
-        }
+        threshold = net._threshold
+        state._recheck = {nid for nid, v in values.items() if v >= threshold[nid]}
         return state
 
     @property
@@ -143,93 +228,158 @@ class SimulationState:
 
 def _materialize(net: SpikingNetwork, state: SimulationState, nid: int, t: int) -> int:
     """Apply the multiplicative leak lazily up to time ``t`` and return V."""
-    last = state.last_update[nid]
-    if last == t:
+    leak = net._leaky.get(nid)
+    if leak is None or state.last_update[nid] == t:
         return state.potentials[nid]
     v = state.potentials[nid]
     if v:
-        leak = net.neurons[nid].leak
         if leak == 0:
             v = 0
-        elif leak != 1:
-            scaled = v * leak ** (t - last)
+        else:
+            scaled = v * leak ** (t - state.last_update[nid])
             v = int(scaled) if scaled.denominator == 1 else scaled
-    state.potentials[nid] = v
+        state.potentials[nid] = v
     state.last_update[nid] = t
     return v
+
+
+def _fire(
+    net: SpikingNetwork, state: SimulationState, nids: list[int], t: int, zero_queue: list[_Pairs]
+) -> None:
+    """Fire every neuron in ``nids`` at step ``t``: drop its potential, put
+    its delay-0 pairs on ``zero_queue`` and its delayed ones in
+    ``state.pending``.  A firing changes no other neuron's potential."""
+    potentials = state.potentials
+    if net._leaky:
+        for nid in net._leaky.keys() & nids:
+            _materialize(net, state, nid, t)
+    if net.overflow_reset:
+        threshold = net._threshold
+        for nid in nids:
+            potentials[nid] -= threshold[nid]
+    else:
+        reset = net._reset
+        for nid in nids:
+            potentials[nid] = reset[nid]
+    # pending[s][0] collects single pairs; split groups are queued whole after it
+    pending = state.pending
+    outs = net._out
+    split = net._runs > 1
+    loose: _Pairs = []
+    for nid in nids:
+        out = outs.get(nid)
+        if out is None:
+            if split:
+                out = net._split_out(nid)
+            else:
+                for syn in net.out_synapses[nid]:
+                    if syn.delay:
+                        batches = pending.get(t + syn.delay)
+                        if batches is None:
+                            pending[t + syn.delay] = [[(syn.post, syn.weight)]]
+                        else:
+                            batches[0].append((syn.post, syn.weight))
+                    else:
+                        loose.append((syn.post, syn.weight))
+                continue
+        zero, delayed = out
+        if zero:
+            zero_queue.append(zero)
+        for delay, pairs in delayed:
+            batches = pending.get(t + delay)
+            if batches is None:
+                pending[t + delay] = [[], pairs]
+            else:
+                batches.append(pairs)
+    if loose:
+        zero_queue.append(loose)
+
+
+def _deliver(
+    net: SpikingNetwork, state: SimulationState, batches: list[_Pairs], t: int
+) -> set[int]:
+    """Add batches of ``(post, weight)`` pairs now; returns the neurons reached."""
+    pairs = list(chain.from_iterable(batches))
+    posts = set(map(_first, pairs))
+    if net._leaky:
+        for nid in net._leaky.keys() & posts:
+            _materialize(net, state, nid, t)
+    potentials = state.potentials
+    for post, weight in pairs:
+        potentials[post] += weight
+    return posts
 
 
 def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, frozenset[int]]:
     """Execute timestep ``state.t`` and advance.  Returns the spike set of the step.
 
     Order within a step: scheduled fires, delayed-arrival integration,
-    threshold check, delay-0 propagation, one threshold re-check, clamp.
-    A neuron fires at most once per timestep.
+    threshold check, delay-0 propagation, one threshold re-check, a second
+    delay-0 delivery with no check, clamp (see the module docstring).
+    A neuron fires at most once per timestep.  Since a firing changes only
+    its own potential before the next delivery, each check finds all its
+    firing neurons first and then fires them together.
     """
     t = state.t
-    fired: set[int] = set()
-    touched: set[int] = set()
-    zero_queue: list[tuple[int, int]] = []
-
-    def do_fire(nid: int) -> None:
-        fired.add(nid)
-        neuron = net.neurons[nid]
-        v = _materialize(net, state, nid, t)
-        if net.overflow_reset:
-            state.potentials[nid] = v - neuron.threshold
-        else:
-            state.potentials[nid] = neuron.reset
-        touched.add(nid)
-        for syn in net.out_synapses[nid]:
-            if syn.delay == 0:
-                zero_queue.append((syn.post, syn.weight))
-            else:
-                bucket = state.pending.setdefault(t + syn.delay, {})
-                bucket[syn.post] = bucket.get(syn.post, 0) + syn.weight
+    potentials = state.potentials
+    threshold = net._threshold
+    zero_queue: list[_Pairs] = []
 
     # 1. Scheduled fires happen unconditionally.
-    for nid in net.scheduled_at(t):
-        if nid not in fired:
-            do_fire(nid)
+    scheduled = net._schedule_by_time.get(t)
+    if scheduled:
+        firing = list(dict.fromkeys(scheduled))
+        _fire(net, state, firing, t, zero_queue)
+        fired = set(firing)
+    else:
+        fired = set()
+    touched = set(fired)
 
     # 2. Integrate arrivals due now; 3. threshold check.
-    arrivals = state.pending.pop(t, {})
-    for nid, weight in arrivals.items():
-        _materialize(net, state, nid, t)
-        state.potentials[nid] += weight
-        touched.add(nid)
-    check = set(arrivals) | state._recheck
+    check = state._recheck
     state._recheck = set()
-    for nid in sorted(check):
-        if nid not in fired and _materialize(net, state, nid, t) >= net.neurons[nid].threshold:
-            do_fire(nid)
+    arrivals = state.pending.pop(t, None)
+    if arrivals:
+        reached = _deliver(net, state, arrivals, t)
+        touched |= reached
+        check |= reached
+    if check:
+        check -= fired
+        if net._leaky:
+            for nid in net._leaky.keys() & check:
+                _materialize(net, state, nid, t)
+        firing = [nid for nid in check if potentials[nid] >= threshold[nid]]
+        if firing:
+            _fire(net, state, firing, t, zero_queue)
+            fired.update(firing)
+            touched.update(firing)
 
     # 4. Same-step delivery over delay-0 synapses; 5. one re-check pass.
-    deliveries, zero_queue = zero_queue, []
-    recheck: set[int] = set()
-    for post, weight in deliveries:
-        _materialize(net, state, post, t)
-        state.potentials[post] += weight
-        touched.add(post)
-        recheck.add(post)
-    for nid in sorted(recheck):
-        if nid not in fired and state.potentials[nid] >= net.neurons[nid].threshold:
-            do_fire(nid)
-    # Delay-0 output of re-check fires still lands this step (depth-1 chains
-    # are all this artifact's constructions need), without another check.
-    for post, weight in zero_queue:
-        _materialize(net, state, post, t)
-        state.potentials[post] += weight
-        touched.add(post)
+    if zero_queue:
+        reached = _deliver(net, state, zero_queue, t)
+        touched |= reached
+        reached -= fired
+        firing = [nid for nid in reached if potentials[nid] >= threshold[nid]]
+        if firing:
+            second_queue: list[_Pairs] = []
+            _fire(net, state, firing, t, second_queue)
+            fired.update(firing)
+            touched.update(firing)
+            # Delay-0 output of re-check fires still lands this step, unchecked.
+            if second_queue:
+                touched |= _deliver(net, state, second_queue, t)
 
     # 6. Clamp after all same-step arrivals, never per synapse.
+    recheck_next = state._recheck
     for nid in touched:
-        if state.potentials[nid] < 0:
-            state.potentials[nid] = 0
-        elif state.potentials[nid] >= net.neurons[nid].threshold:
-            state._recheck.add(nid)
+        v = potentials[nid]
+        if v < 0:
+            potentials[nid] = 0
+        elif v >= threshold[nid]:
+            recheck_next.add(nid)
 
-    state.trace.extend((t, nid) for nid in sorted(fired))
+    if fired:
+        state.trace.extend([(t, nid) for nid in sorted(fired)])
     state.t = t + 1
     return state, frozenset(fired)
 
@@ -239,17 +389,29 @@ def run(
     max_steps: int,
     stop_on_fire: Iterable[int] | None = None,
     initial_potentials: dict[int, int] | None = None,
+    state: SimulationState | None = None,
 ) -> SimulationState:
     """Drive :func:`step` for up to ``max_steps`` timesteps.
 
     With ``stop_on_fire`` the run halts at the first step in which any listed
-    neuron spikes; ``state.t`` then names that step and the state is terminal.
+    neuron spikes; ``state.t`` then names that step and ``halted`` is set.
     ``initial_potentials`` overrides per-neuron starting values.
+
+    Passing ``state`` continues that state instead of starting a fresh one
+    (``initial_potentials`` must then be None); a halted state resumes after
+    its halting step.  Continued with a stop set none of whose neurons has
+    fired yet, a run ends where one fresh run with that stop set would.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     stop_set = frozenset(stop_on_fire) if stop_on_fire is not None else None
-    state = SimulationState.initial(net, initial_potentials)
+    if state is None:
+        state = SimulationState.initial(net, initial_potentials)
+    elif initial_potentials is not None:
+        raise ValueError("initial_potentials applies only to a fresh state")
+    elif state.halted:
+        state.t += 1
+        state.halted = False
     while state.t < max_steps:
         _, fired = step(net, state)
         if stop_set is not None and not stop_set.isdisjoint(fired):
@@ -272,7 +434,7 @@ def set_potential(net: SpikingNetwork, state: SimulationState, neuron_id: int, v
     if v < 0:
         raise ValueError(f"write would drive neuron {neuron_id} below zero")
     state.potentials[neuron_id] = v
-    if v >= net.neurons[neuron_id].threshold:
+    if v >= net._threshold[neuron_id]:
         state._recheck.add(neuron_id)
     return state
 

@@ -675,7 +675,7 @@ def format_tnfr(inst: TNFRInstance) -> str:
 def parse_tnfr(text: str) -> TNFRInstance:
     inst: TNFRInstance | None = None
     n_nodes = n_arcs = None
-    kinds: dict[int, str] = {}
+    kinds: dict[int, tuple[str, int]] = {}  # node id -> (kind, line number)
     arcs: list[tuple[int, int, int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -691,7 +691,7 @@ def parse_tnfr(text: str) -> TNFRInstance:
             elif fields[0] == "n":
                 if len(fields) != 3 or fields[2] not in (SOURCE, SINK, RES_SINK, RES_SOURCE):
                     raise ValueError("expected: n <id> s|t|r|p")
-                kinds[int(fields[1])] = fields[2]
+                kinds[int(fields[1])] = (fields[2], line_no)
             elif fields[0] == "a":
                 if len(fields) != 5:
                     raise ValueError("expected: a <u> <v> <cmin> <cmax>")
@@ -702,8 +702,11 @@ def parse_tnfr(text: str) -> TNFRInstance:
             raise ParseError(str(exc), line_no) from exc
     if inst is None or n_nodes is None:
         raise ParseError("missing problem line")
+    for i, (_, line_no) in kinds.items():
+        if not 1 <= i <= n_nodes:
+            raise ParseError(f"node id {i} outside 1..{n_nodes}", line_no)
     for i in range(1, n_nodes + 1):
-        inst.add_node(str(i), kinds.get(i, PLAIN))
+        inst.add_node(str(i), kinds.get(i, (PLAIN, None))[0])
     for line_idx, (u, v, lo, hi) in enumerate(arcs):
         try:
             inst.add_arc(str(u), str(v), lo, hi)

@@ -122,13 +122,6 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decide-naive", str(big), "-d", "0")
     assert code == EXIT_GUARD
 
-    # guard: a working-memory capacity below the controller's eight-word frame
-    chain = tmp_path / "chain.max"
-    chain.write_text("p max 3 2\nn 1 s\nn 3 t\na 1 2 3\na 2 3 5\n")
-    code, _, err = run_cli(capsys, "solve", str(chain), "--wm-capacity", "7")
-    assert code == EXIT_GUARD
-    assert "7 words" in err
-
     # invariant: failed verification reports exit code 4
     netlist = tmp_path / "reject.snn"
     netlist.write_text(

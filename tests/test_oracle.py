@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spikeflow.oracle
 from conftest import build_chain_search_net
 from spikeflow.errors import UndecidedError, UnknownNeuronError, WorkingMemoryExceeded
 from spikeflow.oracle import (
@@ -11,7 +14,7 @@ from spikeflow.oracle import (
     ResourceReport,
     WorkingMemory,
 )
-from spikeflow.snn import Neuron, Role, Synapse
+from spikeflow.snn import TAPE_ROLES, Neuron, Role, SpikingNetwork, Synapse, run
 
 ONE = Fraction(1)
 
@@ -155,3 +158,109 @@ def test_time_limit_must_be_positive():
     oracle = NeuromorphicOracle()
     with pytest.raises(ValueError):
         oracle.consult(ConsultMode.TRANSDUCER, time_limit=0)
+
+
+def _copy(net):
+    """A never-run copy of the network: running it reads the synapse records."""
+    copy = SpikingNetwork(overflow_reset=net.overflow_reset)
+    for neuron in net.neurons.values():
+        copy.add_neuron(neuron)
+    for syns in net.out_synapses.values():
+        for s in syns:
+            copy.add_synapse(s)
+    for nid, time in net.schedule:
+        copy.add_schedule(nid, time)
+    return copy
+
+
+def _consult_or_undecided(oracle, mode, limit, stop):
+    try:
+        return oracle.consult(mode, time_limit=limit, stop_on_fire=stop)
+    except UndecidedError:
+        return None, oracle.report.consultations[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_replayed_consultations_equal_fresh_runs(data):
+    """Random consults with random stop sets and limits, with voltage and
+    synapse writes in between: every tape and record equals a fresh run."""
+    oracle = NeuromorphicOracle()
+    n = data.draw(st.integers(2, 6))
+    resting = {}
+    for nid in range(n):
+        neuron = Neuron(
+            nid,
+            threshold=data.draw(st.integers(1, 4)),
+            reset=data.draw(st.integers(0, 2)),
+            leak=data.draw(st.sampled_from([Fraction(0), ONE, Fraction(1, 2)])),
+            v0=data.draw(st.integers(0, 4)),
+            role=data.draw(st.sampled_from([Role.READOUT, Role.STANDARD, Role.ACCEPT, Role.REJECT])),
+        )
+        oracle.write_neuron(neuron)
+        resting[nid] = neuron.v0
+    synapses = st.builds(
+        Synapse, st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3), st.integers(-2, 3)
+    )
+    for syn in data.draw(st.lists(synapses, max_size=10)):
+        oracle.write_synapse(syn)
+    for _ in range(data.draw(st.integers(1, 12))):
+        action = data.draw(st.sampled_from(["consult", "consult", "consult", "voltage", "synapse"]))
+        if action == "voltage":
+            nid = data.draw(st.integers(0, n - 1))
+            delta = data.draw(st.integers(-resting[nid], 3))
+            oracle.write_voltage(nid, delta)
+            resting[nid] += delta
+            continue
+        if action == "synapse":
+            oracle.write_synapse(data.draw(synapses))
+            continue
+        mode = data.draw(st.sampled_from([ConsultMode.TRANSDUCER, ConsultMode.DECIDER]))
+        stop = data.draw(st.none() | st.sets(st.integers(0, n - 1), max_size=3))
+        limit = data.draw(st.integers(1, 16))
+        tape, record = _consult_or_undecided(oracle, mode, limit, stop)
+        if mode is ConsultMode.DECIDER and stop is None:
+            stop = {i for i, nr in oracle.net.neurons.items() if nr.role in (Role.ACCEPT, Role.REJECT)}
+        fresh = run(_copy(oracle.net), limit, stop_on_fire=stop, initial_potentials=dict(resting))
+        assert record.trace == fresh.trace
+        assert record.timesteps == fresh.steps_used
+        assert record.spikes == len(fresh.trace)
+        assert record.network_size == len(oracle.net.neurons) + sum(
+            len(out) for out in oracle.net.out_synapses.values()
+        )
+        if tape is not None:
+            roles = oracle.net.neurons
+            assert tape.events == [(t, i) for t, i in fresh.trace if roles[i].role in TAPE_ROLES]
+
+
+def test_one_simulation_per_network_version(monkeypatch):
+    calls = []
+
+    def counting_run(*args, **kwargs):
+        calls.append(kwargs.get("state") is not None)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(spikeflow.oracle, "run", counting_run)
+    net, (T, H1, H2, R1, R2, C1, C2) = build_chain_search_net()
+    oracle = NeuromorphicOracle()
+    for neuron in net.neurons.values():
+        oracle.write_neuron(neuron)
+    for syns in net.out_synapses.values():
+        for s in syns:
+            oracle.write_synapse(s)
+    _, first = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
+    _, again = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
+    _, shorter = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={H1})
+    assert calls == [False]
+    assert again.trace == first.trace and again.timesteps == first.timesteps == 5
+    assert shorter.trace == [(0, T), (1, H2), (2, H1)] and shorter.timesteps == 3
+    # a stop set the cached prefix cannot decide steps the saved state further
+    _, longer = oracle.consult(ConsultMode.TRANSDUCER, time_limit=9)
+    assert calls == [False, True]
+    assert longer.timesteps == 9 and longer.trace == first.trace
+    # a write starts a new version: the next consultation simulates afresh
+    oracle.write_voltage(C2, 5)
+    _, blocked = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
+    assert calls == [False, True, False]
+    assert (0, C2) in blocked.trace and all(nid != R2 for _, nid in blocked.trace)
+    assert blocked.timesteps == 5

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snn_reference as ref
 from spikeflow.errors import ParseError, UnknownNeuronError
 from spikeflow.snn import (
+    _materialize,
     Neuron,
     Role,
     SimulationState,
@@ -282,6 +284,104 @@ def test_determinism_and_nonnegativity(data):
     assert all(v >= 0 for v in first.potentials.values())
     assert first.trace == sorted(first.trace)
     assert len(first.trace) == len(set(first.trace))  # no double-counted spikes
+
+
+def test_delay0_propagation_reaches_two_levels_per_step():
+    # Chain 0 -> 1 -> 2 -> 3 over delay-0 synapses: the scheduled fire of 0
+    # reaches 1 in the same step, but 2 and 3 only fire one step later.
+    net = make_net()
+    net.add_neuron(Neuron(0, 10**9, 0, ONE, v0=0, role=Role.SCHEDULED))
+    for nid in (1, 2, 3):
+        net.add_neuron(Neuron(nid, 1, 0, ONE, v0=0))
+    for pre in (0, 1, 2):
+        net.add_synapse(Synapse(pre, pre + 1, 0, 1))
+    net.add_schedule(0, 0)
+    state = run(net, 3)
+    assert state.trace == [(0, 0), (0, 1), (1, 2), (1, 3)]
+
+
+LEAKS = (Fraction(0), ONE, Fraction(1, 2), Fraction(2, 3))
+
+
+@st.composite
+def netlists(draw):
+    """Random networks over scattered neuron ids, with every leak kind,
+    delays 0-3, negative weights, both reset modes and a schedule."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=7, unique=True))
+    net = SpikingNetwork(overflow_reset=draw(st.booleans()))
+    for nid in ids:
+        net.add_neuron(
+            Neuron(
+                nid,
+                threshold=draw(st.integers(1, 5)),
+                reset=draw(st.integers(0, 3)),
+                leak=draw(st.sampled_from(LEAKS)),
+                v0=draw(st.integers(0, 5)),
+                role=draw(st.sampled_from(list(Role))),
+            )
+        )
+    for _ in range(draw(st.integers(0, 16))):
+        net.add_synapse(
+            Synapse(
+                pre=draw(st.sampled_from(ids)),
+                post=draw(st.sampled_from(ids)),
+                delay=draw(st.integers(0, 3)),
+                weight=draw(st.integers(-4, 4)),
+            )
+        )
+    for _ in range(draw(st.integers(0, 4))):
+        net.add_schedule(draw(st.sampled_from(ids)), draw(st.integers(0, 8)))
+    potentials = draw(
+        st.none() | st.dictionaries(st.sampled_from(ids + [99]), st.integers(0, 6), max_size=4)
+    )
+    return net, potentials
+
+
+def current_potentials(net, state):
+    return {nid: _materialize(net, state, nid, state.t) for nid in net.neurons}
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlists(), st.integers(0, 14))
+def test_step_matches_reference_after_every_step(case, n_steps):
+    net, potentials = case
+    for _ in range(2):  # from its second run on, a network's fires use split tables
+        state = SimulationState.initial(net, potentials)
+        expected = ref.RefState.initial(net, potentials)
+        for _ in range(n_steps):
+            _, fired = step(net, state)
+            assert fired == ref.step(net, expected)
+            assert state.trace == expected.trace
+            assert state.steps_used == expected.steps_used
+            assert current_potentials(net, state) == ref.current_potentials(net, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlists(), st.data())
+def test_run_and_resumed_run_match_reference(case, data):
+    net, potentials = case
+    ids = sorted(net.neurons)
+    stops = st.none() | st.sets(st.sampled_from(ids), max_size=3)
+    for _ in range(2):  # a first and a later run of the network
+        first_stop, first_limit = data.draw(stops), data.draw(st.integers(0, 14))
+        state = run(net, first_limit, stop_on_fire=first_stop, initial_potentials=potentials)
+        expected = ref.run(net, first_limit, stop_on_fire=first_stop, initial_potentials=potentials)
+        for resumes in range(3):
+            if resumes:  # continue with another stop set and limit
+                stop, limit = data.draw(stops), data.draw(st.integers(0, 20))
+                run(net, limit, stop_on_fire=stop, state=state)
+                ref.continue_run(net, expected, limit, stop)
+            assert (state.trace, state.t, state.halted) == (expected.trace, expected.t, expected.halted)
+            assert state.steps_used == expected.steps_used
+            assert current_potentials(net, state) == ref.current_potentials(net, expected)
+
+
+def test_run_rejects_initial_potentials_with_a_state():
+    net = make_net()
+    net.add_neuron(Neuron(0, 1, 0, ONE, v0=0))
+    state = run(net, 2)
+    with pytest.raises(ValueError):
+        run(net, 4, initial_potentials={0: 1}, state=state)
 
 
 def test_netlist_roundtrip():

@@ -335,6 +335,9 @@ def test_tnfr_parse_errors():
     assert "line 4" in str(exc.value)
     with pytest.raises(ParseError):
         parse_tnfr("p tnfr 2 9 2\nn 1 s\nn 2 t\na 1 2 0 1\n")  # arc count lie
+    with pytest.raises(ParseError) as exc:
+        parse_tnfr("p tnfr 3 1 2\nn 1 s\nn 3 t\nn 9 r\na 1 3 0 1\n")  # node id out of range
+    assert "line 4" in str(exc.value)
 
 
 def test_witness_csv_format():
