@@ -99,51 +99,10 @@ class BenchRow:
 
 
 def classical_search_steps(net: FlowNetwork) -> tuple[int, int]:
-    """Reference Edmonds-Karp with an operation count: one unit per node
+    """Reference Edmonds-Karp value and operation count: one unit per node
     dequeued and per residual arc scanned, summed over every BFS."""
-    from collections import deque
-
-    flows = {e.id: 0 for e in net.edges}
-    value = 0
-    steps = 0
-    while True:
-        parent = {}
-        seen = {net.source}
-        queue = deque([net.source])
-        reached = False
-        while queue:
-            v = queue.popleft()
-            steps += 1
-            if v == net.sink:
-                reached = True
-                break
-            for e in net.out_edges[v]:
-                steps += 1
-                if e.head not in seen and flows[e.id] < e.cap:
-                    seen.add(e.head)
-                    parent[e.head] = (e.id, True)
-                    queue.append(e.head)
-            for e in net.in_edges[v]:
-                steps += 1
-                if e.tail not in seen and flows[e.id] > 0:
-                    seen.add(e.tail)
-                    parent[e.tail] = (e.id, False)
-                    queue.append(e.tail)
-        if not reached:
-            break
-        path = []
-        v = net.sink
-        while v != net.source:
-            eid, forward = parent[v]
-            path.append((eid, forward))
-            v = net.edges[eid].tail if forward else net.edges[eid].head
-        delta = min(
-            net.edges[eid].cap - flows[eid] if fwd else flows[eid] for eid, fwd in path
-        )
-        for eid, fwd in path:
-            flows[eid] += delta if fwd else -delta
-        value += delta
-    return value, steps
+    reference = edmonds_karp(net)
+    return reference.value, reference.search_steps
 
 
 def run_instance(config: BenchConfig, n_nodes: int, sample: int) -> BenchRow:
@@ -168,21 +127,13 @@ def run_instance(config: BenchConfig, n_nodes: int, sample: int) -> BenchRow:
     records = result.query_records
     spikes = [r.spikes for r in records]
     steps = [r.timesteps for r in records]
-    # augmenting path lengths: a sink-edge readout fires at exactly twice the
-    # path's edge count, so read it off each successful query's trace
-    path_lens: list[float] = []
     if config.mode == PAPER_FAITHFUL:
-        from .maxflow import EdgeNeuronMap
-
-        emap = EdgeNeuronMap(net, residual=False)
-        sink_readouts = {emap.readout_id(i) for i in emap.sink_arc_idxs()}
-        for r in records:
-            hits = [t for t, nid in (r.trace or []) if nid in sink_readouts]
-            if hits:
-                path_lens.append(min(hits) / 2)
-    elif result.episodes:
+        # a query stops at its first sink-edge readout, which fires at
+        # exactly twice the augmenting path's edge count
+        path_lens = [r.stop_step / 2 for r in records if r.stop_step is not None]
+    else:
         # consultations per episode track path length one-to-one
-        path_lens.append((result.total_consults - 1) / result.episodes)
+        path_lens = [(result.total_consults - 1) / result.episodes] if result.episodes else []
     return BenchRow(
         suite=config.suite,
         mode=config.mode,

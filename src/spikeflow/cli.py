@@ -31,7 +31,7 @@ from .errors import (
 from .flow import format_dimacs, generate_random, parse_dimacs
 from .maxflow import PAPER_FAITHFUL, RESIDUAL, solve
 from .naive import decide_naive
-from .snn import SpikingNetwork, parse_netlist, run, write_trace_csv
+from .snn import parse_netlist, run, write_trace_csv
 from .tnfr import (
     ReductionConfig,
     check_feasible,
@@ -120,16 +120,9 @@ def cmd_decide_naive(args) -> int:
 
 def _reduction_config_from_args(args) -> ReductionConfig:
     # the netlist format carries structure only; the reduction's semantics
-    # always use overflow resets, so rebuild the parsed net under that flag
-    parsed = parse_netlist(_read_in(args.netlist))
-    net = SpikingNetwork(overflow_reset=True)
-    for neuron in parsed.neurons.values():
-        net.add_neuron(neuron)
-    for syns in parsed.out_synapses.values():
-        for s in syns:
-            net.add_synapse(s)
-    for nid, time in parsed.schedule:
-        net.add_schedule(nid, time)
+    # always use overflow resets, a flag read only when a neuron fires
+    net = parse_netlist(_read_in(args.netlist))
+    net.overflow_reset = True
     return ReductionConfig(
         net=net,
         constant_id=args.constant,

@@ -52,17 +52,12 @@ class FlowNetwork:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def source_edge_ids(self) -> list[int]:
-        return [e.id for e in self.out_edges[self.source]]
-
-    def sink_edge_ids(self) -> list[int]:
-        return [e.id for e in self.in_edges[self.sink]]
-
 
 @dataclass
 class FlowAssignment:
     flows: dict[int, int]
     value: int
+    search_steps: int = 0  # operations spent by edmonds_karp's searches
 
     @classmethod
     def zero(cls, net: FlowNetwork) -> "FlowAssignment":
@@ -96,15 +91,20 @@ ResidualStep = tuple[int, bool]  # (edge id, traversed forward?)
 
 def bfs_shortest_augmenting_path(
     net: FlowNetwork, flows: dict[int, int]
-) -> list[ResidualStep] | None:
-    """Fewest-edge source-to-sink path in the residual graph, or None."""
+) -> tuple[list[ResidualStep] | None, int]:
+    """Fewest-edge source-to-sink path in the residual graph (or None), and
+    the search's operation count: one per node dequeued and one per residual
+    arc scanned."""
     parent: dict[int, ResidualStep] = {}
     seen = {net.source}
     queue = deque([net.source])
+    ops = 0
     while queue:
         v = queue.popleft()
+        ops += 1
         if v == net.sink:
             break
+        ops += len(net.out_edges[v]) + len(net.in_edges[v])
         for e in net.out_edges[v]:
             if e.head not in seen and flows[e.id] < e.cap:
                 seen.add(e.head)
@@ -116,7 +116,7 @@ def bfs_shortest_augmenting_path(
                 parent[e.tail] = (e.id, False)
                 queue.append(e.tail)
     if net.sink not in seen:
-        return None
+        return None, ops
     path: list[ResidualStep] = []
     v = net.sink
     while v != net.source:
@@ -125,15 +125,16 @@ def bfs_shortest_augmenting_path(
         e = net.edges[edge_id]
         v = e.tail if forward else e.head
     path.reverse()
-    return path
+    return path, ops
 
 
 def edmonds_karp(net: FlowNetwork) -> FlowAssignment:
     """Maximum flow by shortest augmenting paths on the residual graph."""
     flows = {e.id: 0 for e in net.edges}
-    value = 0
+    value = steps = 0
     while True:
-        path = bfs_shortest_augmenting_path(net, flows)
+        path, ops = bfs_shortest_augmenting_path(net, flows)
+        steps += ops
         if path is None:
             break
         delta = min(
@@ -143,7 +144,7 @@ def edmonds_karp(net: FlowNetwork) -> FlowAssignment:
         for eid, forward in path:
             flows[eid] += delta if forward else -delta
         value += delta
-    return FlowAssignment(flows, value)
+    return FlowAssignment(flows, value, steps)
 
 
 def min_cut_capacity(net: FlowNetwork, assignment: FlowAssignment) -> int:

@@ -8,7 +8,9 @@ resources (timesteps, network size, spikes) are tallied per consultation.
 A consultation is deterministic in the network and its resting potentials,
 and a stop set only truncates the run.  So the oracle keeps one resumable
 simulation per network version and answers each consultation from its
-trace; the metering is that of a fresh run all the same.
+trace; the metering is that of a fresh run all the same.  The controller
+sees only the output tape: a consultation's spikes are counted while it is
+cut, and no record keeps them.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import enum
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import UndecidedError, UnknownNeuronError, WorkingMemoryExceeded
 from .snn import Neuron, Role, SimulationState, SpikingNetwork, Synapse, run
 
 SpikeEvent = tuple[int, int]  # (time, neuron id)
+_neuron_id = itemgetter(1)
 
 
 class ConsultMode(enum.Enum):
@@ -57,9 +61,11 @@ class ConsultRecord:
     spikes: int
     network_size: int
     bit: int | None = None
-    # the consultation's spike trace, kept for property checks; not part of
-    # the JSON report
-    trace: list[SpikeEvent] | None = None
+    # for property checks, not part of the JSON report: the step of the stop
+    # spike that ended the run (None when it ran to its limit), and how many
+    # spikes came from a neuron that had already spiked in it
+    stop_step: int | None = None
+    repeat_spikes: int = 0
 
 
 @dataclass
@@ -231,9 +237,10 @@ class NeuromorphicOracle:
 
     # --- consultation ---
 
-    def _replay(self, time_limit: int, stop: frozenset[int]) -> tuple[list[SpikeEvent], int]:
+    def _replay(self, time_limit: int, stop: frozenset[int]) -> tuple[list[SpikeEvent], int, int | None]:
         """The trace and step count of a fresh run of the current version to
-        ``time_limit`` that halts at the first spike in ``stop``."""
+        ``time_limit`` that halts at the first spike in ``stop``, and the
+        halting step (None when it runs to the limit)."""
         sim = self._sim
         if sim is None:
             sim = self._sim = run(self.net, time_limit, stop_on_fire=stop, initial_potentials=self._v)
@@ -244,7 +251,7 @@ class NeuromorphicOracle:
                 run(self.net, time_limit, stop_on_fire=stop, state=sim)
                 cut = sim.t if sim.halted else None
         steps = time_limit if cut is None else cut + 1
-        return sim.trace[: bisect_left(sim.trace, (steps,))], steps
+        return sim.trace[: bisect_left(sim.trace, (steps,))], steps, cut
 
     def consult(
         self,
@@ -259,7 +266,7 @@ class NeuromorphicOracle:
             stop_on_fire = set(net.neurons_with_role(Role.ACCEPT)) | set(
                 net.neurons_with_role(Role.REJECT)
             )
-        trace, steps = self._replay(time_limit, frozenset(stop_on_fire or ()))
+        trace, steps, cut = self._replay(time_limit, frozenset(stop_on_fire or ()))
         tape_ids = net.tape_ids
         tape = OutputTape([event for event in trace if event[1] in tape_ids])
         record = ConsultRecord(
@@ -267,7 +274,8 @@ class NeuromorphicOracle:
             timesteps=steps,
             spikes=len(trace),
             network_size=net.size(),
-            trace=trace,
+            stop_step=cut,
+            repeat_spikes=len(trace) - len(set(map(_neuron_id, trace))),
         )
         if mode is ConsultMode.DECIDER:
             accepted = any(

@@ -167,6 +167,18 @@ class SpikingNetwork:
         self.schedule.append((neuron_id, time))
         self._schedule_by_time.setdefault(time, []).append(neuron_id)
 
+    def copy(self) -> "SpikingNetwork":
+        """A never-run copy: same neurons, synapses, schedule, reset mode."""
+        clone = SpikingNetwork(overflow_reset=self.overflow_reset)
+        for neuron in self.neurons.values():
+            clone.add_neuron(neuron)
+        for syns in self.out_synapses.values():
+            for s in syns:
+                clone.add_synapse(s)
+        for nid, time in self.schedule:
+            clone.add_schedule(nid, time)
+        return clone
+
     def scheduled_at(self, t: int) -> list[int]:
         return self._schedule_by_time.get(t, [])
 

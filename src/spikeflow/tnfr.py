@@ -15,13 +15,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import GuardExceeded, ParseError, SearchBudgetExceeded
 from .snn import SimulationState, SpikingNetwork
 from .snn import step as snn_step
-
-ONE = Fraction(1)
 
 PLAIN, SOURCE, SINK, RES_SINK, RES_SOURCE = "plain", "s", "t", "r", "p"
 
@@ -250,9 +247,10 @@ def enumerate_feasible_naive(inst: TNFRInstance, d: int | None = None) -> bool:
 class ReductionConfig:
     """A constrained spiking network plus its time and energy budgets.
 
-    The network must use overflow resets, leak 1 and non-negative integer
-    weights/delays; ``constant_id`` is the single always-firing input (unit
-    threshold, no incoming synapses) and ``accept_id`` the acceptance neuron.
+    The network must use overflow resets, leak 1, non-negative integer
+    weights/delays and no schedule; ``constant_id`` is the single always-firing
+    input (unit threshold, no incoming synapses) and ``accept_id`` the
+    acceptance neuron.
     The rejection neuron is behavioral (fires until acceptance) and is
     represented in the flow instance by forced per-step tokens.
     """
@@ -269,6 +267,8 @@ class ReductionConfig:
             raise ValueError("time bound must be >= 1")
         if not n.overflow_reset:
             raise ValueError("assumption 5 violated: network must use overflow resets")
+        if n.schedule:
+            raise ValueError("assumption 2 violated: the constant input is the only forced firing")
         for neuron in n.neurons.values():
             if neuron.leak != 1:
                 raise ValueError(f"assumption 4 violated: neuron {neuron.id} leak {neuron.leak}")
@@ -316,12 +316,7 @@ def simulate_constrained(cfg: ReductionConfig) -> SimulationOutcome:
     """Run the network for the time bound with the constant input forced on."""
     cfg.validate()
     t_bound = cfg.time_bound
-    sim = SpikingNetwork(overflow_reset=True)
-    for neuron in cfg.net.neurons.values():
-        sim.add_neuron(neuron)
-    for syns in cfg.net.out_synapses.values():
-        for s in syns:
-            sim.add_synapse(s)
+    sim = cfg.net.copy()
     for step_idx in range(t_bound):
         sim.add_schedule(cfg.constant_id, step_idx)
 

@@ -70,12 +70,14 @@ def test_trap_graph_optimum_is_two():
 
 def test_bfs_none_on_saturated_edge():
     net = FlowNetwork(2, [(0, 1, 3)], 0, 1)
-    assert bfs_shortest_augmenting_path(net, {0: 3}) is None
+    # dequeue the source and scan its one arc
+    assert bfs_shortest_augmenting_path(net, {0: 3}) == (None, 2)
 
 
 def test_bfs_direct_path_on_empty_flow():
     net = FlowNetwork(2, [(0, 1, 3)], 0, 1)
-    assert bfs_shortest_augmenting_path(net, {0: 0}) == [(0, True)]
+    # dequeue the source, scan its arc, dequeue the sink
+    assert bfs_shortest_augmenting_path(net, {0: 0}) == ([(0, True)], 3)
 
 
 def test_bfs_uses_reverse_arc_in_trap_graph():
@@ -85,8 +87,11 @@ def test_bfs_uses_reverse_arc_in_trap_graph():
     flows = {e.id: 0 for e in net.edges}
     for eid in (0, 2, 4):  # s->a, a->b, b->t
         flows[eid] = 1
-    path = bfs_shortest_augmenting_path(net, flows)
+    path, ops = bfs_shortest_augmenting_path(net, flows)
     assert path == [(1, True), (5, True), (2, False), (3, True), (6, True)]
+    # s, c, b, a and e are dequeued (1 each) with their 2, 2, 3, 3 and 2
+    # arcs scanned; t is dequeued last
+    assert ops == 3 + 3 + 4 + 4 + 3 + 1
 
 
 def test_validate_flow_reports_violations():

@@ -1,22 +1,25 @@
 import pytest
 
+import spikeflow.bench as bench
 from flow_oracles import brute_force_max_flow
 from spikeflow.errors import WorkingMemoryExceeded
-from spikeflow.flow import FlowNetwork, edmonds_karp, generate_random, validate_flow
+from spikeflow.flow import FlowAssignment, FlowNetwork, edmonds_karp, generate_random, validate_flow
 from spikeflow.maxflow import (
     PAPER_FAITHFUL,
     RESIDUAL,
     DecodeJamError,
     EdgeNeuronMap,
     PathRecord,
+    SolveResult,
     build_capacity_neurons,
     build_search_network,
     decode_path,
     run_search_query,
     solve,
+    verify_episode_properties,
 )
-from spikeflow.oracle import NeuromorphicOracle, ResourceReport, WorkingMemory
-from spikeflow.snn import Role
+from spikeflow.oracle import ConsultRecord, NeuromorphicOracle, ResourceReport, WorkingMemory
+from spikeflow.snn import Role, run
 
 
 def net_from(edges, n, sink=None):
@@ -79,7 +82,10 @@ def test_single_edge_capacity_saturates_with_one_unit():
     tape, record = run_search_query(oracle, emap)
     assert tape.events == []
     assert record.timesteps == 2 * 1 + 1
-    assert (0, cid) in record.trace  # the saturated capacity fired at step 0
+    # the saturated capacity fired at step 0, beside the transmitter
+    fresh = run(oracle.net, record.timesteps, initial_potentials={cid: oracle.read_voltage(cid)})
+    assert (0, cid) in fresh.trace
+    assert record.spikes == len(fresh.trace) == 2
 
 
 def test_chain_search_network_shape():
@@ -136,8 +142,11 @@ def test_diamond_wave_symmetry_and_tie_break():
     wm = WorkingMemory(8, oracle.report)
     tape, record = run_search_query(oracle, emap)
     # both sink-edge search neurons fire together at t=1
-    assert (1, emap.search_id(2)) in record.trace
-    assert (1, emap.search_id(3)) in record.trace
+    stop = {emap.readout_id(i) for i in emap.sink_arc_idxs()}
+    fresh = run(oracle.net, emap.query_time_limit(), stop_on_fire=stop)
+    assert (1, emap.search_id(2)) in fresh.trace
+    assert (1, emap.search_id(3)) in fresh.trace
+    assert (record.spikes, record.stop_step) == (len(fresh.trace), fresh.t)
     path = decode_path(tape, emap, oracle, wm)
     assert path.edge_ids() == [0, 2]  # the lower-id branch
 
@@ -209,6 +218,56 @@ def test_path_record_invariants():
         PathRecord([a], 0)
 
 
+def test_all_arcs_chain_stops_one_step_before_its_limit(monkeypatch):
+    # the only path uses every arc, so its sink readout fires at 2U = limit - 1
+    # and the record's timesteps equal those of a run that finds no path
+    net = chain_net(caps=(3, 1, 4, 2))
+    oracle, emap = build_oracle(net)
+    _, found = run_search_query(oracle, emap)
+    limit = emap.query_time_limit()
+    assert found.stop_step == limit - 1 == 2 * net.n_edges
+    assert found.timesteps == limit
+    oracle.write_voltage(emap.cap_id(1), 1)  # saturate the bottleneck
+    _, none = run_search_query(oracle, emap)
+    assert none.stop_step is None and none.timesteps == limit
+
+    monkeypatch.setattr(bench, "generate_random", lambda *args: net)
+    row = bench.run_instance(bench.BenchConfig(sizes=[5], samples=1), 5, 0)
+    assert row.episodes == 1
+    assert row.mean_augmenting_path_len == net.n_edges
+
+
+def _planted(mode, records, episodes=0):
+    return SolveResult(
+        assignment=FlowAssignment({}, 0), report=ResourceReport(), mode=mode,
+        episodes=episodes, total_consults=len(records), decode_jams=0,
+        voltage_sum=0, query_records=records,
+    )
+
+
+def test_verify_episode_properties_reports_planted_violations():
+    # three edges: horizon 7, at most 10 spikes and 3 episodes; residual mode
+    # adds a reverse companion for the middle edge, so its horizon is 9
+    net = chain_net(caps=(3, 5, 2))
+    fine = ConsultRecord("transducer", timesteps=7, spikes=10, network_size=0, stop_step=6)
+    assert verify_episode_properties(net, _planted(PAPER_FAITHFUL, [fine], episodes=3)) == []
+
+    repeated = ConsultRecord("transducer", 7, 5, 0, repeat_spikes=2)
+    too_long = ConsultRecord("transducer", 8, 5, 0)
+    too_many = ConsultRecord("transducer", 7, 11, 0)
+    planted = [fine, repeated, too_long, too_many]
+    assert verify_episode_properties(net, _planted(PAPER_FAITHFUL, planted, episodes=4)) == [
+        "query 1: 2 repeated wave-neuron spikes",
+        "query 2: 8 steps > 7",
+        "query 3: 11 spikes > 10",
+        "4 augmenting episodes > 3 edges",
+    ]
+    # residual mode has no spike or episode ceiling
+    assert verify_episode_properties(net, _planted(RESIDUAL, planted, episodes=4)) == [
+        "query 1: 2 repeated wave-neuron spikes",
+    ]
+
+
 def test_timing_law_on_chains():
     for length in (1, 2, 3, 5, 8):
         net = chain_net(caps=tuple([2] * length))
@@ -233,19 +292,11 @@ def test_episode_properties_on_random_instances():
         result = solve(net, PAPER_FAITHFUL)
         assert result.episodes <= net.n_edges
         m = net.n_edges
-        emap = EdgeNeuronMap(net, residual=False)
-        wave_ids = {emap.search_id(i) for i in range(m)} | {
-            emap.readout_id(i) for i in range(m)
-        }
         for rec in result.query_records:
             assert rec.timesteps <= 2 * m + 1
             assert rec.spikes <= 3 * m + 1
-            fires_per_neuron = {}
-            for _, nid in rec.trace:
-                fires_per_neuron[nid] = fires_per_neuron.get(nid, 0) + 1
-            assert all(
-                count == 1 for nid, count in fires_per_neuron.items() if nid in wave_ids
-            )
+            # only wave neurons can spike twice: the others have no inputs
+            assert rec.repeat_spikes == 0
         # reference equality for the exact mode
         exact = solve(net, RESIDUAL)
         assert exact.assignment.value == edmonds_karp(net).value

@@ -14,7 +14,7 @@ from spikeflow.oracle import (
     ResourceReport,
     WorkingMemory,
 )
-from spikeflow.snn import TAPE_ROLES, Neuron, Role, SpikingNetwork, Synapse, run
+from spikeflow.snn import TAPE_ROLES, Neuron, Role, Synapse, run
 
 ONE = Fraction(1)
 
@@ -160,19 +160,6 @@ def test_time_limit_must_be_positive():
         oracle.consult(ConsultMode.TRANSDUCER, time_limit=0)
 
 
-def _copy(net):
-    """A never-run copy of the network: running it reads the synapse records."""
-    copy = SpikingNetwork(overflow_reset=net.overflow_reset)
-    for neuron in net.neurons.values():
-        copy.add_neuron(neuron)
-    for syns in net.out_synapses.values():
-        for s in syns:
-            copy.add_synapse(s)
-    for nid, time in net.schedule:
-        copy.add_schedule(nid, time)
-    return copy
-
-
 def _consult_or_undecided(oracle, mode, limit, stop):
     try:
         return oracle.consult(mode, time_limit=limit, stop_on_fire=stop)
@@ -184,9 +171,14 @@ def _consult_or_undecided(oracle, mode, limit, stop):
 @given(st.data())
 def test_replayed_consultations_equal_fresh_runs(data):
     """Random consults with random stop sets and limits, with voltage and
-    synapse writes in between: every tape and record equals a fresh run."""
+    synapse writes in between: every tape and record equals a fresh run.
+    When every neuron has a tape role, the tape is the whole trace, so each
+    spike is compared."""
     oracle = NeuromorphicOracle()
     n = data.draw(st.integers(2, 6))
+    roles = [Role.READOUT, Role.ACCEPT, Role.REJECT]
+    if data.draw(st.booleans()):
+        roles.append(Role.STANDARD)
     resting = {}
     for nid in range(n):
         neuron = Neuron(
@@ -195,7 +187,7 @@ def test_replayed_consultations_equal_fresh_runs(data):
             reset=data.draw(st.integers(0, 2)),
             leak=data.draw(st.sampled_from([Fraction(0), ONE, Fraction(1, 2)])),
             v0=data.draw(st.integers(0, 4)),
-            role=data.draw(st.sampled_from([Role.READOUT, Role.STANDARD, Role.ACCEPT, Role.REJECT])),
+            role=data.draw(st.sampled_from(roles)),
         )
         oracle.write_neuron(neuron)
         resting[nid] = neuron.v0
@@ -221,10 +213,11 @@ def test_replayed_consultations_equal_fresh_runs(data):
         tape, record = _consult_or_undecided(oracle, mode, limit, stop)
         if mode is ConsultMode.DECIDER and stop is None:
             stop = {i for i, nr in oracle.net.neurons.items() if nr.role in (Role.ACCEPT, Role.REJECT)}
-        fresh = run(_copy(oracle.net), limit, stop_on_fire=stop, initial_potentials=dict(resting))
-        assert record.trace == fresh.trace
+        fresh = run(oracle.net.copy(), limit, stop_on_fire=stop, initial_potentials=dict(resting))
         assert record.timesteps == fresh.steps_used
         assert record.spikes == len(fresh.trace)
+        assert record.stop_step == (fresh.t if fresh.halted else None)
+        assert record.repeat_spikes == len(fresh.trace) - len({nid for _, nid in fresh.trace})
         assert record.network_size == len(oracle.net.neurons) + sum(
             len(out) for out in oracle.net.out_synapses.values()
         )
@@ -248,19 +241,26 @@ def test_one_simulation_per_network_version(monkeypatch):
     for syns in net.out_synapses.values():
         for s in syns:
             oracle.write_synapse(s)
-    _, first = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
-    _, again = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
-    _, shorter = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={H1})
+    first_tape, first = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
+    again_tape, again = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
+    shorter_tape, shorter = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={H1})
     assert calls == [False]
-    assert again.trace == first.trace and again.timesteps == first.timesteps == 5
-    assert shorter.trace == [(0, T), (1, H2), (2, H1)] and shorter.timesteps == 3
+    assert first_tape.events == again_tape.events == [(3, R1), (4, R2)]
+    assert (first.spikes, first.timesteps, first.stop_step) == (again.spikes, again.timesteps, 4)
+    assert first.spikes == 5 and first.timesteps == 5
+    # T, H2 and H1 spike, at steps 0, 1 and 2
+    assert shorter_tape.events == [] and shorter.spikes == 3
+    assert shorter.stop_step == 2 and shorter.timesteps == 3
     # a stop set the cached prefix cannot decide steps the saved state further
-    _, longer = oracle.consult(ConsultMode.TRANSDUCER, time_limit=9)
+    longer_tape, longer = oracle.consult(ConsultMode.TRANSDUCER, time_limit=9)
     assert calls == [False, True]
-    assert longer.timesteps == 9 and longer.trace == first.trace
+    assert longer_tape.events == first_tape.events and longer.spikes == first.spikes
+    assert longer.timesteps == 9 and longer.stop_step is None
     # a write starts a new version: the next consultation simulates afresh
     oracle.write_voltage(C2, 5)
-    _, blocked = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
+    blocked_tape, blocked = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
     assert calls == [False, True, False]
-    assert (0, C2) in blocked.trace and all(nid != R2 for _, nid in blocked.trace)
-    assert blocked.timesteps == 5
+    # only T and the saturated C2 spike, at step 0; the wave is blocked
+    assert blocked_tape.events == [] and blocked.spikes == 2
+    assert blocked.timesteps == 5 and blocked.stop_step is None
+    assert all(r.repeat_spikes == 0 for r in (first, again, shorter, longer, blocked))

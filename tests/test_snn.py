@@ -392,6 +392,23 @@ def test_netlist_roundtrip():
     assert format_netlist(parsed) == text
 
 
+@pytest.mark.parametrize("overflow", [False, True])
+def test_copy_is_a_never_run_equal_network(overflow):
+    net, (T, *_) = chain_search_net()
+    net.overflow_reset = overflow
+    net.add_schedule(T, 3)
+    first = run(net, 6)
+    run(net, 6)  # a second run splits the firing neurons' out-synapses
+    copy = net.copy()
+    assert format_netlist(copy) == format_netlist(net)
+    assert copy.overflow_reset is overflow and copy.size() == net.size()
+    assert copy._runs == 0 and copy._out == {}
+    assert run(copy, 6).trace == first.trace
+    text = format_netlist(net)
+    copy.add_schedule(T, 5)
+    assert format_netlist(net) == text and net.scheduled_at(5) == []
+
+
 def test_netlist_comments_and_errors():
     good = "# comment\nN 0 1 0 1 1 transmitter\n"
     net = parse_netlist(good)

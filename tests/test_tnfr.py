@@ -177,6 +177,12 @@ def test_assumption_validation():
     with pytest.raises(ValueError, match="assumption 2"):
         ReductionConfig(net, 0, 1, 2, 2).validate()
 
+    # the constant input is the only forced firing the reduction models
+    scheduled = make_cfg().net
+    scheduled.add_schedule(1, 0)
+    with pytest.raises(ValueError, match="assumption 2"):
+        ReductionConfig(scheduled, 0, 1, 2, 2).validate()
+
     with pytest.raises(ValueError, match="energy"):
         ReductionConfig(make_cfg().net, 0, 1, 3, 99).validate()
 
