@@ -119,17 +119,20 @@ def cmd_decide_naive(args) -> int:
 
 
 def _reduction_config_from_args(args) -> ReductionConfig:
+    """The validated configuration; a broken assumption raises ValueError."""
     # the netlist format carries structure only; the reduction's semantics
     # always use overflow resets, a flag read only when a neuron fires
     net = parse_netlist(_read_in(args.netlist))
     net.overflow_reset = True
-    return ReductionConfig(
+    cfg = ReductionConfig(
         net=net,
         constant_id=args.constant,
         accept_id=args.accept,
         time_bound=args.time_bound,
         energy_bound=args.energy_bound,
     )
+    cfg.validate()
+    return cfg
 
 
 def cmd_reduce(args) -> int:

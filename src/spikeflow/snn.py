@@ -512,6 +512,8 @@ def parse_netlist(text: str) -> SpikingNetwork:
             raise
         except (ValueError, UnknownNeuronError) as exc:
             raise ParseError(str(exc), line_no) from exc
+        except ZeroDivisionError as exc:  # only the leak is a fraction
+            raise ParseError(f"leak {fields[4]} has a zero denominator", line_no) from exc
     # Synapses may reference neurons declared later in the file.
     for line_no, syn in pending_synapses:
         try:

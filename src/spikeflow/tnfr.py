@@ -46,6 +46,8 @@ class TNFRInstance:
         self.node_tags: dict[str, str] = {}
         self.source: str | None = None
         self.sink: str | None = None
+        # a value-3 flow (arc index -> flow), set by reduce_network from an accepting run
+        self.witness: dict[int, int] | None = None
 
     def add_node(self, name: str, kind: str = PLAIN, tag: str = "") -> str:
         if name in self.kinds:
@@ -288,14 +290,12 @@ class ReductionConfig:
                     raise ValueError(
                         f"assumption 3 violated: synapse {s.pre}->{s.post} needs delay >= 1"
                     )
+                if s.post == self.constant_id:
+                    raise ValueError("assumption 2 violated: the constant input has an incoming synapse")
         if self.constant_id not in n.neurons or self.accept_id not in n.neurons:
             raise ValueError("assumption 2 violated: constant or accept neuron missing")
         if n.neurons[self.constant_id].threshold != 1:
             raise ValueError("assumption 2 violated: the constant input must have unit threshold")
-        for syns in n.out_synapses.values():
-            for s in syns:
-                if s.post == self.constant_id:
-                    raise ValueError("assumption 2 violated: the constant input has an incoming synapse")
         if not (0 <= self.energy_bound <= len(n.neurons) * self.time_bound):
             raise ValueError("energy bound must satisfy 0 <= e <= n*t")
 
@@ -337,23 +337,7 @@ def simulate_constrained(cfg: ReductionConfig) -> SimulationOutcome:
     return SimulationOutcome(accepted, accept_step, spikes, fires, potential_after)
 
 
-def _live_dead_weights(cfg: ReductionConfig, nid: int, k: int) -> tuple[list[tuple[int, int, int]], int]:
-    """Synapse deliveries from a firing at unroll column k that land within
-    the horizon (as (post, arrival column, weight)), plus the dumped weight."""
-    live = []
-    dead = 0
-    for s in cfg.net.out_synapses[nid]:
-        arrival = k + s.delay
-        if s.weight == 0:
-            continue
-        if arrival <= cfg.time_bound and s.delay >= 1:
-            live.append((s.post, arrival, s.weight))
-        else:
-            dead += s.weight
-    return live, dead
-
-
-def reduce_network(cfg: ReductionConfig) -> TNFRInstance:
+def reduce_network(cfg: ReductionConfig, *, _run: SimulationOutcome | None = None) -> TNFRInstance:
     """Unroll the constrained network into a TNFR instance with d = 2.
 
     Flow semantics: a neuron's carried potential rides its chain arcs, a
@@ -362,11 +346,38 @@ def reduce_network(cfg: ReductionConfig) -> TNFRInstance:
     three master channels (energy, time, failure) each admit one unit exactly
     when the corresponding global constraint holds, so value 3 is attainable
     iff the network accepts within its bounds.
+
+    Given an accepting run of the network (as ``simulate_to_witness`` and
+    ``verify_reduction`` do), each arc also gets that run's flow as it is
+    laid out, and ``inst.witness`` holds the resulting value-3 flow.  Raises
+    ``GuardExceeded`` when the run carries a potential its chain arcs cannot.
     """
     cfg.validate()
     t_bound, e_bound = cfg.time_bound, cfg.energy_bound
-    T_acc = cfg.net.neurons[cfg.accept_id].threshold
     inst = TNFRInstance(d=2)
+    if _run is None:
+        # an idle run: every flow below is 0 or a constant, and none is kept
+        ids = cfg.net.neurons
+        run = SimulationOutcome(False, None, 0, dict.fromkeys(ids, ()), dict.fromkeys(ids, [0] * t_bound))
+
+        def arc(tail: str, head: str, c_min: int, c_max: int, tag: str, flow: int = 0) -> None:
+            inst.add_arc(tail, head, c_min, c_max, tag)
+    else:
+        run = _run
+        witness = inst.witness = {}
+
+        def arc(tail: str, head: str, c_min: int, c_max: int, tag: str, flow: int = 0) -> None:
+            witness[inst.add_arc(tail, head, c_min, c_max, tag).idx] = flow
+
+    # the energy chain carries the channel unit plus every spike so far; the
+    # silence chain carries one unit per acceptance firing so far
+    spikes_per_step = [0] * t_bound
+    for steps in run.fires.values():
+        for step_idx in steps:
+            spikes_per_step[step_idx] += 1
+    energy_carried = list(itertools.accumulate(spikes_per_step, initial=1))
+    accept_fires = run.fires[cfg.accept_id]
+    silence_carried = list(itertools.accumulate(int(step_idx in accept_fires) for step_idx in range(t_bound)))
 
     s = inst.add_node("src", SOURCE, tag="master")
     t = inst.add_node("sink", SINK, tag="master")
@@ -376,13 +387,13 @@ def reduce_network(cfg: ReductionConfig) -> TNFRInstance:
     t_e = inst.add_node("e:out", tag="energy")
     r_e = inst.add_node("e:res", RES_SINK, tag="energy")
     j = [inst.add_node(f"e:j{k}", tag=f"energy:{k}") for k in range(1, t_bound + 1)]
-    inst.add_arc(s, s_e, 0, 1, tag="master:energy:in")
-    inst.add_arc(s_e, j[0], 0, 1, tag="energy:unit")
+    arc(s, s_e, 0, 1, "master:energy:in", 1)
+    arc(s_e, j[0], 0, 1, "energy:unit", 1)
     for k in range(t_bound - 1):
-        inst.add_arc(j[k], j[k + 1], 0, e_bound + 1, tag=f"energy:chain:{k + 1}")
-    inst.add_arc(j[-1], r_e, 0, e_bound, tag="energy:overflow")
-    inst.add_arc(j[-1], t_e, 0, 1, tag="energy:pass")
-    inst.add_arc(t_e, t, 0, 1, tag="master:energy:out")
+        arc(j[k], j[k + 1], 0, e_bound + 1, f"energy:chain:{k + 1}", energy_carried[k + 1])
+    arc(j[-1], r_e, 0, e_bound, "energy:overflow", run.spikes)
+    arc(j[-1], t_e, 0, 1, "energy:pass", 1)
+    arc(t_e, t, 0, 1, "master:energy:out", 1)
 
     # step 5: time gadget.  The channel unit can only cross the pairing gate
     # together with a silencing unit, and silencing units exist exactly when
@@ -396,66 +407,68 @@ def reduce_network(cfg: ReductionConfig) -> TNFRInstance:
     r_t = inst.add_node("t:res", RES_SINK, tag="time")
     gate = inst.add_node("t:gate", tag="time:gate")
     burn = inst.add_node("t:burn", tag="time:gate")
-    inst.add_arc(s, s_t, 0, 1, tag="master:time:in")
-    inst.add_arc(s_t, gate, 0, 1, tag="time:unit")
-    inst.add_arc(gate, burn, 2, 2, tag="time:pair")
-    inst.add_arc(burn, t_t, 0, 1, tag="time:pass")
-    inst.add_arc(burn, r_t, 0, 1, tag="time:spent-key")
-    inst.add_arc(t_t, t, 0, 1, tag="master:time:out")
+    arc(s, s_t, 0, 1, "master:time:in", 1)
+    arc(s_t, gate, 0, 1, "time:unit", 1)
+    arc(gate, burn, 2, 2, "time:pair", 2)
+    arc(burn, t_t, 0, 1, "time:pass", 1)
+    arc(burn, r_t, 0, 1, "time:spent-key", 1)
+    arc(t_t, t, 0, 1, "master:time:out", 1)
 
     # step 7: failure gadget (unit passes iff no forced fire was dodged)
     s_f = inst.add_node("f:in", tag="failure")
     t_f = inst.add_node("f:out", tag="failure")
     f_nodes = [inst.add_node(f"f:f{k}", tag=f"failure:{k}") for k in range(1, t_bound + 1)]
-    inst.add_arc(s, s_f, 0, 1, tag="failure:master:in")
-    inst.add_arc(s_f, f_nodes[0], 0, 1, tag="failure:unit")
+    arc(s, s_f, 0, 1, "failure:master:in", 1)
+    arc(s_f, f_nodes[0], 0, 1, "failure:unit", 1)
     for k in range(t_bound - 1):
-        inst.add_arc(f_nodes[k], f_nodes[k + 1], 0, 1, tag=f"failure:chain:{k + 1}")
+        arc(f_nodes[k], f_nodes[k + 1], 0, 1, f"failure:chain:{k + 1}")
     for k in range(t_bound):
-        inst.add_arc(f_nodes[k], t_f, 0, 1, tag=f"failure:collect:{k + 1}")
-    inst.add_arc(t_f, t, 0, 1, tag="failure:master:out")
+        arc(f_nodes[k], t_f, 0, 1, f"failure:collect:{k + 1}", int(k == 0))
+    arc(t_f, t, 0, 1, "failure:master:out", 1)
 
     # step 1: the constant input fires all-or-nothing
     p_con = inst.add_node("p:con", RES_SOURCE, tag="constant")
     con_src = inst.add_node("con:src", tag="constant")
-    inst.add_arc(p_con, con_src, t_bound, t_bound, tag="constant:drive")
+    arc(p_con, con_src, t_bound, t_bound, "constant:drive", t_bound)
     con_cols = []
     for k in range(1, t_bound + 1):
         col = inst.add_node(f"n:{cfg.constant_id}:{k}", tag=f"unroll:{cfg.constant_id}:{k}")
         con_cols.append(col)
-        inst.add_arc(con_src, col, 1, 1, tag=f"constant:token:{k}")
+        arc(con_src, col, 1, 1, f"constant:token:{k}", 1)
 
-    # step 2: unrolled potential chains for every other neuron
+    # step 2: unrolled potential chains for every other neuron; each carries
+    # the neuron's end-of-step potential
     unrolled: dict[tuple[int, int], str] = {}
     for k, col in enumerate(con_cols, start=1):
         unrolled[(cfg.constant_id, k)] = col
     plain_ids = [nid for nid in cfg.unrolled_ids() if nid != cfg.constant_id]
     for nid in plain_ids:
         T_i = cfg.net.neurons[nid].threshold
+        cap = max(T_i - 1, 0)
+        carried = run.potential_after[nid]
+        if max(carried) > cap:
+            raise GuardExceeded(
+                f"neuron {nid} carries potential {max(carried)} >= threshold {T_i}: "
+                "outside the reduction's dynamic range"
+            )
         for k in range(1, t_bound + 1):
             unrolled[(nid, k)] = inst.add_node(f"n:{nid}:{k}", tag=f"unroll:{nid}:{k}")
         for k in range(1, t_bound):
-            inst.add_arc(
-                unrolled[(nid, k)], unrolled[(nid, k + 1)], 0, max(T_i - 1, 0),
-                tag=f"chain:{nid}:{k}",
-            )
+            arc(unrolled[(nid, k)], unrolled[(nid, k + 1)], 0, cap, f"chain:{nid}:{k}", carried[k - 1])
         # carried potential at the horizon drains to a reservoir
         leftover = inst.add_node(f"r:fin:{nid}", RES_SINK, tag=f"leftover:{nid}")
-        inst.add_arc(
-            unrolled[(nid, t_bound)], leftover, 0, max(T_i - 1, 0),
-            tag=f"chain:fin:{nid}",
-        )
+        arc(unrolled[(nid, t_bound)], leftover, 0, cap, f"chain:fin:{nid}", carried[-1])
         for k in range(1, t_bound + 1):
-            inst.add_arc(unrolled[(nid, k)], f_nodes[k - 1], 0, 1, tag=f"failure:escape:{nid}:{k}")
+            arc(unrolled[(nid, k)], f_nodes[k - 1], 0, 1, f"failure:escape:{nid}:{k}")
 
     # the silencing stream: one unit per acceptance firing, ferried along a
     # per-timestep chain to the time gate; surplus drains to a reservoir
     z_nodes = [inst.add_node(f"z:{k}", tag=f"silence:{k}") for k in range(1, t_bound + 1)]
     r_z = inst.add_node("r:z", RES_SINK, tag="silence")
     for k in range(t_bound - 1):
-        inst.add_arc(z_nodes[k], z_nodes[k + 1], 0, t_bound, tag=f"silence:chain:{k + 1}")
-    inst.add_arc(z_nodes[-1], gate, 0, 1, tag="time:key")
-    inst.add_arc(z_nodes[-1], r_z, 0, t_bound, tag="silence:drain")
+        arc(z_nodes[k], z_nodes[k + 1], 0, t_bound, f"silence:chain:{k + 1}", silence_carried[k])
+    arc(z_nodes[-1], gate, 0, 1, "time:key", 1)
+    arc(z_nodes[-1], r_z, 0, t_bound, "silence:drain", silence_carried[-1] - 1)  # one unit keys the gate
 
     # steps 3 and 6: one distribution gadget per (neuron, column).  The merge
     # vertex collects the firing plus any auxiliary-source residue and must
@@ -463,36 +476,43 @@ def reduce_network(cfg: ReductionConfig) -> TNFRInstance:
     # the total split over taps and deliveries.  Without that serializer, an
     # auxiliary source could push its residue through a subset of the out-arcs
     # and fabricate deliveries or silence units without the neuron firing.
+    # Every gadget arc is all-or-nothing: it carries its capacity exactly when
+    # the neuron fires in that column.
     for nid in cfg.unrolled_ids():
-        is_constant = nid == cfg.constant_id
         is_accept = nid == cfg.accept_id
-        T_i = 1 if is_constant else cfg.net.neurons[nid].threshold
+        T_i = 1 if nid == cfg.constant_id else cfg.net.neurons[nid].threshold
+        fires = run.fires[nid]
         for k in range(1, t_bound + 1):
-            live, _dead = _live_dead_weights(cfg, nid, k)
+            # deliveries that land within the horizon: (post, arrival column, weight)
+            live = [
+                (syn.post, k + syn.delay, syn.weight)
+                for syn in cfg.net.out_synapses[nid]
+                if syn.weight and k + syn.delay <= t_bound
+            ]
             w_live = sum(w for _, _, w in live)
-            silence_units = 1 if is_accept else 0
-            drained = 1 + w_live + silence_units
+            drained = 1 + w_live + is_accept
             res = T_i - drained
             total = drained + max(res, 0)
+            on = 1 if k - 1 in fires else 0
 
             out_node = inst.add_node(f"g:out:{nid}:{k}", tag=f"gadget:{nid}:{k}")
             dist = inst.add_node(f"g:dist:{nid}:{k}", tag=f"gadget:{nid}:{k}")
-            inst.add_arc(unrolled[(nid, k)], out_node, T_i, T_i, tag=f"gadget:fire:{nid}:{k}")
+            arc(unrolled[(nid, k)], out_node, T_i, T_i, f"gadget:fire:{nid}:{k}", on * T_i)
             if res < 0:
                 p_node = inst.add_node(f"p:g:{nid}:{k}", RES_SOURCE, tag=f"gadget:res:{nid}:{k}")
-                inst.add_arc(p_node, out_node, -res, -res, tag=f"gadget:residue:{nid}:{k}")
-            inst.add_arc(out_node, dist, total, total, tag=f"gadget:total:{nid}:{k}")
-            inst.add_arc(dist, j[k - 1], 1, 1, tag=f"energy:tap:{nid}:{k}")
+                arc(p_node, out_node, -res, -res, f"gadget:residue:{nid}:{k}", on * -res)
+            arc(out_node, dist, total, total, f"gadget:total:{nid}:{k}", on * total)
+            arc(dist, j[k - 1], 1, 1, f"energy:tap:{nid}:{k}", on)
             if w_live > 0:
                 ass = inst.add_node(f"g:ass:{nid}:{k}", tag=f"gadget:ass:{nid}:{k}")
-                inst.add_arc(dist, ass, w_live, w_live, tag=f"gadget:spread:{nid}:{k}")
+                arc(dist, ass, w_live, w_live, f"gadget:spread:{nid}:{k}", on * w_live)
                 for post, arrival, w in live:
-                    inst.add_arc(ass, unrolled[(post, arrival)], w, w, tag=f"gadget:deliver:{nid}:{k}:{post}")
+                    arc(ass, unrolled[(post, arrival)], w, w, f"gadget:deliver:{nid}:{k}:{post}", on * w)
             if is_accept:
-                inst.add_arc(dist, z_nodes[k - 1], silence_units, silence_units, tag=f"silence:inject:{k}")
+                arc(dist, z_nodes[k - 1], 1, 1, f"silence:inject:{k}", on)
             if res > 0:
                 r_node = inst.add_node(f"r:g:{nid}:{k}", RES_SINK, tag=f"gadget:res:{nid}:{k}")
-                inst.add_arc(dist, r_node, res, res, tag=f"gadget:residue:{nid}:{k}")
+                arc(dist, r_node, res, res, f"gadget:residue:{nid}:{k}", on * res)
     return inst
 
 
@@ -502,105 +522,7 @@ def simulate_to_witness(cfg: ReductionConfig) -> dict[int, int] | None:
     outcome = simulate_constrained(cfg)
     if not outcome.accepted:
         return None
-    inst = reduce_network(cfg)
-    return _witness_from_run(cfg, inst, outcome)
-
-
-def _witness_from_run(cfg: ReductionConfig, inst: TNFRInstance, outcome: SimulationOutcome) -> dict[int, int]:
-    t_bound = cfg.time_bound
-    arcs_by_tag = {arc.tag: arc for arc in inst.arcs}
-    flows: dict[int, int] = {arc.idx: 0 for arc in inst.arcs}
-
-    def put(tag: str, value: int) -> None:
-        flows[arcs_by_tag[tag].idx] = value
-
-    # master channels: the time unit crosses the gate paired with one
-    # silencing unit contributed by the accepting fire
-    put("master:energy:in", 1)
-    put("master:energy:out", 1)
-    put("energy:unit", 1)
-    put("master:time:in", 1)
-    put("master:time:out", 1)
-    put("time:unit", 1)
-    put("time:key", 1)
-    put("time:pair", 2)
-    put("time:pass", 1)
-    put("time:spent-key", 1)
-    put("failure:master:in", 1)
-    put("failure:master:out", 1)
-    put("failure:unit", 1)
-    put("failure:collect:1", 1)
-
-    # the constant drive runs its all-on branch
-    put("constant:drive", t_bound)
-    for k in range(1, t_bound + 1):
-        put(f"constant:token:{k}", 1)
-
-    fires = outcome.fires
-    # neuron chains carry end-of-step potentials
-    for nid in cfg.unrolled_ids():
-        if nid == cfg.constant_id:
-            continue
-        pot = outcome.potential_after[nid]
-        T_i = cfg.net.neurons[nid].threshold
-        for k in range(1, t_bound):
-            carried = pot[k - 1]
-            if carried > max(T_i - 1, 0):
-                raise GuardExceeded(
-                    f"neuron {nid} carries potential {carried} >= threshold {T_i}: "
-                    "outside the reduction's dynamic range"
-                )
-            put(f"chain:{nid}:{k}", carried)
-        put(f"chain:fin:{nid}", pot[t_bound - 1])
-
-    # distribution gadgets mirror the firings
-    spikes_per_col = [0] * (t_bound + 1)
-    for nid in cfg.unrolled_ids():
-        is_constant = nid == cfg.constant_id
-        is_accept = nid == cfg.accept_id
-        T_i = 1 if is_constant else cfg.net.neurons[nid].threshold
-        for k in range(1, t_bound + 1):
-            fired = (k - 1) in fires[nid]
-            if not fired:
-                continue
-            spikes_per_col[k] += 1
-            live, _ = _live_dead_weights(cfg, nid, k)
-            w_live = sum(w for _, _, w in live)
-            silence_units = 1 if is_accept else 0
-            drained = 1 + w_live + silence_units
-            res = T_i - drained
-            put(f"gadget:fire:{nid}:{k}", T_i)
-            put(f"gadget:total:{nid}:{k}", drained + max(res, 0))
-            put(f"energy:tap:{nid}:{k}", 1)
-            if w_live > 0:
-                put(f"gadget:spread:{nid}:{k}", w_live)
-                for post, arrival, w in live:
-                    key = f"gadget:deliver:{nid}:{k}:{post}"
-                    flows[arcs_by_tag[key].idx] += w
-            if is_accept:
-                put(f"silence:inject:{k}", 1)
-            if res != 0:
-                put(f"gadget:residue:{nid}:{k}", abs(res))
-
-    # energy chain accumulates spike units, plus the channel unit up front
-    running = 1
-    for k in range(1, t_bound):
-        running += spikes_per_col[k]
-        put(f"energy:chain:{k}", running)
-    total_spikes = sum(spikes_per_col)
-    put("energy:overflow", total_spikes)
-    put("energy:pass", 1)
-
-    # silencing stream: one unit per acceptance firing rides to the gate
-    accept_fire_cols = {s + 1 for s in fires[cfg.accept_id]}
-    running = 0
-    for k in range(1, t_bound + 1):
-        if k in accept_fire_cols:
-            running += 1
-        if k < t_bound:
-            put(f"silence:chain:{k}", running)
-    put("silence:drain", running - 1)  # one unit is spent as the gate key
-    return flows
+    return reduce_network(cfg, _run=outcome).witness
 
 
 @dataclass
@@ -618,12 +540,12 @@ class ReductionVerdict:
 def verify_reduction(cfg: ReductionConfig, search_budget: int = 10**8) -> ReductionVerdict:
     """Check the biconditional on one configuration, both directions."""
     outcome = simulate_constrained(cfg)
-    inst = reduce_network(cfg)
+    inst = reduce_network(cfg, _run=outcome if outcome.accepted else None)
     details: list[str] = []
     witness_ok: bool | None = None
     value: int | None = None
     if outcome.accepted:
-        witness = _witness_from_run(cfg, inst, outcome)
+        witness = inst.witness
         problems = validate_witness(inst, witness)
         value = witness_value(inst, witness)
         witness_ok = not problems and value == 3
@@ -671,7 +593,7 @@ def parse_tnfr(text: str) -> TNFRInstance:
     inst: TNFRInstance | None = None
     n_nodes = n_arcs = None
     kinds: dict[int, tuple[str, int]] = {}  # node id -> (kind, line number)
-    arcs: list[tuple[int, int, int, int]] = []
+    arcs: list[tuple[int, int, int, int, int]] = []  # (u, v, cmin, cmax, line number)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("#"):
@@ -690,7 +612,7 @@ def parse_tnfr(text: str) -> TNFRInstance:
             elif fields[0] == "a":
                 if len(fields) != 5:
                     raise ValueError("expected: a <u> <v> <cmin> <cmax>")
-                arcs.append((int(fields[1]), int(fields[2]), int(fields[3]), int(fields[4])))
+                arcs.append((int(fields[1]), int(fields[2]), int(fields[3]), int(fields[4]), line_no))
             else:
                 raise ValueError(f"unknown record kind {fields[0]!r}")
         except ValueError as exc:
@@ -701,12 +623,16 @@ def parse_tnfr(text: str) -> TNFRInstance:
         if not 1 <= i <= n_nodes:
             raise ParseError(f"node id {i} outside 1..{n_nodes}", line_no)
     for i in range(1, n_nodes + 1):
-        inst.add_node(str(i), kinds.get(i, (PLAIN, None))[0])
-    for line_idx, (u, v, lo, hi) in enumerate(arcs):
+        kind, line_no = kinds.get(i, (PLAIN, None))
+        try:
+            inst.add_node(str(i), kind)
+        except ValueError as exc:  # a second master source or sink
+            raise ParseError(str(exc), line_no) from exc
+    for u, v, lo, hi, line_no in arcs:
         try:
             inst.add_arc(str(u), str(v), lo, hi)
         except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+            raise ParseError(str(exc), line_no) from exc
     if n_arcs is not None and n_arcs != len(inst.arcs):
         raise ParseError(f"problem line promises {n_arcs} arcs, file has {len(inst.arcs)}")
     if inst.source is None or inst.sink is None:

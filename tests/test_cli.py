@@ -122,7 +122,7 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decide-naive", str(big), "-d", "0")
     assert code == EXIT_GUARD
 
-    # invariant: failed verification reports exit code 4
+    # a rejecting network is not a failed verification
     netlist = tmp_path / "reject.snn"
     netlist.write_text(
         "N 0 1 0 1 1 input\nN 1 5 0 1 0 accept\nS 0 1 1 1\n"
@@ -134,6 +134,26 @@ def test_exit_codes(tmp_path, capsys):
     # a rejecting network still verifies (both directions agree): exit 0
     assert code == EXIT_OK
     assert json.loads(out)["passed"] is True
+
+    # input error: a netlist that breaks a reduction assumption (delay 0)
+    delay0 = tmp_path / "delay0.snn"
+    delay0.write_text("N 0 1 0 1 1 input\nN 1 1 0 1 0 accept\nS 0 1 0 1\n")
+    for command in ("reduce", "verify-reduction"):
+        code, _, err = run_cli(
+            capsys, command, str(delay0), "--constant", "0", "--accept", "1", "-t", "3", "-e", "6",
+        )
+        assert code == EXIT_INPUT, command
+        assert "assumption 3" in err
+
+    # guard: an accepting run ends its horizon with more potential than the
+    # accept neuron's chain can carry
+    fin = tmp_path / "fin.snn"
+    fin.write_text("N 0 1 0 1 1 input\nN 1 1 0 1 0 accept\nS 0 1 2 2\nS 1 1 1 1\n")
+    code, _, err = run_cli(
+        capsys, "verify-reduction", str(fin), "--constant", "0", "--accept", "1", "-t", "3", "-e", "4",
+    )
+    assert code == EXIT_GUARD
+    assert "guard/budget" in err
 
 
 def test_usage_error_for_missing_subcommand(capsys):

@@ -9,6 +9,8 @@ CHANGES.md.
 
 import hashlib
 import json
+from dataclasses import asdict
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,8 @@ import spikeflow.bench as bench
 from spikeflow.bench import CLASSICAL, DENSE, SPARSE, BenchConfig, run_bench
 from spikeflow.flow import FlowNetwork
 from spikeflow.maxflow import PAPER_FAITHFUL, RESIDUAL
+from spikeflow.snn import Neuron, SpikingNetwork, Synapse
+from spikeflow.tnfr import ReductionConfig, format_tnfr, reduce_network, simulate_to_witness, verify_reduction
 
 MODES = (PAPER_FAITHFUL, RESIDUAL, CLASSICAL)
 
@@ -94,3 +98,75 @@ def test_all_arcs_chain_is_byte_identical(mode, monkeypatch):
     monkeypatch.setattr(bench, "generate_random", lambda *args: chain_net())
     config = BenchConfig(suite=SPARSE, sizes=[5], samples=1, seed=7, mode=mode)
     assert _hashes(config, monkeypatch) == PINNED[("chain", mode)]
+
+
+# --- the TNFR reduction ------------------------------------------------------
+
+# Every configuration is a chain: the constant input (neuron 0) drives the
+# middle neurons in turn and then the accept neuron (1), each hop with weight
+# 1 and delay 1.  Entries are (middle thresholds, accept threshold, t, e).
+REDUCTION_GROUPS = {
+    # the criterion 8 suite: four accept, three reject
+    "criterion 8": (
+        ((), 1, 3, 6), ((), 1, 2, 4), ((), 1, 3, 5), ((), 1, 3, 4),
+        ((), 5, 3, 6), ((2,), 1, 4, 8), ((2,), 1, 4, 5),
+    ),
+    # the benchmark's accepting chain shapes, at the boundary energy bound
+    "accepting": (
+        ((1,), 1, 5, 12), ((2,), 1, 6, 10), ((1, 1), 1, 6, 18), ((), 1, 7, 13),
+        ((2, 1), 1, 6, 11), ((1, 1, 1), 1, 7, 25), ((1, 2), 1, 7, 17),
+    ),
+    # the benchmark's rejecting chain shapes, one spike short of their runs
+    "rejecting": (
+        ((2, 1), 1, 4, 5), ((1, 2), 1, 4, 7), ((2, 2), 1, 5, 6), ((3,), 1, 5, 6),
+        ((), 1, 6, 10), ((2,), 1, 6, 9), ((3,), 1, 6, 7),
+    ),
+}
+
+# group -> (sha256 of the instances' text and arc tags, of the witness flows,
+# of the verdicts)
+REDUCTION_PINNED = {
+    "criterion 8": (
+        "db49781bcffc580112797da641cad9f86f0ae13797078a61e502d8594548e2a0",
+        "68071c477f913e2cc3311ddeb79c32543624460327b15e80f703119390853ac4",
+        "89474a60d3b69795ad1bc6afa3b6a4ee4eb8ed88427c791a1020eea24d91c977",
+    ),
+    "accepting": (
+        "c9ddfcaf4a9fb126e3377c78cb481778a58606359b0409327880e09c61241f05",
+        "84af8bcdf08d54bf723f2a80b556242b0ead3b57d91ce8d2be5f9ace4dea6784",
+        "fbffb68a96a654b7a01d59116b4b0bae0c904e55ef8b7c14f295e70c4c851f7b",
+    ),
+    "rejecting": (
+        "3a7631e2db7960325421fa3a7db3872812f33ba680fb8fc99bc08e6648ffe9ca",
+        "a17291318b46dbd97e13151f681e134e67617c6ee6db95065795e1dd9eb62b25",
+        "5d8a86b8453ca91a446fd7b0a1010aa7585de619d8ff65e718ef82400a29cbff",
+    ),
+}
+
+
+def chain_config(middle, accept_threshold, t, e) -> ReductionConfig:
+    net = SpikingNetwork(overflow_reset=True)
+    net.add_neuron(Neuron(0, 1, 0, Fraction(1), v0=1))
+    ids = [2 + i for i in range(len(middle))]
+    for nid, threshold in zip(ids, middle):
+        net.add_neuron(Neuron(nid, threshold, 0, Fraction(1), v0=0))
+    net.add_neuron(Neuron(1, accept_threshold, 0, Fraction(1), v0=0))
+    for pre, post in zip([0, *ids], [*ids, 1]):
+        net.add_synapse(Synapse(pre, post, 1, 1))
+    return ReductionConfig(net, 0, 1, t, e)
+
+
+def reduction_hashes(group: str) -> tuple[str, str, str]:
+    layouts, witnesses, verdicts = [], [], []
+    for spec in REDUCTION_GROUPS[group]:
+        inst = reduce_network(chain_config(*spec))
+        layouts.append([format_tnfr(inst), [(a.tag, a.c_min, a.c_max) for a in inst.arcs]])
+        witness = simulate_to_witness(chain_config(*spec))
+        witnesses.append(None if witness is None else list(witness.items()))
+        verdicts.append(asdict(verify_reduction(chain_config(*spec))))
+    return _sha(json.dumps(layouts)), _sha(json.dumps(witnesses)), _sha(json.dumps(verdicts))
+
+
+@pytest.mark.parametrize("group", list(REDUCTION_GROUPS))
+def test_reduction_is_byte_identical(group):
+    assert reduction_hashes(group) == REDUCTION_PINNED[group]

@@ -425,6 +425,10 @@ def test_netlist_comments_and_errors():
         parse_netlist("N 0 1 0 1 0 standard\nS 0 9 1 1\n")
     assert "line 2" in str(exc.value)
 
+    with pytest.raises(ParseError) as exc:
+        parse_netlist("N 0 1 0 1 0 standard\nN 1 1 0 1/0 0 standard\n")
+    assert "line 2" in str(exc.value)
+
 
 def test_netlist_forward_references_allowed():
     net = parse_netlist("S 1 0 1 1\nN 0 1 0 1 0 standard\nN 1 1 0 1 0 standard\n")

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikeflow.errors import GuardExceeded, ParseError, SearchBudgetExceeded
 from spikeflow.snn import Neuron, SpikingNetwork, Synapse
@@ -278,6 +280,16 @@ def test_time_violation_starves_the_gate():
     assert injects
 
 
+def parallel_cfg(t=3, e=4):
+    """Two unit synapses from the constant to the accept neuron, delays 1 and 2."""
+    net = SpikingNetwork(overflow_reset=True)
+    net.add_neuron(Neuron(0, 1, 0, ONE, v0=1))
+    net.add_neuron(Neuron(1, 2, 0, ONE, v0=0))
+    net.add_synapse(Synapse(0, 1, 1, 1))
+    net.add_synapse(Synapse(0, 1, 2, 1))
+    return ReductionConfig(net, constant_id=0, accept_id=1, time_bound=t, energy_bound=e)
+
+
 VERIFICATION_SUITE = [
     ("direct accept", lambda: make_cfg()),
     ("boundary energy", lambda: make_cfg(e=5)),  # exactly the spike count
@@ -286,6 +298,7 @@ VERIFICATION_SUITE = [
     ("chain accept", lambda: chain_cfg()),
     ("chain energy violating", lambda: chain_cfg(e=5)),
     ("always accepting", lambda: make_cfg(t=2, e=4)),
+    ("parallel synapses", lambda: parallel_cfg()),
 ]
 
 
@@ -295,6 +308,50 @@ def test_verify_reduction_suite(label, factory):
     assert verdict.passed, (label, verdict.details)
     if verdict.snn_accepts:
         assert verdict.witness_valid and verdict.witness_value == 3
+
+
+def test_dynamic_range_guard_covers_the_horizon_column():
+    # the constant's weight-2 delivery lands at the last step; the accept
+    # neuron (threshold 1) fires and, under overflow reset, keeps 1, which
+    # its chain:fin arc (capacity 0) cannot carry
+    net = SpikingNetwork(overflow_reset=True)
+    net.add_neuron(Neuron(0, 1, 0, ONE, v0=1))
+    net.add_neuron(Neuron(1, 1, 0, ONE, v0=0))
+    net.add_synapse(Synapse(0, 1, 2, 2))
+    net.add_synapse(Synapse(1, 1, 1, 1))
+    cfg = ReductionConfig(net, constant_id=0, accept_id=1, time_bound=3, energy_bound=4)
+    assert simulate_constrained(cfg).potential_after[1][-1] == 1
+    with pytest.raises(GuardExceeded, match="neuron 1 carries potential"):
+        verify_reduction(cfg)
+    with pytest.raises(GuardExceeded):
+        simulate_to_witness(cfg)
+
+
+@st.composite
+def small_constrained_configs(draw):
+    """Constant 0 (unit threshold, always on), accept neuron 1 and maybe a
+    neuron 2; 1-3 synapses into non-constant neurons, parallel pairs allowed."""
+    n = draw(st.integers(2, 3))
+    net = SpikingNetwork(overflow_reset=True)
+    net.add_neuron(Neuron(0, 1, 0, ONE, v0=1))
+    for nid in range(1, n):
+        net.add_neuron(Neuron(nid, draw(st.integers(1, 3)), 0, ONE, v0=0))
+    for _ in range(draw(st.integers(1, 3))):
+        pre = draw(st.integers(0, n - 1))
+        post = draw(st.integers(1, n - 1))
+        net.add_synapse(Synapse(pre, post, draw(st.integers(1, 2)), draw(st.integers(1, 2))))
+    t = draw(st.integers(1, 3))
+    return ReductionConfig(net, 0, 1, t, draw(st.integers(0, n * t)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_constrained_configs())
+def test_reduction_verifies_or_guards_on_random_networks(cfg):
+    try:
+        verdict = verify_reduction(cfg)
+    except GuardExceeded:
+        return
+    assert verdict.passed, verdict.details
 
 
 def test_mutation_dropping_failure_gadget_flips_a_verdict():
@@ -343,6 +400,18 @@ def test_tnfr_parse_errors():
         parse_tnfr("p tnfr 2 9 2\nn 1 s\nn 2 t\na 1 2 0 1\n")  # arc count lie
     with pytest.raises(ParseError) as exc:
         parse_tnfr("p tnfr 3 1 2\nn 1 s\nn 3 t\nn 9 r\na 1 3 0 1\n")  # node id out of range
+    assert "line 4" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_tnfr("p tnfr 3 1 2\nn 1 s\nn 2 s\nn 3 t\na 1 3 0 1\n")  # second master source
+    assert "line 3" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_tnfr("p tnfr 3 1 2\nn 1 s\nn 2 t\nn 3 t\na 1 3 0 1\n")  # second master sink
+    assert "line 4" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_tnfr("p tnfr 2 2 2\nn 1 s\nn 2 t\na 1 2 0 1\na 1 2 3 1\n")  # empty interval
+    assert "line 5" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_tnfr("p tnfr 2 1 2\nn 1 s\nn 2 t\na 1 7 0 1\n")  # unknown node
     assert "line 4" in str(exc.value)
 
 
