@@ -1,13 +1,18 @@
-"""Byte-identity guard for the bench rows and the ``SolveResult`` JSON.
+"""Byte-identity guard for the bench rows, the ``SolveResult`` JSON, the
+TNFR reduction and the oracle networks the solvers write.
 
 A refactor or an optimisation must leave these outputs byte-identical
 (ROADMAP aim 2).  The grid covers sparse n <= 40 and dense n <= 20 in all
 three bench modes, plus a chain whose only augmenting path uses every arc.
+The construction pins cover ``decide_naive``'s decisions, layouts and
+reports, and the netlists and write counts of the naive decider and of the
+max-flow search network in both modes.
 A change that alters an output on purpose re-pins its hash and says why in
 CHANGES.md.
 """
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict
 from fractions import Fraction
@@ -16,9 +21,11 @@ import pytest
 
 import spikeflow.bench as bench
 from spikeflow.bench import CLASSICAL, DENSE, SPARSE, BenchConfig, run_bench
-from spikeflow.flow import FlowNetwork
-from spikeflow.maxflow import PAPER_FAITHFUL, RESIDUAL
-from spikeflow.snn import Neuron, SpikingNetwork, Synapse
+from spikeflow.flow import FlowNetwork, generate_random, max_feasible_edges
+from spikeflow.maxflow import PAPER_FAITHFUL, RESIDUAL, EdgeNeuronMap, build_capacity_neurons, build_search_network
+from spikeflow.naive import build_decider, decide_naive
+from spikeflow.oracle import NeuromorphicOracle
+from spikeflow.snn import Neuron, SpikingNetwork, Synapse, format_netlist
 from spikeflow.tnfr import ReductionConfig, format_tnfr, reduce_network, simulate_to_witness, verify_reduction
 
 MODES = (PAPER_FAITHFUL, RESIDUAL, CLASSICAL)
@@ -170,3 +177,64 @@ def reduction_hashes(group: str) -> tuple[str, str, str]:
 @pytest.mark.parametrize("group", list(REDUCTION_GROUPS))
 def test_reduction_is_byte_identical(group):
     assert reduction_hashes(group) == REDUCTION_PINNED[group]
+
+
+# --- oracle network construction ---------------------------------------------
+
+
+def naive_suite() -> list[FlowNetwork]:
+    """Every ascending DAG on 2..4 nodes with up to three edges that touches
+    every node, capacities 1 or 2, plus two wider networks."""
+    nets = []
+    for n in range(2, 5):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for k in range(1, min(3, len(pairs)) + 1):
+            for subset in itertools.combinations(pairs, k):
+                if {v for uv in subset for v in uv} != set(range(n)):
+                    continue
+                for caps in itertools.product((1, 2), repeat=k):
+                    nets.append(FlowNetwork(n, [(u, v, c) for (u, v), c in zip(subset, caps)], 0, n - 1))
+    nets.append(FlowNetwork(4, [(0, 1, 2), (0, 2, 1), (1, 2, 1), (1, 3, 1), (2, 3, 3)], 0, 3))
+    nets.append(FlowNetwork(5, [(0, 1, 2), (1, 2, 2), (2, 4, 1), (1, 3, 1), (3, 4, 2)], 0, 4))
+    return nets
+
+
+def search_suite() -> list[tuple[FlowNetwork, bool]]:
+    """Dense (complete DAG) networks n = 2..10 and sparse ones, in both modes."""
+    nets = [generate_random(n, max_feasible_edges(n), 5, 7) for n in range(2, 11)]
+    nets += [generate_random(n, n * 7 // 5, 9, 11 + n) for n in (6, 12, 20, 30)]
+    return [(net, residual) for net in nets for residual in (False, True)]
+
+
+# (sha256 of the decisions, of the decider netlists, of the search netlists)
+BUILD_PINNED = (
+    "bfd06b080d9d30bcd5ad0aba777af1cf93b1dfba58fd9688cd796457168d7ded",
+    "87d055f2070e26d640ad4933014d17e5d2dbdb4aa0b71ae7a594885d08817215",
+    "186bb166088be1074f9433fa749d3492a5118b49f565da9bda6e8b4fba0941cd",
+)
+
+
+def build_hashes() -> tuple[str, str, str]:
+    decisions = []
+    for net in naive_suite():
+        for d in range(4):
+            outcome = decide_naive(net, d)
+            decisions.append([outcome.accepted, asdict(outcome.layout), outcome.report.to_json()])
+    deciders = []
+    for net in naive_suite()[-2:]:
+        for d in range(4):
+            oracle = NeuromorphicOracle()
+            build_decider(net, d, oracle)
+            deciders.append([format_netlist(oracle.net), oracle.report.controller_time])
+    searches = []
+    for net, residual in search_suite():
+        oracle = NeuromorphicOracle()
+        emap = EdgeNeuronMap(net, residual=residual)
+        build_capacity_neurons(oracle, emap)
+        build_search_network(oracle, emap)
+        searches.append([format_netlist(oracle.net), oracle.report.controller_time])
+    return _sha(json.dumps(decisions)), _sha(json.dumps(deciders)), _sha(json.dumps(searches))
+
+
+def test_oracle_network_construction_is_byte_identical():
+    assert build_hashes() == BUILD_PINNED
