@@ -183,22 +183,6 @@ def _undirected_reachable(adjacency: dict[int, set[int]], start: int, goal: int)
     return False
 
 
-def _weakly_connected(n_nodes: int, pairs: list[tuple[int, int]]) -> bool:
-    adjacency: dict[int, set[int]] = {v: set() for v in range(n_nodes)}
-    for u, v in pairs:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == n_nodes
-
-
 def generate_random(n_nodes: int, n_edges: int, c_max: int, seed: int) -> FlowNetwork:
     """Random connected DAG instance: start from the complete ascending DAG,
     delete random edges while they keep the graph in one (weakly) connected

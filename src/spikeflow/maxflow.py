@@ -23,14 +23,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ConstructionBugError
 from .flow import FlowAssignment, FlowNetwork
 from .oracle import ConsultMode, ConsultRecord, NeuromorphicOracle, OutputTape, ResourceReport, WorkingMemory
-from .snn import Neuron, Role, Synapse
-
-ONE = Fraction(1)
+from .snn import Role
 
 PAPER_FAITHFUL = "paper-faithful"
 RESIDUAL = "residual"
@@ -76,6 +73,7 @@ class EdgeNeuronMap:
                     continue
                 arcs.append(Arc(len(arcs), e.head, e.tail, 0, e.id, False))
         self.arcs = arcs
+        self.n_arcs = len(arcs)
         self.mirror: dict[int, int | None] = {a.idx: None for a in arcs}
         by_edge: dict[int, list[Arc]] = {}
         for a in arcs:
@@ -93,10 +91,6 @@ class EdgeNeuronMap:
         for a in arcs:
             self.arcs_by_tail.setdefault(a.tail, []).append(a)
             self.arcs_by_head.setdefault(a.head, []).append(a)
-
-    @property
-    def n_arcs(self) -> int:
-        return len(self.arcs)
 
     # --- id layout ---
 
@@ -147,40 +141,33 @@ class PathRecord:
 
 def build_capacity_neurons(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> None:
     """One accumulator neuron per arc; its potential above K is the arc's flow."""
-    for a in emap.arcs:
-        # a fresh reverse companion has no headroom until flow is pushed,
-        # so it starts exactly at threshold and silences its wave neuron
-        oracle.write_neuron(
-            Neuron(emap.cap_id(a.idx), a.cap + emap.K, 0, ONE, v0=emap.K, role=Role.CAPACITY)
-        )
+    K, C = emap.K, emap.cap_id(0)
+    # a fresh reverse companion has no headroom until flow is pushed,
+    # so it starts exactly at threshold and silences its wave neuron
+    oracle.write_neurons([(C + a.idx, a.cap + K, 0, 1, K, Role.CAPACITY) for a in emap.arcs])
 
 
 def build_search_network(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> None:
     """Transmitter, backward search wave, and (forward-decode mode) the
     forward readout network, wired against the already-written capacities."""
-    K = emap.K
+    K, C, S, R = emap.K, emap.cap_id(0), emap.search_id(0), emap.readout_id(0)
+    arcs, by_tail = emap.arcs, emap.arcs_by_tail
     with_readout = not emap.residual
-    oracle.write_neuron(Neuron(emap.transmitter_id, 1, 0, ONE, v0=1, role=Role.TRANSMITTER))
     search_role = Role.READOUT if emap.residual else Role.STANDARD
-    for a in emap.arcs:
-        oracle.write_neuron(Neuron(emap.search_id(a.idx), 1 + K, 0, ONE, v0=K, role=search_role))
-        oracle.write_synapse(Synapse(emap.cap_id(a.idx), emap.search_id(a.idx), 0, -K))
+    neurons = [(emap.transmitter_id, 1, 0, 1, 1, Role.TRANSMITTER)]
+    neurons += [(S + a.idx, 1 + K, 0, 1, K, search_role) for a in arcs]
+    synapses = [(C + a.idx, S + a.idx, 0, -K) for a in arcs]
     if with_readout:
-        for a in emap.arcs:
-            oracle.write_neuron(Neuron(emap.readout_id(a.idx), 1 + K, 0, ONE, v0=K, role=Role.READOUT))
-            oracle.write_synapse(Synapse(emap.cap_id(a.idx), emap.readout_id(a.idx), 0, -K))
-    for idx in emap.sink_arc_idxs():
-        oracle.write_synapse(Synapse(emap.transmitter_id, emap.search_id(idx), 1, 1))
-    for a in emap.arcs:
-        # wave direction is reversed: the downstream arc excites the upstream one
-        for downstream in emap.arcs_by_tail.get(a.head, []):
-            oracle.write_synapse(Synapse(emap.search_id(downstream.idx), emap.search_id(a.idx), 1, 1))
+        neurons += [(R + a.idx, 1 + K, 0, 1, K, Role.READOUT) for a in arcs]
+        synapses += [(C + a.idx, R + a.idx, 0, -K) for a in arcs]
+    synapses += [(emap.transmitter_id, S + idx, 1, 1) for idx in emap.sink_arc_idxs()]
+    # wave direction is reversed: the downstream arc excites the upstream one
+    synapses += [(S + down.idx, S + a.idx, 1, 1) for a in arcs for down in by_tail.get(a.head, ())]
     if with_readout:
-        for idx in emap.source_arc_idxs():
-            oracle.write_synapse(Synapse(emap.search_id(idx), emap.readout_id(idx), 1, 1))
-        for a in emap.arcs:
-            for downstream in emap.arcs_by_tail.get(a.head, []):
-                oracle.write_synapse(Synapse(emap.readout_id(a.idx), emap.readout_id(downstream.idx), 1, 1))
+        synapses += [(S + idx, R + idx, 1, 1) for idx in emap.source_arc_idxs()]
+        synapses += [(R + a.idx, R + down.idx, 1, 1) for a in arcs for down in by_tail.get(a.head, ())]
+    oracle.write_neurons(neurons)
+    oracle.write_synapses(synapses)
 
 
 def run_search_query(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> tuple[OutputTape, ConsultRecord]:

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import GuardExceeded
 from .flow import FlowNetwork
 from .oracle import ConsultMode, NeuromorphicOracle, ResourceReport
-from .snn import Neuron, Role, Synapse
+from .snn import Role
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
+STANDARD = Role.STANDARD
 
 CANDIDATE_GUARD = 4096
 
@@ -56,57 +54,43 @@ class DeciderLayout:
     n_interior: int
 
 
-class _IdAllocator:
-    def __init__(self):
-        self.next_id = 0
-
-    def take(self) -> int:
-        nid = self.next_id
-        self.next_id += 1
-        return nid
-
-
-def _add_timer(oracle, ids, metronome, value):
-    """A neuron that fires exactly once, at step ``value``: the metronome
-    feeds it one unit per step against a value+1 threshold, and a latch
-    cancels the drive once it has fired."""
-    timer = ids.take()
-    latch = ids.take()
-    oracle.write_neuron(Neuron(timer, value + 1, 0, ONE, v0=0))
-    oracle.write_neuron(Neuron(latch, 1, 0, ONE, v0=0))
-    oracle.write_synapse(Synapse(metronome, timer, 0, 1))
-    oracle.write_synapse(Synapse(timer, latch, 0, 1))
-    oracle.write_synapse(Synapse(latch, latch, 1, 1))
-    oracle.write_synapse(Synapse(latch, timer, 0, -1))
-    return timer
-
-
 def add_conservation_subnet(
-    oracle: NeuromorphicOracle,
-    ids: _IdAllocator,
+    neurons: list[tuple],
+    synapses: list[tuple],
     metronome: int,
     flow_in: int,
     flow_out: int,
 ) -> int:
-    """Detector for one (candidate, node) pair: returns the neuron that fires
-    at ``min(flow_in, flow_out) + 2`` iff the two values differ.
+    """Detector for one (candidate, node) pair: appends its neuron and synapse
+    rows and returns the neuron that fires at ``min(flow_in, flow_out) + 2``
+    iff the two values differ.  A neuron's id is its row's index in
+    ``neurons``, so the subnet takes the next seven ids.
 
-    Two single-shot timers fire at their respective values; each of two
-    one-sided coincidence detectors (memoryless, leak 0) fires when its timer
-    fired unaccompanied one step earlier; either detector trips the output,
-    which uses the single-spike offset idiom so later events cannot re-trip it.
+    Two single-shot timers fire at their respective values: the metronome
+    feeds each one unit per step against a value+1 threshold, and a latch
+    cancels the drive once it has fired.  Each of two one-sided coincidence
+    detectors (memoryless, leak 0) fires when its timer fired unaccompanied
+    one step earlier; either detector trips the output, which uses the
+    single-spike offset idiom so later events cannot re-trip it.
     """
-    timer_in = _add_timer(oracle, ids, metronome, flow_in)
-    timer_out = _add_timer(oracle, ids, metronome, flow_out)
-    out_neuron = ids.take()
-    oracle.write_neuron(Neuron(out_neuron, 3, 0, ONE, v0=2))
-    for first, second in ((timer_in, timer_out), (timer_out, timer_in)):
-        detector = ids.take()
-        oracle.write_neuron(Neuron(detector, 1, 0, ZERO, v0=0))
-        oracle.write_synapse(Synapse(first, detector, 1, 1))
-        oracle.write_synapse(Synapse(second, detector, 1, -1))
-        oracle.write_synapse(Synapse(detector, out_neuron, 1, 1))
-    return out_neuron
+    timer_in = len(neurons)
+    latch_in, timer_out, latch_out, out, det_in, det_out = range(timer_in + 1, timer_in + 7)
+    neurons += (
+        (timer_in, flow_in + 1, 0, 1, 0, STANDARD), (latch_in, 1, 0, 1, 0, STANDARD),
+        (timer_out, flow_out + 1, 0, 1, 0, STANDARD), (latch_out, 1, 0, 1, 0, STANDARD),
+        (out, 3, 0, 1, 2, STANDARD), (det_in, 1, 0, 0, 0, STANDARD), (det_out, 1, 0, 0, 0, STANDARD),
+    )
+    synapses += (
+        # per timer: metronome drive, fire sets the latch, the latch holds and cancels the drive
+        (metronome, timer_in, 0, 1), (timer_in, latch_in, 0, 1),
+        (latch_in, latch_in, 1, 1), (latch_in, timer_in, 0, -1),
+        (metronome, timer_out, 0, 1), (timer_out, latch_out, 0, 1),
+        (latch_out, latch_out, 1, 1), (latch_out, timer_out, 0, -1),
+        # per detector: its timer excites, the other timer inhibits, it trips the output
+        (timer_in, det_in, 1, 1), (timer_out, det_in, 1, -1), (det_in, out, 1, 1),
+        (timer_out, det_out, 1, 1), (timer_in, det_out, 1, -1), (det_out, out, 1, 1),
+    )
+    return out
 
 
 def _interior_nodes(net: FlowNetwork) -> list[int]:
@@ -136,50 +120,48 @@ def _worst_detector_latency(net: FlowNetwork) -> int:
 
 
 def build_decider(net: FlowNetwork, d: int, oracle: NeuromorphicOracle) -> DeciderLayout:
-    """Write the full pre-processing decider network onto the oracle."""
-    if candidate_count_bound(net) > CANDIDATE_GUARD:
-        raise GuardExceeded(
-            f"candidate bound {candidate_count_bound(net)} exceeds {CANDIDATE_GUARD}"
-        )
+    """Write the full pre-processing decider network onto the oracle: its
+    neuron rows, then its synapse rows, then the two schedules."""
+    bound = candidate_count_bound(net)
+    if bound > CANDIDATE_GUARD:
+        raise GuardExceeded(f"candidate bound {bound} exceeds {CANDIDATE_GUARD}")
     f_max = max((e.cap for e in net.edges), default=0)
     interior = _interior_nodes(net)
-    ids = _IdAllocator()
-
-    metronome = ids.take()
-    oracle.write_neuron(Neuron(metronome, 1, 1, ONE, v0=1, role=Role.INPUT))
+    metronome = 0
+    neurons: list[tuple] = [(metronome, 1, 1, 1, 1, Role.INPUT)]
+    synapses: list[tuple] = []
 
     candidate_outputs: list[int] = []
     for combo in enumerate_candidates(net, d):
-        violation = ids.take()  # fires once if any conservation constraint breaks
-        oracle.write_neuron(Neuron(violation, net.n_nodes + 2, 0, ONE, v0=net.n_nodes + 1))
+        violation = len(neurons)  # fires once if any conservation constraint breaks
+        neurons.append((violation, net.n_nodes + 2, 0, 1, net.n_nodes + 1, STANDARD))
         for v in interior:
             flow_in = sum(combo[e.id] for e in net.in_edges[v])
             flow_out = sum(combo[e.id] for e in net.out_edges[v])
-            detector = add_conservation_subnet(oracle, ids, metronome, flow_in, flow_out)
-            oracle.write_synapse(Synapse(detector, violation, 0, 1))
+            detector = add_conservation_subnet(neurons, synapses, metronome, flow_in, flow_out)
+            synapses.append((detector, violation, 0, 1))
         candidate_outputs.append(violation)
 
     n_candidates = len(candidate_outputs)
     # the reject latch must hear from every candidate before it may fire
-    reject = ids.take()
+    reject = len(neurons)
     reject_threshold = max(n_candidates, 1)
-    oracle.write_neuron(Neuron(reject, reject_threshold, 0, ONE, v0=0, role=Role.REJECT))
-    oracle.write_synapse(Synapse(reject, reject, 1, reject_threshold))
-    for violation in candidate_outputs:
-        oracle.write_synapse(Synapse(violation, reject, 0, 1))
-    if n_candidates == 0:
-        oracle.write_schedule(reject, 0)
+    neurons.append((reject, reject_threshold, 0, 1, 0, Role.REJECT))
+    synapses.append((reject, reject, 1, reject_threshold))
+    synapses += [(violation, reject, 0, 1) for violation in candidate_outputs]
 
     # accept fires on schedule unless the reject latch keeps inhibiting it;
     # the schedule leaves room for the slowest possible violation report
     accept_time = max(f_max + 5, _worst_detector_latency(net) + 2)
-    accept = ids.take()
-    starter = ids.take()
-    oracle.write_neuron(Neuron(accept, 1, 0, ONE, v0=0, role=Role.ACCEPT))
-    oracle.write_neuron(Neuron(starter, accept_time + 2, 0, ONE, v0=0, role=Role.SCHEDULED))
+    accept, starter = reject + 1, reject + 2
+    neurons += [(accept, 1, 0, 1, 0, Role.ACCEPT), (starter, accept_time + 2, 0, 1, 0, Role.SCHEDULED)]
+    synapses += [(starter, accept, 0, 1), (reject, accept, 1, -2)]
+
+    oracle.write_neurons(neurons)
+    oracle.write_synapses(synapses)
+    if n_candidates == 0:
+        oracle.write_schedule(reject, 0)
     oracle.write_schedule(starter, accept_time)
-    oracle.write_synapse(Synapse(starter, accept, 0, 1))
-    oracle.write_synapse(Synapse(reject, accept, 1, -2))
 
     return DeciderLayout(
         accept_id=accept,
@@ -187,7 +169,7 @@ def build_decider(net: FlowNetwork, d: int, oracle: NeuromorphicOracle) -> Decid
         accept_time=accept_time,
         f_max=f_max,
         n_candidates=n_candidates,
-        n_neurons=ids.next_id,
+        n_neurons=len(neurons),
         n_interior=len(interior),
     )
 

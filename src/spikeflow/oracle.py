@@ -2,7 +2,8 @@
 
 The conventional controller builds a spiking network on the oracle through
 metered write operations, consults it, and reads time-ordered spike events
-back.  Every abstract controller operation costs one time unit; oracle
+back.  Every abstract controller operation costs one time unit (a bulk write
+of neuron or synapse rows costs one per row); oracle
 resources (timesteps, network size, spikes) are tallied per consultation.
 
 A consultation is deterministic in the network and its resting potentials,
@@ -18,6 +19,7 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -153,6 +155,10 @@ class NeuromorphicOracle:
     potentials in a fresh state would, so values written between
     consultations persist while within-episode dynamics do not.
 
+    Neurons and synapses go through one write path, ``write_neurons`` and
+    ``write_synapses``, at one controller op per row; ``write_neuron`` and
+    ``write_synapse`` write one row.
+
     Every network write (neuron, synapse, schedule, voltage) and
     ``drop_network`` starts a new network version.  The first consultation of
     a version runs the simulator; later ones cut that run's trace at their
@@ -171,16 +177,24 @@ class NeuromorphicOracle:
 
     # --- construction (communication counts toward controller time) ---
 
-    def write_neuron(self, neuron: Neuron) -> None:
-        self._charge()
+    def write_neurons(self, rows: Sequence[tuple]) -> None:
+        """Write neuron rows ``(id, threshold, reset, leak, v0, role)``, one op each."""
+        self._charge(len(rows))
         self._sim = None
-        self.net.add_neuron(neuron)
-        self._v[neuron.id] = neuron.v0
+        self.net.add_neurons(rows)
+        self._v.update({row[0]: row[4] for row in rows})
+
+    def write_synapses(self, rows: Sequence[tuple]) -> None:
+        """Write synapse rows ``(pre, post, delay, weight)``, one op each."""
+        self._charge(len(rows))
+        self._sim = None
+        self.net.add_synapses(rows)
+
+    def write_neuron(self, neuron: Neuron) -> None:
+        self.write_neurons((neuron,))
 
     def write_synapse(self, synapse: Synapse) -> None:
-        self._charge()
-        self._sim = None
-        self.net.add_synapse(synapse)
+        self.write_synapses((synapse,))
 
     def write_schedule(self, neuron_id: int, time: int) -> None:
         self._charge()
@@ -206,9 +220,10 @@ class NeuromorphicOracle:
 
     def threshold_of(self, neuron_id: int) -> int:
         self._charge()
-        if neuron_id not in self.net.neurons:
+        neurons = self.net.neurons
+        if neuron_id not in neurons:
             raise UnknownNeuronError(f"no neuron {neuron_id}")
-        return self.net.neurons[neuron_id].threshold
+        return neurons[neuron_id].threshold
 
     def drop_network(self) -> None:
         """Discard the constructed network (a rebuild follows)."""
@@ -278,12 +293,9 @@ class NeuromorphicOracle:
             repeat_spikes=len(trace) - len(set(map(_neuron_id, trace))),
         )
         if mode is ConsultMode.DECIDER:
-            accepted = any(
-                net.neurons[nid].role is Role.ACCEPT for _, nid in tape.events
-            )
-            rejected = any(
-                net.neurons[nid].role is Role.REJECT for _, nid in tape.events
-            )
+            roles = {net.neurons[nid].role for _, nid in tape.events}
+            accepted = Role.ACCEPT in roles
+            rejected = Role.REJECT in roles
             if accepted:
                 record.bit = 1
             elif rejected:

@@ -28,16 +28,22 @@ neuron id.
 
 Neurons with leak 1 keep a current potential and never decay; other leaks
 (0 or any fraction) are applied lazily when the neuron is next read.
+
+A network is written through one path, as rows of plain tuples that are
+checked, stored as given and copied into the simulator's flat tables in one
+pass (see :class:`SpikingNetwork`); ``Neuron`` and ``Synapse`` records are
+rebuilt from the rows only when a reader asks for them.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .errors import ParseError, UnknownNeuronError
 
@@ -61,32 +67,39 @@ _first = itemgetter(0)
 _Pairs = list[tuple[int, int]]  # (post, weight) deliveries
 
 
-@dataclass(frozen=True)
-class Neuron:
+class Neuron(NamedTuple):
     id: int
     threshold: int
     reset: int
-    leak: Fraction
+    leak: Fraction | int
     v0: int = 0
     role: Role = Role.STANDARD
 
-    def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError(f"neuron {self.id}: threshold must be >= 1")
-        if self.v0 < 0:
-            raise ValueError(f"neuron {self.id}: initial potential must be >= 0")
 
-
-@dataclass(frozen=True)
-class Synapse:
+class Synapse(NamedTuple):
     pre: int
     post: int
     delay: int
     weight: int
 
-    def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError("synapse delay must be >= 0")
+
+class _Records(Mapping):
+    """A read-only view that rebuilds records from a row table on access."""
+
+    def __init__(self, table: dict, record):
+        self._table, self._record = table, record
+
+    def __getitem__(self, nid):
+        return self._record(self._table[nid])
+
+    def __contains__(self, nid) -> bool:
+        return nid in self._table
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
 
 
 class SpikingNetwork:
@@ -95,26 +108,31 @@ class SpikingNetwork:
     ``overflow_reset=True`` switches firing to subtract-threshold semantics
     instead of jumping to the reset value (used by the reduction module).
 
-    Besides the public ``neurons`` / ``out_synapses`` / ``schedule`` records,
-    the ``add_*`` methods keep flat per-neuron tables that :func:`step` reads:
+    The one write path is ``add_neurons`` (rows ``(id, threshold, reset,
+    leak, v0, role)``) and ``add_synapses`` (rows ``(pre, post, delay,
+    weight)``); ``add_neuron``/``add_synapse`` write one row, such as a
+    :class:`Neuron` or :class:`Synapse` record.  Each row is checked
+    (duplicate id, threshold >= 1, v0 >= 0, delay >= 0, unknown endpoint),
+    stored as given, and copied into the flat tables :func:`step` reads:
     threshold, reset, initial potential, the leak of every neuron whose leak
-    is not 1 (stored as ``0`` when it is 0), the set of tape-role neurons,
-    and the synapse count.  In the first run of a network a firing neuron's
-    output is read from ``out_synapses``.  From the second run on, a neuron
-    that fires has its out-synapses split into a delay-0 ``(post, weight)``
-    list and ``(delay, [(post, weight), ...])`` groups, which its spikes
-    then queue whole; the split lives until a synapse is added to the
-    neuron.  So a network that serves many runs (an oracle's) is compiled
-    once, while one written and run once (the naive decider's, the
-    reduction's) pays for no split.
+    is not 1 (``0`` when it is 0), the tape-role set and the synapse count.
+    ``neurons`` and ``out_synapses`` rebuild records from the rows.
+
+    In the first run of a network a firing neuron's output is read from its
+    out-synapse rows.  From the second run on, a neuron that fires has them
+    split into a delay-0 ``(post, weight)`` list and ``(delay, [(post,
+    weight), ...])`` groups, which its spikes then queue whole; the split
+    lives until a synapse is added to the neuron.  So a network that serves
+    many runs (an oracle's) is compiled once, while one written and run once
+    (the naive decider's, the reduction's) pays for no split.
     """
 
     def __init__(self, overflow_reset: bool = False):
-        self.neurons: dict[int, Neuron] = {}
-        self.out_synapses: dict[int, list[Synapse]] = {}
         self.schedule: list[tuple[int, int]] = []  # (neuron id, fire time)
         self.overflow_reset = overflow_reset
         self._schedule_by_time: dict[int, list[int]] = {}
+        self._rows: dict[int, tuple] = {}  # nid -> neuron row
+        self._syn: dict[int, list[tuple]] = {}  # nid -> its out-synapse rows
         self._threshold: dict[int, int] = {}
         self._reset: dict[int, int] = {}
         self._v0: dict[int, int] = {}
@@ -124,43 +142,68 @@ class SpikingNetwork:
         self._runs = 0  # simulations started on this network
         self._n_synapses = 0
 
+    @property
+    def neurons(self) -> Mapping[int, Neuron]:
+        return _Records(self._rows, Neuron._make)
+
+    @property
+    def out_synapses(self) -> Mapping[int, list[Synapse]]:
+        return _Records(self._syn, lambda rows: list(map(Synapse._make, rows)))
+
+    def add_neurons(self, rows: Iterable[tuple]) -> None:
+        known, out = self._rows, self._syn
+        threshold, reset, v0, leaky, tape = self._threshold, self._reset, self._v0, self._leaky, self._tape
+        for row in rows:
+            nid, th, r, leak, v, role = row
+            if th < 1:
+                raise ValueError(f"neuron {nid}: threshold must be >= 1")
+            if v < 0:
+                raise ValueError(f"neuron {nid}: initial potential must be >= 0")
+            if nid in known:
+                raise ValueError(f"duplicate neuron id {nid}")
+            known[nid] = row
+            out[nid] = []
+            threshold[nid] = th
+            reset[nid] = r
+            v0[nid] = v
+            if leak != 1:
+                leaky[nid] = leak if leak else 0
+            if role in TAPE_ROLES:
+                tape.add(nid)
+
+    def add_synapses(self, rows: Iterable[tuple]) -> None:
+        out, split = self._syn, self._out
+        for row in rows:
+            pre, post, delay, _ = row
+            if delay < 0:
+                raise ValueError("synapse delay must be >= 0")
+            if pre not in out or post not in out:
+                missing = pre if pre not in out else post
+                raise UnknownNeuronError(f"synapse endpoint {missing} not in network")
+            out[pre].append(row)
+            self._n_synapses += 1
+            if split:
+                # Spikes already in flight keep the old lists; the next fire re-splits.
+                split.pop(pre, None)
+
     def add_neuron(self, neuron: Neuron) -> Neuron:
-        nid = neuron.id
-        if nid in self.neurons:
-            raise ValueError(f"duplicate neuron id {nid}")
-        self.neurons[nid] = neuron
-        self.out_synapses[nid] = []
-        self._threshold[nid] = neuron.threshold
-        self._reset[nid] = neuron.reset
-        self._v0[nid] = neuron.v0
-        num, den = neuron.leak.as_integer_ratio()  # no Fraction comparison
-        if num != den:
-            self._leaky[nid] = neuron.leak if num else 0
-        if neuron.role in TAPE_ROLES:
-            self._tape.add(nid)
+        self.add_neurons((neuron,))
         return neuron
 
     def add_synapse(self, synapse: Synapse) -> Synapse:
-        pre, post = synapse.pre, synapse.post
-        if pre not in self.neurons or post not in self.neurons:
-            missing = pre if pre not in self.neurons else post
-            raise UnknownNeuronError(f"synapse endpoint {missing} not in network")
-        self.out_synapses[pre].append(synapse)
-        # Spikes already in flight keep the old lists; the next fire re-splits.
-        self._out.pop(pre, None)
-        self._n_synapses += 1
+        self.add_synapses((synapse,))
         return synapse
 
     def _split_out(self, nid: int) -> tuple[_Pairs, list[tuple[int, _Pairs]]]:
         """The neuron's out-synapses as delay-0 pairs and per-delay groups."""
         by_delay: dict[int, _Pairs] = {}
-        for s in self.out_synapses[nid]:
-            by_delay.setdefault(s.delay, []).append((s.post, s.weight))
+        for _, post, delay, weight in self._syn[nid]:
+            by_delay.setdefault(delay, []).append((post, weight))
         out = self._out[nid] = (by_delay.pop(0, []), list(by_delay.items()))
         return out
 
     def add_schedule(self, neuron_id: int, time: int) -> None:
-        if neuron_id not in self.neurons:
+        if neuron_id not in self._rows:
             raise UnknownNeuronError(f"scheduled neuron {neuron_id} not in network")
         if time < 0:
             raise ValueError("scheduled fire time must be >= 0")
@@ -170,11 +213,8 @@ class SpikingNetwork:
     def copy(self) -> "SpikingNetwork":
         """A never-run copy: same neurons, synapses, schedule, reset mode."""
         clone = SpikingNetwork(overflow_reset=self.overflow_reset)
-        for neuron in self.neurons.values():
-            clone.add_neuron(neuron)
-        for syns in self.out_synapses.values():
-            for s in syns:
-                clone.add_synapse(s)
+        clone.add_neurons(self._rows.values())
+        clone.add_synapses(chain.from_iterable(self._syn.values()))
         for nid, time in self.schedule:
             clone.add_schedule(nid, time)
         return clone
@@ -184,7 +224,7 @@ class SpikingNetwork:
 
     def size(self) -> int:
         """Neuron count plus synapse count (the oracle's space measure)."""
-        return len(self.neurons) + self._n_synapses
+        return len(self._rows) + self._n_synapses
 
     @property
     def tape_ids(self) -> set[int]:
@@ -192,7 +232,7 @@ class SpikingNetwork:
         return self._tape
 
     def neurons_with_role(self, role: Role) -> list[int]:
-        return sorted(n.id for n in self.neurons.values() if n.role is role)
+        return sorted(nid for nid, row in self._rows.items() if row[5] is role)
 
 
 @dataclass
@@ -284,15 +324,15 @@ def _fire(
             if split:
                 out = net._split_out(nid)
             else:
-                for syn in net.out_synapses[nid]:
-                    if syn.delay:
-                        batches = pending.get(t + syn.delay)
+                for _, post, delay, weight in net._syn[nid]:
+                    if delay:
+                        batches = pending.get(t + delay)
                         if batches is None:
-                            pending[t + syn.delay] = [[(syn.post, syn.weight)]]
+                            pending[t + delay] = [[(post, weight)]]
                         else:
-                            batches[0].append((syn.post, syn.weight))
+                            batches[0].append((post, weight))
                     else:
-                        loose.append((syn.post, syn.weight))
+                        loose.append((post, weight))
                 continue
         zero, delayed = out
         if zero:
@@ -440,7 +480,7 @@ def energy(state: SimulationState) -> int:
 
 def set_potential(net: SpikingNetwork, state: SimulationState, neuron_id: int, value: int) -> SimulationState:
     """Additively write ``value`` onto a neuron's potential (a controller write)."""
-    if neuron_id not in net.neurons:
+    if neuron_id not in net._rows:
         raise UnknownNeuronError(f"no neuron {neuron_id}")
     v = _materialize(net, state, neuron_id, state.t) + value
     if v < 0:
@@ -458,11 +498,12 @@ _ROLES_BY_NAME = {r.value: r for r in Role}
 
 def format_netlist(net: SpikingNetwork) -> str:
     lines = []
-    for nid in sorted(net.neurons):
-        n = net.neurons[nid]
+    neurons, synapses = net.neurons, net.out_synapses
+    for nid in sorted(neurons):
+        n = neurons[nid]
         lines.append(f"N {n.id} {n.threshold} {n.reset} {n.leak} {n.v0} {n.role.value}")
-    for nid in sorted(net.out_synapses):
-        for s in net.out_synapses[nid]:
+    for nid in sorted(synapses):
+        for s in synapses[nid]:
             lines.append(f"S {s.pre} {s.post} {s.delay} {s.weight}")
     for nid, time in net.schedule:
         lines.append(f"SCHED {nid} {time}")
@@ -486,16 +527,8 @@ def parse_netlist(text: str) -> SpikingNetwork:
                 role = _ROLES_BY_NAME.get(fields[6])
                 if role is None:
                     raise ValueError(f"unknown role {fields[6]!r}")
-                net.add_neuron(
-                    Neuron(
-                        id=int(fields[1]),
-                        threshold=int(fields[2]),
-                        reset=int(fields[3]),
-                        leak=Fraction(fields[4]),
-                        v0=int(fields[5]),
-                        role=role,
-                    )
-                )
+                values = (int(fields[1]), int(fields[2]), int(fields[3]), Fraction(fields[4]), int(fields[5]))
+                net.add_neuron(Neuron(*values, role))
             elif kind == "S":
                 if len(fields) != 5:
                     raise ValueError("expected: S <pre> <post> <delay> <weight>")
@@ -518,7 +551,7 @@ def parse_netlist(text: str) -> SpikingNetwork:
     for line_no, syn in pending_synapses:
         try:
             net.add_synapse(syn)
-        except UnknownNeuronError as exc:
+        except (ValueError, UnknownNeuronError) as exc:
             raise ParseError(str(exc), line_no) from exc
     for line_no, nid, time in pending_schedule:
         try:

@@ -7,6 +7,7 @@ capacity is provably optimal, so these certify optimality without trusting
 any augmenting-path search.
 """
 
+from collections import deque
 from itertools import combinations
 
 from spikeflow.flow import FlowNetwork
@@ -60,3 +61,20 @@ def exhaustive_min_cut(net: FlowNetwork) -> int:
             if best is None or cap < best:
                 best = cap
     return best
+
+
+def weakly_connected(n_nodes: int, pairs: list[tuple[int, int]]) -> bool:
+    """Whether the arcs join all nodes into one component, ignoring direction."""
+    adjacency: dict[int, set[int]] = {v: set() for v in range(n_nodes)}
+    for u, v in pairs:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w in adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == n_nodes

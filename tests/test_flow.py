@@ -1,10 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flow_oracles import brute_force_max_flow, exhaustive_min_cut
+from flow_oracles import brute_force_max_flow, exhaustive_min_cut, weakly_connected
 from spikeflow.errors import ParseError
 from spikeflow.flow import (
     FlowAssignment,
@@ -18,6 +18,7 @@ from spikeflow.flow import (
     parse_dimacs,
     validate_flow,
 )
+from spikeflow.maxflow import PAPER_FAITHFUL, RESIDUAL, solve
 
 
 def trap_graph():
@@ -129,9 +130,7 @@ def test_generator_properties_and_determinism():
     assert all(e.tail < e.head for e in net.edges)  # acyclic by construction
     assert all(1 <= e.cap <= 10 for e in net.edges)
     # one weak component
-    from spikeflow.flow import _weakly_connected
-
-    assert _weakly_connected(5, [(e.tail, e.head) for e in net.edges])
+    assert weakly_connected(5, [(e.tail, e.head) for e in net.edges])
 
 
 def test_generator_rejects_infeasible_edge_counts():
@@ -154,9 +153,7 @@ def test_generator_always_connected_and_acyclic(n, c_max, seed, data):
     net = generate_random(n, m, c_max, seed)
     assert net.n_edges == m
     assert all(e.tail < e.head for e in net.edges)
-    from spikeflow.flow import _weakly_connected
-
-    assert _weakly_connected(n, [(e.tail, e.head) for e in net.edges])
+    assert weakly_connected(n, [(e.tail, e.head) for e in net.edges])
 
 
 def test_edmonds_karp_equals_brute_force_on_tiny_suite():
@@ -203,3 +200,76 @@ def test_dimacs_errors_carry_line_numbers():
         parse_dimacs("n 1 s\nn 2 t\n")  # missing problem line
     with pytest.raises(ParseError):
         parse_dimacs("p max 2 2\nn 1 s\nn 2 t\na 1 2 1\n")  # arc count mismatch
+
+
+@st.composite
+def flow_graphs(draw):
+    """Small networks with arbitrary interior wiring: cycles, anti-parallel
+    and parallel arcs, zero capacities (node 0 is the source, n-1 the sink)."""
+    n = draw(st.integers(2, 7))
+    arc = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1), st.integers(0, 6))
+    arcs = [a for a in draw(st.lists(arc, max_size=12)) if a[0] != a[1]]
+    # the reverse of an arc between interior nodes, so anti-parallel pairs are common
+    for u, v, _ in list(arcs):
+        if 0 < u < n - 1 and 0 < v < n - 1 and draw(st.booleans()):
+            arcs.append((v, u, draw(st.integers(0, 6))))
+    return n, arcs
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=flow_graphs())
+@example(graph=(5, [(0, 1, 4), (1, 2, 3), (2, 3, 3), (3, 1, 2), (2, 1, 1), (3, 4, 5), (0, 3, 1)]))
+@example(graph=(4, [(0, 1, 2), (0, 2, 2), (1, 2, 3), (2, 1, 3), (1, 3, 2), (2, 3, 1)]))
+# the trap graph plus a 2-cycle and a 4-cycle: the optimum must cancel flow on a->b
+@example(graph=(6, [(0, 1, 1), (0, 3, 1), (1, 2, 1), (1, 4, 1), (2, 5, 1), (3, 2, 1), (4, 5, 1), (2, 3, 1), (4, 1, 2)]))
+def test_solvers_equal_scipy_maximum_flow(graph):
+    """edmonds_karp and residual-mode solve against scipy's maximum_flow,
+    which shares no code with them; paper-faithful mode must stay feasible."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    n, arcs = graph
+    net = FlowNetwork(n, arcs, 0, n - 1)
+    tails, heads, caps = zip(*arcs) if arcs else ((), (), ())
+    matrix = sparse.csr_matrix((caps, (tails, heads)), shape=(n, n), dtype="int64")  # sums parallel arcs
+    expected = csgraph.maximum_flow(matrix, 0, n - 1).flow_value
+    classical = edmonds_karp(net)
+    assert classical.value == expected and validate_flow(net, classical) == []
+    residual = solve(net, RESIDUAL).assignment
+    assert residual.value == expected and validate_flow(net, residual) == []
+    greedy = solve(net, PAPER_FAITHFUL).assignment
+    assert greedy.value <= expected and validate_flow(net, greedy) == []
+
+
+_INT = st.integers(-1, 6).map(str)
+_TOKEN = _INT | st.sampled_from(["max", "s", "t", "x", "1.5"]) | st.text(alphabet="0123456789-+_st", max_size=3)
+_SALAD = st.tuples(st.sampled_from(["p", "n", "a", "c", "x", ""]), st.lists(_TOKEN, max_size=5)).map(
+    lambda kind_fields: " ".join([kind_fields[0], *kind_fields[1]])
+)
+
+
+@st.composite
+def dimacs_texts(draw):
+    """A problem line, source and sink lines and arcs with small, possibly
+    out-of-range values and an arc count that is usually right; then maybe
+    a few lines of token salad inserted and the lines shuffled."""
+    arcs = draw(st.lists(st.tuples(_INT, _INT, _INT).map(lambda f: "a " + " ".join(f)), max_size=5))
+    promised = draw(st.sampled_from([str(len(arcs)), str(len(arcs)), "1"]))
+    lines = [f"p max {draw(_INT)} {promised}", f"n {draw(_INT)} s", f"n {draw(_INT)} t", *arcs]
+    for line in draw(st.lists(_SALAD, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=dimacs_texts())
+def test_parse_dimacs_raises_only_parse_error(text):
+    """Whatever the text, parse_dimacs returns a network or raises ParseError,
+    and a returned network survives a format/parse round trip."""
+    try:
+        net = parse_dimacs(text)
+    except ParseError:
+        return
+    text = format_dimacs(net)
+    assert format_dimacs(parse_dimacs(text)) == text

@@ -6,7 +6,6 @@ from spikeflow.errors import GuardExceeded
 from spikeflow.flow import FlowNetwork, edmonds_karp
 from spikeflow.maxflow import EdgeNeuronMap, PAPER_FAITHFUL, solve
 from spikeflow.naive import (
-    _IdAllocator,
     add_conservation_subnet,
     build_decider,
     decide_naive,
@@ -22,17 +21,16 @@ ONE = Fraction(1)
 
 def probe_subnet(flow_in, flow_out, horizon=12):
     """Run one conservation detector in isolation and return its spike times."""
-    oracle = NeuromorphicOracle()
-    ids = _IdAllocator()
-    metronome = ids.take()
-    oracle.write_neuron(Neuron(metronome, 1, 1, ONE, v0=1, role=Role.INPUT))
-    out = add_conservation_subnet(oracle, ids, metronome, flow_in, flow_out)
+    neurons = [(0, 1, 1, ONE, 1, Role.INPUT)]
+    synapses = []
+    out = add_conservation_subnet(neurons, synapses, 0, flow_in, flow_out)
     # re-declare the detector output as a readout so it lands on the tape
-    probe = ids.take()
-    oracle.write_neuron(Neuron(probe, 1, 0, ONE, v0=0, role=Role.READOUT))
-    from spikeflow.snn import Synapse
-
-    oracle.write_synapse(Synapse(out, probe, 0, 1))
+    probe = len(neurons)
+    neurons.append(Neuron(probe, 1, 0, ONE, v0=0, role=Role.READOUT))
+    synapses.append((out, probe, 0, 1))
+    oracle = NeuromorphicOracle()
+    oracle.write_neurons(neurons)
+    oracle.write_synapses(synapses)
     tape, _ = oracle.consult(ConsultMode.TRANSDUCER, time_limit=horizon)
     return [t for t, _ in tape.events]
 

@@ -126,6 +126,43 @@ def test_metering_counts_abstract_ops():
     assert report.controller_time == 3
 
 
+def test_bulk_writes_charge_one_op_per_row_and_equal_single_writes():
+    net, _ = build_chain_search_net()
+    neuron_rows = [tuple(n) for n in net.neurons.values()]
+    synapse_rows = [tuple(s) for out in net.out_synapses.values() for s in out]
+    bulk = NeuromorphicOracle()
+    bulk.write_neurons(neuron_rows)
+    bulk.write_synapses(synapse_rows)
+    single = NeuromorphicOracle()
+    for row in neuron_rows:
+        single.write_neuron(Neuron(*row))
+    for row in synapse_rows:
+        single.write_synapse(Synapse(*row))
+    assert bulk.report.controller_time == single.report.controller_time == len(neuron_rows) + len(synapse_rows)
+    assert bulk.net.size() == single.net.size() == net.size()
+    assert dict(bulk.net.neurons) == dict(single.net.neurons) == dict(net.neurons)
+    assert dict(bulk.net.out_synapses) == dict(single.net.out_synapses) == dict(net.out_synapses)
+    assert [bulk.read_voltage(i) for i in range(7)] == [n.v0 for n in net.neurons.values()]
+    assert bulk.consult(ConsultMode.TRANSDUCER, 6)[0].events == single.consult(ConsultMode.TRANSDUCER, 6)[0].events
+
+
+@pytest.mark.parametrize(
+    "neurons,synapses,error,message",
+    [
+        ([(0, 1, 0, 1, 0, Role.STANDARD)] * 2, [], ValueError, "duplicate neuron id 0"),
+        ([(3, 0, 0, 1, 0, Role.STANDARD)], [], ValueError, "neuron 3: threshold must be >= 1"),
+        ([(3, 1, 0, 1, -1, Role.STANDARD)], [], ValueError, "neuron 3: initial potential must be >= 0"),
+        ([(0, 1, 0, 1, 0, Role.STANDARD)], [(0, 0, -1, 1)], ValueError, "synapse delay must be >= 0"),
+        ([(0, 1, 0, 1, 0, Role.STANDARD)], [(0, 0, 1, 1), (0, 5, 1, 1)], UnknownNeuronError, "endpoint 5"),
+    ],
+)
+def test_bulk_writes_check_every_row(neurons, synapses, error, message):
+    oracle = NeuromorphicOracle()
+    with pytest.raises(error, match=message):
+        oracle.write_neurons(neurons)
+        oracle.write_synapses(synapses)
+
+
 def test_resource_report_aggregates():
     report = ResourceReport()
     oracle = NeuromorphicOracle(report)

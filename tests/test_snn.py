@@ -442,3 +442,46 @@ def test_trace_csv():
     buf = io.StringIO()
     write_trace_csv(state, buf)
     assert buf.getvalue() == "time,neuron_id\n0,3\n"
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("N 0 1 0 1 0 standard\nS 0 0 -1 1\n", 2),  # negative delay
+        ("S 1 0 -2 1\nN 0 1 0 1 0 standard\nN 1 1 0 1 0 standard\n", 1),  # ... on a forward reference
+        ("N 0 0 0 1 0 standard\n", 1),  # threshold < 1
+        ("N 0 1 0 1 0 standard\nN 1 1 0 1 -1 standard\n", 2),  # v0 < 0
+        ("N 0 1 0 1 0 standard\nN 0 2 0 1 0 standard\n", 2),  # duplicate id
+    ],
+)
+def test_netlist_value_errors_are_parse_errors_with_line_numbers(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_netlist(text)
+    assert f"line {line}" in str(exc.value)
+
+
+_INT = st.integers(-2, 4).map(str)
+_TOKEN = _INT | st.sampled_from(["1/2", "1/0", "1.5", "nan", "x"]) | st.text(alphabet="0123456789-/.e", max_size=4)
+_ROLE = st.sampled_from([r.value for r in Role] + ["nosuchrole"])
+# well-formed records with out-of-range values, and token salad
+_NETLIST_LINES = st.one_of(
+    st.tuples(_INT, _INT, _INT, _TOKEN, _INT, _ROLE).map(lambda f: "N " + " ".join(f)),
+    st.tuples(_INT, _INT, _INT, _INT).map(lambda f: "S " + " ".join(f)),
+    st.tuples(_INT, _INT).map(lambda f: "SCHED " + " ".join(f)),
+    st.tuples(st.sampled_from(["N", "S", "SCHED", "#", "X", ""]), st.lists(_TOKEN | _ROLE, max_size=7)).map(
+        lambda kind_fields: " ".join([kind_fields[0], *kind_fields[1]])
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_NETLIST_LINES, max_size=8))
+def test_parse_netlist_raises_only_parse_error(lines):
+    """Whatever the text, parse_netlist returns a network or raises ParseError,
+    and a returned network survives a format/parse round trip."""
+    try:
+        net = parse_netlist("\n".join(lines))
+    except ParseError:
+        return
+    text = format_netlist(net)
+    assert format_netlist(parse_netlist(text)) == text
