@@ -220,7 +220,7 @@ def flow_graphs(draw):
 @given(graph=flow_graphs())
 @example(graph=(5, [(0, 1, 4), (1, 2, 3), (2, 3, 3), (3, 1, 2), (2, 1, 1), (3, 4, 5), (0, 3, 1)]))
 @example(graph=(4, [(0, 1, 2), (0, 2, 2), (1, 2, 3), (2, 1, 3), (1, 3, 2), (2, 3, 1)]))
-# the trap graph plus a 2-cycle and a 4-cycle: the optimum must cancel flow on a->b
+# the trap graph plus two anti-parallel pairs: the optimum must cancel flow on a->b
 @example(graph=(6, [(0, 1, 1), (0, 3, 1), (1, 2, 1), (1, 4, 1), (2, 5, 1), (3, 2, 1), (4, 5, 1), (2, 3, 1), (4, 1, 2)]))
 def test_solvers_equal_scipy_maximum_flow(graph):
     """edmonds_karp and residual-mode solve against scipy's maximum_flow,
