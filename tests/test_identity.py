@@ -25,8 +25,16 @@ from spikeflow.flow import FlowNetwork, generate_random, max_feasible_edges
 from spikeflow.maxflow import PAPER_FAITHFUL, RESIDUAL, EdgeNeuronMap, build_capacity_neurons, build_search_network
 from spikeflow.naive import build_decider, decide_naive
 from spikeflow.oracle import NeuromorphicOracle
+from spikeflow.errors import SearchBudgetExceeded
 from spikeflow.snn import Neuron, SpikingNetwork, Synapse, format_netlist
-from spikeflow.tnfr import ReductionConfig, format_tnfr, reduce_network, simulate_to_witness, verify_reduction
+from spikeflow.tnfr import (
+    ReductionConfig,
+    check_feasible,
+    format_tnfr,
+    reduce_network,
+    simulate_to_witness,
+    verify_reduction,
+)
 
 MODES = (PAPER_FAITHFUL, RESIDUAL, CLASSICAL)
 
@@ -177,6 +185,45 @@ def reduction_hashes(group: str) -> tuple[str, str, str]:
 @pytest.mark.parametrize("group", list(REDUCTION_GROUPS))
 def test_reduction_is_byte_identical(group):
     assert reduction_hashes(group) == REDUCTION_PINNED[group]
+
+
+# The exact search's effort on every rejecting configuration of the criterion
+# 8 suite and of the benchmark's rejecting shapes (each energy bound the
+# benchmark cycles through) that searches in well under a second: chain spec
+# -> the expansion count E.  A budget of E returns and E - 1 raises, so the
+# pruning is pinned without exposing the search's counter.
+EXPANSIONS_PINNED = {
+    ((), 1, 3, 4): 1566,
+    ((), 5, 3, 6): 474,
+    ((2,), 1, 4, 5): 8731,
+    ((2, 1), 1, 4, 2): 41716,
+    ((2, 1), 1, 4, 3): 42752,
+    ((2, 1), 1, 4, 4): 43372,
+    ((2, 1), 1, 4, 5): 43452,
+    ((1, 2), 1, 4, 4): 42090,
+    ((1, 2), 1, 4, 5): 42684,
+    ((1, 2), 1, 4, 6): 42734,
+    ((1, 2), 1, 4, 7): 42824,
+    ((2, 2), 1, 5, 3): 37937,
+    ((2, 2), 1, 5, 4): 41413,
+    ((2, 2), 1, 5, 5): 44193,
+    ((2, 2), 1, 5, 6): 44193,
+    ((3,), 1, 5, 3): 38720,
+    ((3,), 1, 5, 4): 38720,
+    ((3,), 1, 5, 5): 38745,
+    ((3,), 1, 5, 6): 38745,
+}
+
+
+@pytest.mark.parametrize(
+    "spec", list(EXPANSIONS_PINNED), ids=lambda s: f"m{'-'.join(map(str, s[0])) or 0}a{s[1]}t{s[2]}e{s[3]}"
+)
+def test_rejecting_search_expansions_are_pinned(spec):
+    inst = reduce_network(chain_config(*spec))
+    expansions = EXPANSIONS_PINNED[spec]
+    assert check_feasible(inst, max_arcs=len(inst.arcs), budget=expansions) == (False, None)
+    with pytest.raises(SearchBudgetExceeded):
+        check_feasible(inst, max_arcs=len(inst.arcs), budget=expansions - 1)
 
 
 # --- oracle network construction ---------------------------------------------
