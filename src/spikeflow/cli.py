@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error, 2 malformed input, 3 guard, search
-budget or working-memory capacity exceeded, 4 internal invariant violation.
+Exit codes: 0 success, 1 usage error (including an output path that cannot
+be written), 2 malformed input, 3 guard, search budget or working-memory
+capacity exceeded, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -186,9 +187,9 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         mode=args.mode,
     )
-    rows, summary = run_bench(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    rows, summary = run_bench(config)
     stem = f"bench_{config.suite}_{config.mode}"
     if args.format == "csv":
         write_csv(rows, out_dir / f"{stem}.csv")
@@ -278,14 +279,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+    except (UsageError, OSError) as exc:
+        # input files are read through _read_in, so an OSError is an output path
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    try:
-        return args.fn(args)
     except ParseError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -81,11 +81,6 @@ class TNFRInstance:
     def conserving_nodes(self) -> list[str]:
         return [n for n in self.order if self.kinds[n] == PLAIN]
 
-    def reservoirs(self) -> tuple[list[str], list[str]]:
-        sinks = [n for n in self.order if self.kinds[n] == RES_SINK]
-        sources = [n for n in self.order if self.kinds[n] == RES_SOURCE]
-        return sinks, sources
-
     def without_arcs(self, tag_prefix: str) -> "TNFRInstance":
         """A copy minus every arc whose tag starts with the prefix (mutation hook)."""
         clone = TNFRInstance(self.d)
@@ -148,8 +143,14 @@ def check_feasible(
 ) -> tuple[bool, dict[int, int] | None]:
     """Exact backtracking search for a feasible flow with source outflow > d.
 
-    Arc domains are {0} u [c_min, c_max]; partial assignments are pruned via
-    per-node attainable-interval intersection and the source-outflow bound.
+    Arcs are assigned one at a time (in topological order on an acyclic
+    instance) from the domains {0} u [c_min, c_max], largest flow first.
+    Four running tables hold each node's attainable in- and outflow:
+    ``in_lo``/``out_lo`` sum the flows assigned so far, and ``in_hi``/``out_hi``
+    add the c_max of every arc not yet assigned.  An assignment updates its
+    tail's and head's entries and backtracking undoes them.  A partial
+    assignment is pruned when the source's outflow can no longer exceed d or
+    when a conserving endpoint's in- and outflow intervals no longer meet.
     Raises on oversized instances or when the expansion budget runs out.
     """
     if d is None:
@@ -163,64 +164,55 @@ def check_feasible(
             raise GuardExceeded(f"arc {arc.idx} domain too large")
 
     order = _topological_arc_order(inst)
-    position = {arc.idx: i for i, arc in enumerate(order)}
-    flows: dict[int, int] = {}
-    # per-node list of (arc, is_incoming) sorted by assignment position
-    incident: dict[str, list[tuple[TnfrArc, bool]]] = {n: [] for n in inst.order}
+    index = {name: i for i, name in enumerate(inst.order)}
+    in_lo, out_lo, in_hi, out_hi = ([0] * len(index) for _ in range(4))
     for arc in inst.arcs:
-        incident[arc.tail].append((arc, False))
-        incident[arc.head].append((arc, True))
+        in_hi[index[arc.head]] += arc.c_max
+        out_hi[index[arc.tail]] += arc.c_max
     conserving = set(inst.conserving_nodes())
-    source_out = [a.idx for a in inst.out_arcs[inst.source]]
+    # per position: the arc, its endpoints, whether each conserves flow, and
+    # the arc's domain, largest flow first
+    steps = [
+        (
+            arc, index[arc.tail], index[arc.head], arc.tail in conserving, arc.head in conserving,
+            list(range(arc.c_max, arc.c_min - 1, -1)) + ([0] if arc.c_min else []),
+        )
+        for arc in order
+    ]
+    source = index[inst.source]
+    flows: dict[int, int] = {}  # filled as a successful search unwinds
     expansions = 0
-
-    def node_can_balance(node: str) -> bool:
-        in_lo = in_hi = out_lo = out_hi = 0
-        for arc, incoming in incident[node]:
-            f = flows.get(arc.idx)
-            lo, hi = (f, f) if f is not None else (0, arc.c_max)
-            if incoming:
-                in_lo += lo
-                in_hi += hi
-            else:
-                out_lo += lo
-                out_hi += hi
-        return in_lo <= out_hi and out_lo <= in_hi
-
-    def value_can_exceed() -> bool:
-        total = 0
-        for idx in source_out:
-            f = flows.get(idx)
-            total += f if f is not None else inst.arcs[idx].c_max
-        return total > d
 
     def rec(i: int) -> bool:
         nonlocal expansions
-        if i == len(order):
-            return witness_value(inst, flows) > d
-        arc = order[i]
+        if i == len(steps):
+            return out_lo[source] > d
+        arc, tail, head, check_tail, check_head, domain = steps[i]
         expansions += 1
         if expansions > budget:
             raise SearchBudgetExceeded(f"exceeded {budget} expansions")
-        domain = list(range(arc.c_max, arc.c_min - 1, -1))
-        if 0 not in domain:
-            domain.append(0)
         for f in domain:
-            flows[arc.idx] = f
-            ok = value_can_exceed()
-            if ok:
-                for node in (arc.tail, arc.head):
-                    if node in conserving and not node_can_balance(node):
-                        ok = False
-                        break
-            if ok and rec(i + 1):
+            gap = f - arc.c_max
+            out_lo[tail] += f
+            out_hi[tail] += gap
+            in_lo[head] += f
+            in_hi[head] += gap
+            if (
+                out_hi[source] > d
+                and (not check_tail or (in_lo[tail] <= out_hi[tail] and out_lo[tail] <= in_hi[tail]))
+                and (not check_head or (in_lo[head] <= out_hi[head] and out_lo[head] <= in_hi[head]))
+                and rec(i + 1)
+            ):
+                flows[arc.idx] = f
                 return True
-        del flows[arc.idx]
+            out_lo[tail] -= f
+            out_hi[tail] -= gap
+            in_lo[head] -= f
+            in_hi[head] -= gap
         return False
 
     if rec(0):
-        witness = {arc.idx: flows.get(arc.idx, 0) for arc in inst.arcs}
-        return True, witness
+        return True, {arc.idx: flows[arc.idx] for arc in inst.arcs}
     return False, None
 
 
@@ -354,19 +346,17 @@ def reduce_network(cfg: ReductionConfig, *, _run: SimulationOutcome | None = Non
     cfg.validate()
     t_bound, e_bound = cfg.time_bound, cfg.energy_bound
     inst = TNFRInstance(d=2)
+    witness: dict[int, int] = {}
     if _run is None:
         # an idle run: every flow below is 0 or a constant, and none is kept
         ids = cfg.net.neurons
         run = SimulationOutcome(False, None, 0, dict.fromkeys(ids, ()), dict.fromkeys(ids, [0] * t_bound))
-
-        def arc(tail: str, head: str, c_min: int, c_max: int, tag: str, flow: int = 0) -> None:
-            inst.add_arc(tail, head, c_min, c_max, tag)
     else:
         run = _run
-        witness = inst.witness = {}
+        inst.witness = witness
 
-        def arc(tail: str, head: str, c_min: int, c_max: int, tag: str, flow: int = 0) -> None:
-            witness[inst.add_arc(tail, head, c_min, c_max, tag).idx] = flow
+    def arc(tail: str, head: str, c_min: int, c_max: int, tag: str, flow: int = 0) -> None:
+        witness[inst.add_arc(tail, head, c_min, c_max, tag).idx] = flow
 
     # the energy chain carries the channel unit plus every spike so far; the
     # silence chain carries one unit per acceptance firing so far
@@ -552,14 +542,10 @@ def verify_reduction(cfg: ReductionConfig, search_budget: int = 10**8) -> Reduct
         details.extend(problems)
         if value != 3:
             details.append(f"witness value {value} != 3")
-        feasible = witness_ok  # the witness itself is the certificate
-        if not witness_ok:
-            feasible, _ = check_feasible(
-                inst, max_arcs=len(inst.arcs), budget=search_budget
-            )
-    else:
+    feasible = bool(witness_ok)  # a valid witness is itself the certificate
+    if not feasible:
         feasible, found = check_feasible(inst, max_arcs=len(inst.arcs), budget=search_budget)
-        if feasible:
+        if feasible and not outcome.accepted:
             details.append(f"rejecting network but flow of value > 2 exists: {found}")
     passed = (outcome.accepted == feasible) and (witness_ok is not False)
     return ReductionVerdict(
@@ -601,6 +587,8 @@ def parse_tnfr(text: str) -> TNFRInstance:
         fields = line.split()
         try:
             if fields[0] == "p":
+                if inst is not None:
+                    raise ValueError("duplicate problem line")
                 if len(fields) != 5 or fields[1] != "tnfr":
                     raise ValueError("expected: p tnfr <nodes> <arcs> <d>")
                 n_nodes, n_arcs = int(fields[2]), int(fields[3])
@@ -608,7 +596,10 @@ def parse_tnfr(text: str) -> TNFRInstance:
             elif fields[0] == "n":
                 if len(fields) != 3 or fields[2] not in (SOURCE, SINK, RES_SINK, RES_SOURCE):
                     raise ValueError("expected: n <id> s|t|r|p")
-                kinds[int(fields[1])] = (fields[2], line_no)
+                node = int(fields[1])
+                if node in kinds:
+                    raise ValueError(f"a second record for node {node}")
+                kinds[node] = (fields[2], line_no)
             elif fields[0] == "a":
                 if len(fields) != 5:
                     raise ValueError("expected: a <u> <v> <cmin> <cmax>")

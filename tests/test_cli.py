@@ -112,6 +112,20 @@ def test_exit_codes(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "solve", str(tmp_path / "nope.max"))
     assert code == EXIT_INPUT
 
+    # usage: an output path that cannot be written
+    chain = tmp_path / "chain.max"
+    chain.write_text("p max 3 2\nn 1 s\nn 3 t\na 1 2 3\na 2 3 5\n")
+    toy = tmp_path / "toy.tnfr"
+    toy.write_text("p tnfr 2 1 0\nn 1 s\nn 2 t\na 1 2 1 1\n")
+    for argv in (
+        ("solve", str(chain), "--out", str(tmp_path / "nodir" / "out.json")),
+        ("tnfr-check", str(toy), "--witness", str(tmp_path / "nodir" / "w.csv")),
+        ("bench", "--sizes", "5", "--samples", "1", "--out-dir", str(chain)),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+
     # guard: naive decider on an oversized instance
     big = tmp_path / "big.max"
     lines = ["p max 7 10", "n 1 s", "n 7 t"]

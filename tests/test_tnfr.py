@@ -413,6 +413,53 @@ def test_tnfr_parse_errors():
     with pytest.raises(ParseError) as exc:
         parse_tnfr("p tnfr 2 1 2\nn 1 s\nn 2 t\na 1 7 0 1\n")  # unknown node
     assert "line 4" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_tnfr("p tnfr 2 1 0\np tnfr 3 1 5\nn 1 s\nn 2 t\na 1 2 0 1\n")  # second problem line
+    assert "line 2" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_tnfr("p tnfr 3 1 2\nn 1 s\nn 2 t\na 1 2 0 1\nn 1 t\n")  # second record for node 1
+    assert "line 5" in str(exc.value)
+
+
+_INT = st.integers(-1, 5).map(str)
+_TOKEN = _INT | st.sampled_from(["tnfr", "s", "t", "r", "p", "x", "1.5"]) | st.text(alphabet="0123456789-+", max_size=3)
+_SALAD = st.tuples(st.sampled_from(["p", "n", "a", "c", "x", ""]), st.lists(_TOKEN, max_size=6)).map(
+    lambda kind_fields: " ".join([kind_fields[0], *kind_fields[1]])
+)
+
+
+@st.composite
+def tnfr_texts(draw):
+    """A problem line whose arc count is usually right, a master source and
+    sink, up to three more node records (possibly repeated or out of range),
+    and arcs between node ids up to one past the node count with small,
+    possibly negative or inverted capacities; then maybe a line of token
+    salad inserted and the lines shuffled."""
+    n = draw(st.integers(1, 6))
+    ids = st.integers(1, n + 1)  # n + 1 is out of range
+    arcs = [f"a {u} {v} {lo} {hi}" for u, v, lo, hi in draw(st.lists(st.tuples(ids, ids, _INT, _INT), max_size=5))]
+    promised = draw(st.sampled_from([len(arcs), len(arcs), 1]))
+    lines = [f"p tnfr {n} {promised} {draw(_INT)}", "n 1 s", "n 2 t"]
+    records = draw(st.lists(st.integers(2, n + 1), unique=True, max_size=3))  # 2 repeats the sink
+    lines += [f"n {i} {draw(st.sampled_from('rrppst'))}" for i in records] + arcs
+    for line in draw(st.lists(_SALAD, max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=tnfr_texts())
+def test_parse_tnfr_raises_only_parse_error(text):
+    """Whatever the text, parse_tnfr returns an instance or raises ParseError,
+    and a returned instance survives a format/parse round trip."""
+    try:
+        inst = parse_tnfr(text)
+    except ParseError:
+        return
+    text = format_tnfr(inst)
+    assert format_tnfr(parse_tnfr(text)) == text
 
 
 def test_witness_csv_format():
