@@ -614,11 +614,11 @@ def parse_tnfr(text: str) -> TNFRInstance:
         if not 1 <= i <= n_nodes:
             raise ParseError(f"node id {i} outside 1..{n_nodes}", line_no)
     for i in range(1, n_nodes + 1):
-        kind, line_no = kinds.get(i, (PLAIN, None))
+        kind, _ = kinds.get(i, (PLAIN, None))
         try:
             inst.add_node(str(i), kind)
-        except ValueError as exc:  # a second master source or sink
-            raise ParseError(str(exc), line_no) from exc
+        except ValueError as exc:  # a second master source or sink: blame the second such record
+            raise ParseError(str(exc), sorted(ln for k, ln in kinds.values() if k == kind)[1]) from exc
     for u, v, lo, hi, line_no in arcs:
         try:
             inst.add_arc(str(u), str(v), lo, hi)

@@ -408,6 +408,9 @@ def test_tnfr_parse_errors():
         parse_tnfr("p tnfr 3 1 2\nn 1 s\nn 2 t\nn 3 t\na 1 3 0 1\n")  # second master sink
     assert "line 4" in str(exc.value)
     with pytest.raises(ParseError) as exc:
+        parse_tnfr("p tnfr 3 1 2\nn 2 s\nn 1 s\nn 3 t\na 1 3 0 1\n")  # ... on a lower node id
+    assert "line 3" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
         parse_tnfr("p tnfr 2 2 2\nn 1 s\nn 2 t\na 1 2 0 1\na 1 2 3 1\n")  # empty interval
     assert "line 5" in str(exc.value)
     with pytest.raises(ParseError) as exc:
