@@ -21,11 +21,11 @@ import pytest
 
 import spikeflow.bench as bench
 from spikeflow.bench import CLASSICAL, DENSE, SPARSE, BenchConfig, run_bench
+from spikeflow.errors import SearchBudgetExceeded
 from spikeflow.flow import FlowNetwork, generate_random, max_feasible_edges
 from spikeflow.maxflow import PAPER_FAITHFUL, RESIDUAL, EdgeNeuronMap, build_capacity_neurons, build_search_network
 from spikeflow.naive import build_decider, decide_naive
 from spikeflow.oracle import NeuromorphicOracle
-from spikeflow.errors import SearchBudgetExceeded
 from spikeflow.snn import Neuron, SpikingNetwork, Synapse, format_netlist
 from spikeflow.tnfr import (
     ReductionConfig,
