@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import ConstructionBugError
 from .flow import FlowNetwork, edmonds_karp, format_dimacs, generate_random, max_feasible_edges, validate_flow
 from .maxflow import PAPER_FAITHFUL, RESIDUAL, solve, verify_episode_properties
 
@@ -123,7 +124,9 @@ def run_instance(config: BenchConfig, n_nodes: int, sample: int) -> BenchRow:
         )
 
     result = solve(net, config.mode)
-    assert validate_flow(net, result.assignment) == []
+    violations = validate_flow(net, result.assignment)
+    if violations:
+        raise ConstructionBugError(f"seed {seed}: invalid flow: {'; '.join(violations)}")
     records = result.query_records
     spikes = [r.spikes for r in records]
     steps = [r.timesteps for r in records]

@@ -7,11 +7,11 @@ of neuron or synapse rows costs one per row); oracle
 resources (timesteps, network size, spikes) are tallied per consultation.
 
 A consultation is deterministic in the network and its resting potentials,
-and a stop set only truncates the run.  So the oracle keeps one resumable
-simulation per network version and answers each consultation from its
-trace; the metering is that of a fresh run all the same.  The controller
-sees only the output tape: a consultation's spikes are counted while it is
-cut, and no record keeps them.
+and a stop set only truncates the run.  So the oracle keeps one simulation
+per network version and answers each consultation from its trace; the
+metering is that of a fresh run all the same.  The controller sees only the
+output tape: a consultation's spikes are counted while it is cut, and no
+record keeps them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import UndecidedError, UnknownNeuronError, WorkingMemoryExceeded
-from .snn import Neuron, Role, SimulationState, SpikingNetwork, Synapse, run
+from .snn import Role, SimulationState, SpikingNetwork, run
 
 SpikeEvent = tuple[int, int]  # (time, neuron id)
 _neuron_id = itemgetter(1)
@@ -51,9 +51,6 @@ class OutputTape:
         event = self.events[self.cursor]
         self.cursor += 1
         return event
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 @dataclass
@@ -156,15 +153,14 @@ class NeuromorphicOracle:
     consultations persist while within-episode dynamics do not.
 
     Neurons and synapses go through one write path, ``write_neurons`` and
-    ``write_synapses``, at one controller op per row; ``write_neuron`` and
-    ``write_synapse`` write one row.
+    ``write_synapses``, at one controller op per row.
 
-    Every network write (neuron, synapse, schedule, voltage) and
-    ``drop_network`` starts a new network version.  The first consultation of
-    a version runs the simulator; later ones cut that run's trace at their
-    own stop spike or limit, and step the saved state further only when the
-    trace so far does not decide the answer.  Metering does not change:
-    every consultation is recorded as the fresh run it replays.
+    Every network write (neuron, synapse, schedule, voltage) starts a new
+    network version.  The first consultation of a version runs the
+    simulator; later ones cut that run's trace at their own stop spike or
+    limit, and run the version afresh, keeping the new run, only when the
+    saved run ends before either.  Metering does not change: every
+    consultation is recorded as the fresh run it replays.
     """
 
     def __init__(self, report: ResourceReport | None = None, overflow_reset: bool = False):
@@ -189,12 +185,6 @@ class NeuromorphicOracle:
         self._charge(len(rows))
         self._sim = None
         self.net.add_synapses(rows)
-
-    def write_neuron(self, neuron: Neuron) -> None:
-        self.write_neurons((neuron,))
-
-    def write_synapse(self, synapse: Synapse) -> None:
-        self.write_synapses((synapse,))
 
     def write_schedule(self, neuron_id: int, time: int) -> None:
         self._charge()
@@ -225,15 +215,6 @@ class NeuromorphicOracle:
             raise UnknownNeuronError(f"no neuron {neuron_id}")
         return neurons[neuron_id].threshold
 
-    def drop_network(self) -> None:
-        """Discard the constructed network (a rebuild follows)."""
-        self._charge()
-        self._sim = None
-        overflow = self.net.overflow_reset
-        self.net = SpikingNetwork(overflow_reset=overflow)
-        self._v = {}
-        self._path = []
-
     # --- path store (the oracle-side network that "maintains the path") ---
 
     def write_path(self, marker: int) -> None:
@@ -257,14 +238,10 @@ class NeuromorphicOracle:
         ``time_limit`` that halts at the first spike in ``stop``, and the
         halting step (None when it runs to the limit)."""
         sim = self._sim
-        if sim is None:
+        cut = None if sim is None else _first_stop_time(sim.trace, stop, time_limit)
+        if cut is None and (sim is None or sim.steps_used < time_limit):
             sim = self._sim = run(self.net, time_limit, stop_on_fire=stop, initial_potentials=self._v)
             cut = sim.t if sim.halted else None
-        else:
-            cut = _first_stop_time(sim.trace, stop, time_limit)
-            if cut is None and sim.steps_used < time_limit:
-                run(self.net, time_limit, stop_on_fire=stop, state=sim)
-                cut = sim.t if sim.halted else None
         steps = time_limit if cut is None else cut + 1
         return sim.trace[: bisect_left(sim.trace, (steps,))], steps, cut
 

@@ -441,29 +441,17 @@ def run(
     max_steps: int,
     stop_on_fire: Iterable[int] | None = None,
     initial_potentials: dict[int, int] | None = None,
-    state: SimulationState | None = None,
 ) -> SimulationState:
-    """Drive :func:`step` for up to ``max_steps`` timesteps.
+    """Drive :func:`step` from a fresh state for up to ``max_steps`` timesteps.
 
     With ``stop_on_fire`` the run halts at the first step in which any listed
     neuron spikes; ``state.t`` then names that step and ``halted`` is set.
     ``initial_potentials`` overrides per-neuron starting values.
-
-    Passing ``state`` continues that state instead of starting a fresh one
-    (``initial_potentials`` must then be None); a halted state resumes after
-    its halting step.  Continued with a stop set none of whose neurons has
-    fired yet, a run ends where one fresh run with that stop set would.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     stop_set = frozenset(stop_on_fire) if stop_on_fire is not None else None
-    if state is None:
-        state = SimulationState.initial(net, initial_potentials)
-    elif initial_potentials is not None:
-        raise ValueError("initial_potentials applies only to a fresh state")
-    elif state.halted:
-        state.t += 1
-        state.halted = False
+    state = SimulationState.initial(net, initial_potentials)
     while state.t < max_steps:
         _, fired = step(net, state)
         if stop_set is not None and not stop_set.isdisjoint(fired):
@@ -476,19 +464,6 @@ def run(
 def energy(state: SimulationState) -> int:
     """Total spike count of the run (one unit of energy per spike)."""
     return len(state.trace)
-
-
-def set_potential(net: SpikingNetwork, state: SimulationState, neuron_id: int, value: int) -> SimulationState:
-    """Additively write ``value`` onto a neuron's potential (a controller write)."""
-    if neuron_id not in net._rows:
-        raise UnknownNeuronError(f"no neuron {neuron_id}")
-    v = _materialize(net, state, neuron_id, state.t) + value
-    if v < 0:
-        raise ValueError(f"write would drive neuron {neuron_id} below zero")
-    state.potentials[neuron_id] = v
-    if v >= net._threshold[neuron_id]:
-        state._recheck.add(neuron_id)
-    return state
 
 
 # --- netlist and trace I/O -------------------------------------------------

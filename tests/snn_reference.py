@@ -135,18 +135,8 @@ def run(
     initial_potentials: dict[int, int] | None = None,
 ) -> RefState:
     """Step from a fresh state until ``max_steps`` or the first stop spike."""
-    return continue_run(net, RefState.initial(net, initial_potentials), max_steps, stop_on_fire)
-
-
-def continue_run(
-    net: SpikingNetwork, state: RefState, max_steps: int, stop_on_fire: Iterable[int] | None = None
-) -> RefState:
-    """Step ``state`` on, one step at a time; a halted state resumes after
-    its halting step."""
+    state = RefState.initial(net, initial_potentials)
     stop_set = frozenset(stop_on_fire) if stop_on_fire is not None else None
-    if state.halted:
-        state.t += 1
-        state.halted = False
     while state.t < max_steps:
         fired = step(net, state)
         if stop_set is not None and not stop_set.isdisjoint(fired):

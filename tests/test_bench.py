@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import spikeflow.bench as bench
 from spikeflow.bench import (
     CSV_COLUMNS,
     DENSE,
@@ -19,8 +20,9 @@ from spikeflow.bench import (
     write_gnuplot_dat,
     write_summary,
 )
+from spikeflow.errors import ConstructionBugError
 from spikeflow.flow import FlowNetwork, edmonds_karp, generate_random, parse_dimacs
-from spikeflow.maxflow import PAPER_FAITHFUL, RESIDUAL
+from spikeflow.maxflow import PAPER_FAITHFUL, RESIDUAL, solve
 
 
 def test_suite_edge_counts():
@@ -54,6 +56,17 @@ def test_run_instance_is_deterministic_per_seed():
     b = run_instance(config, 8, 0)
     assert a.as_csv_values() == b.as_csv_values()
     assert a.seed == b.seed
+
+
+def test_run_instance_raises_on_an_invalid_flow(monkeypatch):
+    def overfull_solve(net, mode):
+        result = solve(net, mode)
+        result.assignment.flows = {e: f + 1 for e, f in result.assignment.flows.items()}
+        return result
+
+    monkeypatch.setattr(bench, "solve", overfull_solve)
+    with pytest.raises(ConstructionBugError, match="invalid flow: edge 0: flow"):
+        run_instance(BenchConfig(suite=SPARSE, sizes=[8], samples=1, seed=3), 8, 0)
 
 
 def test_bench_rows_and_summary_sparse():

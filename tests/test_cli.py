@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+import spikeflow.bench as bench
 from spikeflow.cli import EXIT_GUARD, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
+from spikeflow.flow import FlowAssignment
 
 
 def run_cli(capsys, *argv):
@@ -96,7 +99,7 @@ def test_bench_command_writes_artifacts(tmp_path, capsys):
     assert summary["total_instances"] == 4
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     # usage: unknown flag
     code, _, err = run_cli(capsys, "generate", "--bogus")
     assert code == EXIT_USAGE
@@ -135,6 +138,16 @@ def test_exit_codes(tmp_path, capsys):
     big.write_text("\n".join(lines) + "\n")
     code, _, err = run_cli(capsys, "decide-naive", str(big), "-d", "0")
     assert code == EXIT_GUARD
+
+    # invariant: bench checks each solved flow, here a negative one
+    solve = bench.solve
+    monkeypatch.setattr(
+        bench, "solve", lambda net, mode: replace(solve(net, mode), assignment=FlowAssignment({0: -1}, 0))
+    )
+    code, _, err = run_cli(capsys, "bench", "--sizes", "5", "--samples", "1", "--out-dir", str(tmp_path / "b"))
+    assert code == EXIT_INVARIANT
+    assert err.startswith("invariant violation: ") and err.count("\n") == 1
+    monkeypatch.undo()
 
     # a rejecting network is not a failed verification
     netlist = tmp_path / "reject.snn"

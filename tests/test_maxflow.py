@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
 import spikeflow.bench as bench
+import spikeflow.oracle
 from flow_oracles import brute_force_max_flow
 from spikeflow.errors import WorkingMemoryExceeded
 from spikeflow.flow import FlowAssignment, FlowNetwork, edmonds_karp, generate_random, validate_flow
@@ -18,6 +21,7 @@ from spikeflow.maxflow import (
     solve,
     verify_episode_properties,
 )
+from spikeflow.naive import decide_naive
 from spikeflow.oracle import ConsultRecord, NeuromorphicOracle, ResourceReport, WorkingMemory
 from spikeflow.snn import Role, run
 
@@ -203,6 +207,54 @@ def test_decode_jam_is_detected_and_recovered():
 
     exact = solve(net, RESIDUAL)
     assert exact.assignment.value == brute_force_max_flow(net) == 2
+
+
+def test_only_the_first_consultation_after_a_write_simulates(monkeypatch):
+    # The oracle runs a network version afresh only when its saved run cannot
+    # decide a consultation.  solve never needs that: a query and its jam
+    # recovery share one stop set, and each residual descent hop stops
+    # strictly earlier in the trace than the hop before it.
+    counts, fresh = Counter(), set()
+
+    def counting_run(*args, **kwargs):
+        counts["runs"] += 1
+        return run(*args, **kwargs)
+
+    def writing(method):
+        def write(self, *args):
+            fresh.add(self)
+            return method(self, *args)
+
+        return write
+
+    def consulting(method):
+        def consult(self, *args, **kwargs):
+            if self in fresh:
+                fresh.discard(self)
+                counts["firsts"] += 1
+            return method(self, *args, **kwargs)
+
+        return consult
+
+    monkeypatch.setattr(spikeflow.oracle, "run", counting_run)
+    for name in ("write_neurons", "write_synapses", "write_schedule", "write_voltage"):
+        monkeypatch.setattr(NeuromorphicOracle, name, writing(getattr(NeuromorphicOracle, name)))
+    monkeypatch.setattr(NeuromorphicOracle, "consult", consulting(NeuromorphicOracle.consult))
+
+    dense = generate_random(8, bench.suite_edge_count(bench.DENSE, 8), c_max=4, seed=3)
+    sparse = generate_random(20, bench.suite_edge_count(bench.SPARSE, 20), c_max=4, seed=7)
+    for net in (jam_net(), dense, sparse):
+        for mode in (PAPER_FAITHFUL, RESIDUAL):
+            counts.clear()
+            result = solve(net, mode)
+            assert counts["runs"] == counts["firsts"] == result.episodes + 1
+            # residual hops and jam recoveries are consultations served from a saved run
+            if mode is RESIDUAL or result.decode_jams:
+                assert result.total_consults > counts["runs"]
+    for d in range(3):
+        counts.clear()
+        decision = decide_naive(diamond_net(), d)
+        assert counts["runs"] == counts["firsts"] == len(decision.report.consultations) == 1
 
 
 def test_path_record_invariants():

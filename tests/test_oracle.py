@@ -40,8 +40,8 @@ def test_tape_orders_by_time_then_id():
 
 def test_transducer_tape_contains_only_tape_roles():
     oracle = NeuromorphicOracle()
-    oracle.write_neuron(Neuron(0, 1, 0, ONE, v0=1, role=Role.READOUT))
-    oracle.write_neuron(Neuron(1, 1, 0, ONE, v0=1, role=Role.STANDARD))
+    oracle.write_neurons([Neuron(0, 1, 0, ONE, v0=1, role=Role.READOUT)])
+    oracle.write_neurons([Neuron(1, 1, 0, ONE, v0=1, role=Role.STANDARD)])
     tape, record = oracle.consult(ConsultMode.TRANSDUCER, time_limit=3)
     assert tape.events == [(0, 0)]
     assert record.spikes == 2  # the standard neuron fired but stays off-tape
@@ -50,7 +50,7 @@ def test_transducer_tape_contains_only_tape_roles():
 
 def test_decider_accept_bit():
     oracle = NeuromorphicOracle()
-    oracle.write_neuron(Neuron(0, 10, 0, ONE, v0=0, role=Role.ACCEPT))
+    oracle.write_neurons([Neuron(0, 10, 0, ONE, v0=0, role=Role.ACCEPT)])
     oracle.write_schedule(0, 2)
     tape, record = oracle.consult(ConsultMode.DECIDER, time_limit=5)
     assert record.bit == 1
@@ -59,7 +59,7 @@ def test_decider_accept_bit():
 
 def test_decider_reject_bit():
     oracle = NeuromorphicOracle()
-    oracle.write_neuron(Neuron(0, 10, 0, ONE, v0=0, role=Role.REJECT))
+    oracle.write_neurons([Neuron(0, 10, 0, ONE, v0=0, role=Role.REJECT)])
     oracle.write_schedule(0, 1)
     _, record = oracle.consult(ConsultMode.DECIDER, time_limit=5)
     assert record.bit == 0
@@ -67,7 +67,7 @@ def test_decider_reject_bit():
 
 def test_decider_undecided_error():
     oracle = NeuromorphicOracle()
-    oracle.write_neuron(Neuron(0, 10, 0, ONE, v0=0, role=Role.ACCEPT))
+    oracle.write_neurons([Neuron(0, 10, 0, ONE, v0=0, role=Role.ACCEPT)])
     with pytest.raises(UndecidedError):
         oracle.consult(ConsultMode.DECIDER, time_limit=4)
     # the failed consultation is still accounted for
@@ -77,11 +77,8 @@ def test_decider_undecided_error():
 def test_chain_consult_matches_hand_propagated_tape():
     net, (T, H1, H2, R1, R2, C1, C2) = build_chain_search_net()
     oracle = NeuromorphicOracle()
-    for neuron in net.neurons.values():
-        oracle.write_neuron(neuron)
-    for syns in net.out_synapses.values():
-        for s in syns:
-            oracle.write_synapse(s)
+    oracle.write_neurons(list(net.neurons.values()))
+    oracle.write_synapses([s for out in net.out_synapses.values() for s in out])
     tape, record = oracle.consult(
         ConsultMode.TRANSDUCER, time_limit=2 * 2 + 1, stop_on_fire={R2}
     )
@@ -96,7 +93,7 @@ def test_chain_consult_matches_hand_propagated_tape():
 
 def test_written_voltage_persists_across_consultations():
     oracle = NeuromorphicOracle()
-    oracle.write_neuron(Neuron(0, 8, 0, ONE, v0=5, role=Role.READOUT))
+    oracle.write_neurons([Neuron(0, 8, 0, ONE, v0=5, role=Role.READOUT)])
     tape, _ = oracle.consult(ConsultMode.TRANSDUCER, time_limit=2)
     assert tape.events == []
     oracle.write_voltage(0, 3)
@@ -109,7 +106,7 @@ def test_written_voltage_persists_across_consultations():
 
 def test_write_voltage_validation():
     oracle = NeuromorphicOracle()
-    oracle.write_neuron(Neuron(0, 8, 0, ONE, v0=5))
+    oracle.write_neurons([Neuron(0, 8, 0, ONE, v0=5)])
     with pytest.raises(UnknownNeuronError):
         oracle.write_voltage(3, 1)
     with pytest.raises(ValueError):
@@ -120,7 +117,7 @@ def test_metering_counts_abstract_ops():
     report = ResourceReport()
     assert report.controller_time == 0
     oracle = NeuromorphicOracle(report)
-    oracle.write_neuron(Neuron(0, 1, 0, ONE, v0=0))
+    oracle.write_neurons([Neuron(0, 1, 0, ONE, v0=0)])
     oracle.write_voltage(0, 1)
     oracle.read_voltage(0)
     assert report.controller_time == 3
@@ -135,9 +132,9 @@ def test_bulk_writes_charge_one_op_per_row_and_equal_single_writes():
     bulk.write_synapses(synapse_rows)
     single = NeuromorphicOracle()
     for row in neuron_rows:
-        single.write_neuron(Neuron(*row))
+        single.write_neurons([row])
     for row in synapse_rows:
-        single.write_synapse(Synapse(*row))
+        single.write_synapses([row])
     assert bulk.report.controller_time == single.report.controller_time == len(neuron_rows) + len(synapse_rows)
     assert bulk.net.size() == single.net.size() == net.size()
     assert dict(bulk.net.neurons) == dict(single.net.neurons) == dict(net.neurons)
@@ -166,9 +163,9 @@ def test_bulk_writes_check_every_row(neurons, synapses, error, message):
 def test_resource_report_aggregates():
     report = ResourceReport()
     oracle = NeuromorphicOracle(report)
-    oracle.write_neuron(Neuron(0, 1, 0, ONE, v0=1, role=Role.READOUT))
-    oracle.write_neuron(Neuron(1, 1, 0, ONE, v0=0))
-    oracle.write_synapse(Synapse(0, 1, 1, 1))
+    oracle.write_neurons([Neuron(0, 1, 0, ONE, v0=1, role=Role.READOUT)])
+    oracle.write_neurons([Neuron(1, 1, 0, ONE, v0=0)])
+    oracle.write_synapses([Synapse(0, 1, 1, 1)])
     oracle.consult(ConsultMode.TRANSDUCER, time_limit=2)
     oracle.consult(ConsultMode.TRANSDUCER, time_limit=4)
     assert report.oracle_time == 4
@@ -226,13 +223,13 @@ def test_replayed_consultations_equal_fresh_runs(data):
             v0=data.draw(st.integers(0, 4)),
             role=data.draw(st.sampled_from(roles)),
         )
-        oracle.write_neuron(neuron)
+        oracle.write_neurons([neuron])
         resting[nid] = neuron.v0
     synapses = st.builds(
         Synapse, st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3), st.integers(-2, 3)
     )
     for syn in data.draw(st.lists(synapses, max_size=10)):
-        oracle.write_synapse(syn)
+        oracle.write_synapses([syn])
     for _ in range(data.draw(st.integers(1, 12))):
         action = data.draw(st.sampled_from(["consult", "consult", "consult", "voltage", "synapse"]))
         if action == "voltage":
@@ -242,7 +239,7 @@ def test_replayed_consultations_equal_fresh_runs(data):
             resting[nid] += delta
             continue
         if action == "synapse":
-            oracle.write_synapse(data.draw(synapses))
+            oracle.write_synapses([data.draw(synapses)])
             continue
         mode = data.draw(st.sampled_from([ConsultMode.TRANSDUCER, ConsultMode.DECIDER]))
         stop = data.draw(st.none() | st.sets(st.integers(0, n - 1), max_size=3))
@@ -266,37 +263,36 @@ def test_replayed_consultations_equal_fresh_runs(data):
 def test_one_simulation_per_network_version(monkeypatch):
     calls = []
 
-    def counting_run(*args, **kwargs):
-        calls.append(kwargs.get("state") is not None)
-        return run(*args, **kwargs)
+    def counting_run(net, max_steps, **kwargs):
+        calls.append(max_steps)
+        return run(net, max_steps, **kwargs)
 
     monkeypatch.setattr(spikeflow.oracle, "run", counting_run)
     net, (T, H1, H2, R1, R2, C1, C2) = build_chain_search_net()
     oracle = NeuromorphicOracle()
-    for neuron in net.neurons.values():
-        oracle.write_neuron(neuron)
-    for syns in net.out_synapses.values():
-        for s in syns:
-            oracle.write_synapse(s)
+    oracle.write_neurons(list(net.neurons.values()))
+    oracle.write_synapses([s for out in net.out_synapses.values() for s in out])
     first_tape, first = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
     again_tape, again = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
     shorter_tape, shorter = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={H1})
-    assert calls == [False]
+    assert calls == [5]
     assert first_tape.events == again_tape.events == [(3, R1), (4, R2)]
     assert (first.spikes, first.timesteps, first.stop_step) == (again.spikes, again.timesteps, 4)
     assert first.spikes == 5 and first.timesteps == 5
     # T, H2 and H1 spike, at steps 0, 1 and 2
     assert shorter_tape.events == [] and shorter.spikes == 3
     assert shorter.stop_step == 2 and shorter.timesteps == 3
-    # a stop set the cached prefix cannot decide steps the saved state further
+    # a consultation the saved run cannot decide runs the version afresh
     longer_tape, longer = oracle.consult(ConsultMode.TRANSDUCER, time_limit=9)
-    assert calls == [False, True]
+    assert calls == [5, 9]
     assert longer_tape.events == first_tape.events and longer.spikes == first.spikes
     assert longer.timesteps == 9 and longer.stop_step is None
+    oracle.consult(ConsultMode.TRANSDUCER, time_limit=7)
+    assert calls == [5, 9]  # the longer run is kept for the version
     # a write starts a new version: the next consultation simulates afresh
     oracle.write_voltage(C2, 5)
     blocked_tape, blocked = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
-    assert calls == [False, True, False]
+    assert calls == [5, 9, 5]
     # only T and the saturated C2 spike, at step 0; the wave is blocked
     assert blocked_tape.events == [] and blocked.spikes == 2
     assert blocked.timesteps == 5 and blocked.stop_step is None

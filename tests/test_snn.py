@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snn_reference as ref
-from spikeflow.errors import ParseError, UnknownNeuronError
+from spikeflow.errors import ParseError
 from spikeflow.snn import (
     _materialize,
     Neuron,
@@ -18,7 +18,6 @@ from spikeflow.snn import (
     format_netlist,
     parse_netlist,
     run,
-    set_potential,
     step,
     write_trace_csv,
 )
@@ -160,37 +159,6 @@ def test_energy_counts_trace_events():
     net.add_neuron(Neuron(0, 1, 0, ONE, v0=1, role=Role.TRANSMITTER))
     state = run(net, 3)
     assert energy(state) == 1
-
-
-def test_set_potential_is_additive():
-    net = make_net()
-    net.add_neuron(Neuron(0, 100, 0, ONE, v0=4))
-    state = SimulationState.initial(net)
-    set_potential(net, state, 0, 2)
-    assert state.potentials[0] == 6
-    set_potential(net, state, 0, 0)
-    assert state.potentials[0] == 6
-
-
-def test_set_potential_crossing_threshold_fires_on_next_step():
-    # Capacity neuron for c=3 with |E|=4: threshold 8, resting at K+f=5.
-    net = make_net()
-    net.add_neuron(Neuron(0, 8, 0, ONE, v0=5, role=Role.CAPACITY))
-    state = SimulationState.initial(net)
-    set_potential(net, state, 0, 3)
-    assert state.potentials[0] == 8
-    _, fired = step(net, state)
-    assert fired == {0}
-
-
-def test_set_potential_errors():
-    net = make_net()
-    net.add_neuron(Neuron(0, 8, 0, ONE, v0=5))
-    state = SimulationState.initial(net)
-    with pytest.raises(UnknownNeuronError):
-        set_potential(net, state, 99, 1)
-    with pytest.raises(ValueError):
-        set_potential(net, state, 0, -6)
 
 
 def test_overflow_reset_subtracts_threshold():
@@ -362,26 +330,13 @@ def test_run_and_resumed_run_match_reference(case, data):
     net, potentials = case
     ids = sorted(net.neurons)
     stops = st.none() | st.sets(st.sampled_from(ids), max_size=3)
-    for _ in range(2):  # a first and a later run of the network
-        first_stop, first_limit = data.draw(stops), data.draw(st.integers(0, 14))
-        state = run(net, first_limit, stop_on_fire=first_stop, initial_potentials=potentials)
-        expected = ref.run(net, first_limit, stop_on_fire=first_stop, initial_potentials=potentials)
-        for resumes in range(3):
-            if resumes:  # continue with another stop set and limit
-                stop, limit = data.draw(stops), data.draw(st.integers(0, 20))
-                run(net, limit, stop_on_fire=stop, state=state)
-                ref.continue_run(net, expected, limit, stop)
-            assert (state.trace, state.t, state.halted) == (expected.trace, expected.t, expected.halted)
-            assert state.steps_used == expected.steps_used
-            assert current_potentials(net, state) == ref.current_potentials(net, expected)
-
-
-def test_run_rejects_initial_potentials_with_a_state():
-    net = make_net()
-    net.add_neuron(Neuron(0, 1, 0, ONE, v0=0))
-    state = run(net, 2)
-    with pytest.raises(ValueError):
-        run(net, 4, initial_potentials={0: 1}, state=state)
+    for _ in range(2):  # a first and a later run: from the second on, fires use split tables
+        stop, limit = data.draw(stops), data.draw(st.integers(0, 20))
+        state = run(net, limit, stop_on_fire=stop, initial_potentials=potentials)
+        expected = ref.run(net, limit, stop_on_fire=stop, initial_potentials=potentials)
+        assert (state.trace, state.t, state.halted) == (expected.trace, expected.t, expected.halted)
+        assert state.steps_used == expected.steps_used
+        assert current_potentials(net, state) == ref.current_potentials(net, expected)
 
 
 def test_netlist_roundtrip():
