@@ -214,6 +214,11 @@ def run_bench(config: BenchConfig) -> tuple[list[BenchRow], dict]:
         "spikes_vs_edges": {"slope": slope, "intercept": intercept, "r2": r2},
         "total_divergent": sum(1 for r in rows if r.divergence > 0),
         "total_instances": len(rows),
+        # share of instances with no augmenting path at all, which flatten
+        # the spikes-against-edges fit
+        "zero_flow_frac": sum(1 for r in rows if r.classical_value == 0) / len(rows),
+        # paper-faithful decode jams per metered consultation
+        "jam_rate": sum(r.decode_jams for r in rows) / max(1, sum(r.total_consults for r in rows)),
     }
     positive = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
     if len(positive) >= 2:

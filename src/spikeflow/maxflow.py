@@ -12,6 +12,17 @@ Neuron families per arc (offset K):
   source edges whose ``H`` fired; sink-edge readouts fire at ``2 * L`` for an
   augmenting path of ``L`` edges.
 
+A wave crosses a node v from one side's arcs to the other's.  Where
+``in(v) * out(v) > in(v) + out(v) + 1`` it goes through one hub neuron per
+wave family (threshold ``K + 1``, potential ``K``, not on the tape) instead
+of one synapse per arc pair: the arcs on the wave's upstream side excite the
+hub with delay 0 and the hub excites the other side with delay 1.  An arc
+neuron fires in the step's first threshold check, so its hub fires in the
+delay-0 re-check of the same step and every arc neuron fires at the step it
+would with direct wiring; the hub's fan-in is below K, so it fires once.
+Each family thus costs at most ``in(v) + out(v) + 1`` neurons and synapses
+per node, and the oracle network is linear in ``n + m``.
+
 ``solve`` offers two modes.  ``paper-faithful`` augments greedily over
 forward arcs only and decodes one readout tape per episode; it is feasible
 but not always optimal.  ``residual`` materializes a reverse companion arc
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConstructionBugError
 from .flow import FlowAssignment, FlowNetwork
@@ -42,8 +54,7 @@ class DecodeJamError(ConstructionBugError):
     """Greedy tape decoding started a path but could not complete it."""
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     idx: int
     tail: int
     head: int
@@ -57,32 +68,31 @@ class EdgeNeuronMap:
 
     Ids: transmitter 0, capacity family ``1..U``, search family ``U+1..2U``,
     readout family ``2U+1..3U`` (forward-decode mode only), where U is the
-    arc count.  Readout/search ids ascend with arc index, so the oracle's
-    (time, id) tape order breaks same-step ties by arc index.
+    arc count, then the hubs from ``first_hub_id()`` (``3U+1``, or ``2U+1``
+    in residual mode): search hubs in node order, then readout hubs.
+    Readout/search ids ascend with arc index, so the oracle's (time, id)
+    tape order breaks same-step ties by arc index.
     """
 
     def __init__(self, net: FlowNetwork, residual: bool):
         self.net = net
         self.residual = residual
         arcs = [Arc(e.id, e.tail, e.head, e.cap, e.id, True) for e in net.edges]
+        # mirror[i]: the index of arc i's reverse companion, or of the forward
+        # arc a companion reverses; None for an arc without one
+        mirror: list[int | None] = [None] * len(arcs)
         if residual:
             for e in net.edges:
                 # reverse companions; arcs into the source or out of the sink
                 # can never lie on an augmenting path
                 if e.tail == net.source or e.head == net.sink:
                     continue
+                mirror[e.id] = len(arcs)
+                mirror.append(e.id)
                 arcs.append(Arc(len(arcs), e.head, e.tail, 0, e.id, False))
         self.arcs = arcs
         self.n_arcs = len(arcs)
-        self.mirror: dict[int, int | None] = {a.idx: None for a in arcs}
-        by_edge: dict[int, list[Arc]] = {}
-        for a in arcs:
-            by_edge.setdefault(a.edge_id, []).append(a)
-        for pair in by_edge.values():
-            if len(pair) == 2:
-                fwd, rev = pair if pair[0].forward else (pair[1], pair[0])
-                self.mirror[fwd.idx] = rev.idx
-                self.mirror[rev.idx] = fwd.idx
+        self.mirror = mirror
         # offset: |E|+1 in forward-decode mode; the fixed arc-universe bound
         # 2|E|+1 in residual mode so capacity thresholds survive flow updates
         self.K = (2 * net.n_edges + 1) if residual else (net.n_edges + 1)
@@ -104,6 +114,9 @@ class EdgeNeuronMap:
 
     def readout_id(self, arc_idx: int) -> int:
         return 1 + 2 * self.n_arcs + arc_idx
+
+    def first_hub_id(self) -> int:
+        return 1 + (2 if self.residual else 3) * self.n_arcs
 
     def arc_of_readout(self, neuron_id: int) -> Arc:
         return self.arcs[neuron_id - 1 - 2 * self.n_arcs]
@@ -149,9 +162,13 @@ def build_capacity_neurons(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> N
 
 def build_search_network(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> None:
     """Transmitter, backward search wave, and (forward-decode mode) the
-    forward readout network, wired against the already-written capacities."""
+    forward readout network, wired against the already-written capacities.
+
+    The search wave runs from a node's out-arcs to its in-arcs and the
+    readout wave from its in-arcs to its out-arcs, through a hub where that
+    takes fewer synapses (see the module docstring)."""
     K, C, S, R = emap.K, emap.cap_id(0), emap.search_id(0), emap.readout_id(0)
-    arcs, by_tail = emap.arcs, emap.arcs_by_tail
+    arcs, by_tail, by_head = emap.arcs, emap.arcs_by_tail, emap.arcs_by_head
     with_readout = not emap.residual
     search_role = Role.READOUT if emap.residual else Role.STANDARD
     neurons = [(emap.transmitter_id, 1, 0, 1, 1, Role.TRANSMITTER)]
@@ -161,11 +178,23 @@ def build_search_network(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> Non
         neurons += [(R + a.idx, 1 + K, 0, 1, K, Role.READOUT) for a in arcs]
         synapses += [(C + a.idx, R + a.idx, 0, -K) for a in arcs]
     synapses += [(emap.transmitter_id, S + idx, 1, 1) for idx in emap.sink_arc_idxs()]
-    # wave direction is reversed: the downstream arc excites the upstream one
-    synapses += [(S + down.idx, S + a.idx, 1, 1) for a in arcs for down in by_tail.get(a.head, ())]
     if with_readout:
         synapses += [(S + idx, R + idx, 1, 1) for idx in emap.source_arc_idxs()]
-        synapses += [(R + a.idx, R + down.idx, 1, 1) for a in arcs for down in by_tail.get(a.head, ())]
+    # (family base, the arcs at a node that fire first, the arcs they excite)
+    waves = [(S, by_tail, by_head)]
+    if with_readout:
+        waves.append((R, by_head, by_tail))
+    hub = emap.first_hub_id()
+    for base, senders_at, receivers_at in waves:
+        for v in range(emap.net.n_nodes):
+            senders, receivers = senders_at.get(v, ()), receivers_at.get(v, ())
+            if len(senders) * len(receivers) > len(senders) + len(receivers) + 1:
+                neurons.append((hub, 1 + K, 0, 1, K, Role.STANDARD))
+                synapses += [(base + a.idx, hub, 0, 1) for a in senders]
+                synapses += [(hub, base + a.idx, 1, 1) for a in receivers]
+                hub += 1
+            else:
+                synapses += [(base + a.idx, base + b.idx, 1, 1) for a in senders for b in receivers]
     oracle.write_neurons(neurons)
     oracle.write_synapses(synapses)
 
@@ -395,12 +424,19 @@ def read_max_flow(
 
 def verify_episode_properties(net: FlowNetwork, result: "SolveResult") -> list[str]:
     """Re-check the per-episode resource invariants on a finished solve:
-    timestep and spike ceilings per query, single-spike wave neurons, and
-    (forward-decode mode) the episode budget of one saturation per edge.
+    timestep and spike ceilings per query, single-spike wave and hub neurons,
+    and (forward-decode mode) the episode budget of one saturation per edge.
 
-    Only wave (search and readout) neurons have in-synapses; the transmitter
-    and the capacity neurons fire at most once, at step 0.  So a repeated
-    spike in a query is a wave neuron spiking twice.
+    Only wave (search and readout) neurons and hubs have in-synapses; the
+    transmitter and the capacity neurons fire at most once, at step 0.  So a
+    repeated spike in a query is a wave neuron or a hub spiking twice.
+
+    The paper-faithful ceiling of 3m+1 spikes per query: an arc spikes at
+    most twice (its capacity neuron, or its search and readout neurons, which
+    an exhausted capacity silences), plus the transmitter.  A node gets a hub
+    only when in(v) + out(v) >= 6 (in * out > in + out + 1 is
+    (in - 1)(out - 1) > 2), and the degrees sum to 2m, so each family has at
+    most m/3 hubs and a query makes at most 2m + 1 + 2m/3 spikes.
     """
     violations: list[str] = []
     m = net.n_edges
@@ -427,6 +463,7 @@ class SolveResult:
     decode_jams: int
     voltage_sum: int              # literal sum of capacity-neuron potentials
     query_records: list[ConsultRecord] = field(default_factory=list)
+    wm_peak_bits: int = 0         # widest working-memory word written; not in the JSON
 
     def to_dict(self) -> dict:
         return {
@@ -497,4 +534,5 @@ def solve(net: FlowNetwork, mode: str = PAPER_FAITHFUL, wm_capacity: int = len(_
         decode_jams=wm.read("jams"),
         voltage_sum=voltage_sum,
         query_records=list(report.consultations),
+        wm_peak_bits=wm.peak_bits,
     )

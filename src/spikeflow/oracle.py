@@ -121,12 +121,18 @@ class ResourceReport:
 
 
 class WorkingMemory:
-    """A bounded set of named integer cells; going over capacity is an error."""
+    """A bounded set of named integer cells; going over capacity is an error.
+
+    ``peak_bits`` is the bit width of the widest value ever written, so the
+    words' size, and not only their count, can be checked against the
+    logspace bound.
+    """
 
     def __init__(self, capacity: int, report: ResourceReport | None = None):
         self.capacity = capacity
         self.report = report
         self.cells: dict[str, int] = {}
+        self.peak_bits = 0
 
     def write(self, name: str, value: int) -> None:
         if name not in self.cells and len(self.cells) >= self.capacity:
@@ -134,6 +140,8 @@ class WorkingMemory:
                 f"cannot allocate {name!r}: all {self.capacity} words in use"
             )
         self.cells[name] = value
+        if value.bit_length() > self.peak_bits:
+            self.peak_bits = value.bit_length()
         if self.report is not None:
             self.report.charge()
             self.report.note_wm_cells(len(self.cells))

@@ -5,13 +5,14 @@ The random sweeps reuse one fixed master seed so every row is replayable.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from flow_oracles import brute_force_max_flow, exhaustive_min_cut
 from spikeflow.bench import DENSE, SPARSE, BenchConfig, least_squares, run_bench, write_divergence_counterexamples
-from spikeflow.flow import FlowNetwork, edmonds_karp, generate_random, validate_flow
+from spikeflow.flow import FlowNetwork, edmonds_karp, generate_random, max_feasible_edges, validate_flow
 from spikeflow.maxflow import (
     PAPER_FAITHFUL,
     RESIDUAL,
@@ -163,23 +164,37 @@ def test_criterion_4_timing_law():
 
 
 def test_criterion_5_constant_controller_space():
+    # Logspace: with X = n * c_max + m, every word the controller writes is at
+    # most 2X + 1.  The words are a node id (< n), a capacity or bottleneck
+    # (<= c_max), a jam-recovery step (<= 2m + 1; forward-decode mode has
+    # U = m arcs), a residual hop count (<= U + 1 <= 2m + 1), a capacity
+    # potential K + flow (<= 2m + 1 + c_max), and the flow value or an episode
+    # count (<= (n - 1) * c_max on these simple networks, or <= m).  A word
+    # w <= 2X + 1 has floor(log2 w) + 1 <= floor(log2 X) + 2 bits (2X + 1 is
+    # odd, so floor(log2(2X + 1)) = floor(log2 X) + 1), which is at most
+    # 2 * log2(X) once X >= 4: c = 2.
     cases = [(n, SPARSE) for n in (10, 25, 50, 75, 100)] + [(n, DENSE) for n in (20, 40)]
     peaks = set()
+    widest = 0.0
     for n, suite in cases:
         from spikeflow.bench import suite_edge_count
 
         net = generate_random(n, suite_edge_count(suite, n), 10, seed=MASTER_SEED + n)
+        log_x = math.log2(n * max(e.cap for e in net.edges) + net.n_edges)
         for mode in (PAPER_FAITHFUL, RESIDUAL):
             narrow = solve(net, mode, wm_capacity=8)
             wide = solve(net, mode, wm_capacity=16)
             assert narrow.report.controller_wm_peak == wide.report.controller_wm_peak
             assert narrow.assignment.value == wide.assignment.value
+            assert narrow.wm_peak_bits <= 2 * log_x, (n, suite, mode, narrow.wm_peak_bits)
             peaks.add(narrow.report.controller_wm_peak)
+            widest = max(widest, narrow.wm_peak_bits / log_x)
     report(
         5,
         len(peaks) == 1 and max(peaks) <= 8,
         f"both modes complete at 8 working-memory words up to n=100; "
-        f"peak {max(peaks)} words, identical at capacity 16",
+        f"peak {max(peaks)} words, identical at capacity 16; "
+        f"widest word {widest:.2f} * log2(n*c_max + m) bits (bound 2)",
     )
 
 
@@ -285,4 +300,34 @@ def test_criterion_9_hardware_figures_excluded():
         True,
         "hardware wall-clock/energy/power figures are out of scope by design; "
         "criteria 3-6 substitute property and trend suites",
+    )
+
+
+def test_criterion_10_linear_oracle_space():
+    # The oracle network is linear in n + m.  Per node and wave family the
+    # search network costs at most in(v) + out(v) + 1 neurons and synapses: a
+    # hub and one synapse per arc at the node, or in(v) * out(v) direct
+    # synapses where that is no more.  Summed over nodes that is 2U + n for U
+    # arcs.  Forward-decode mode (U = m, two families): 1 + 3m neurons, 2m
+    # inhibitions, in(t) + out(s) <= 2m transmitter and source-edge synapses,
+    # and 2(2m + n) for the waves, at most 11m + 2n + 1.  Residual mode
+    # (U <= 2m, one family): 1 + 2U neurons, U inhibitions, at most U
+    # transmitter synapses and 2U + n for the wave, at most 12m + n + 1.
+    # Both are at most c * (n + m) with c = 12.
+    c = 12
+    worst = 0.0
+    for n in range(5, 41, 5):
+        net = generate_random(n, max_feasible_edges(n), 10, seed=MASTER_SEED + n)
+        for mode in (PAPER_FAITHFUL, RESIDUAL):
+            oracle = NeuromorphicOracle()
+            emap = EdgeNeuronMap(net, residual=(mode == RESIDUAL))
+            build_capacity_neurons(oracle, emap)
+            build_search_network(oracle, emap)
+            size = oracle.net.size()
+            assert size <= c * (n + net.n_edges), (n, mode, size)
+            worst = max(worst, size / (n + net.n_edges))
+    report(
+        10,
+        worst <= c,
+        f"dense n=5..40, both modes: oracle size <= {worst:.2f} * (n + m) (bound {c})",
     )

@@ -147,3 +147,18 @@ def test_divergence_counterexamples_are_replayable(tmp_path):
     assert len(written) == 1
     replay = parse_dimacs(written[0].read_text())
     assert edmonds_karp(replay).value == reference
+
+
+def test_summary_reports_zero_flow_share_and_jam_rate(monkeypatch):
+    jam = FlowNetwork(6, [(0, 1, 1), (0, 3, 1), (1, 2, 1), (1, 4, 1), (2, 3, 1), (3, 4, 2), (4, 5, 2)], 0, 5)
+    cut = FlowNetwork(4, [(0, 1, 2), (2, 3, 2), (1, 2, 0)], 0, 3)
+    monkeypatch.setattr(bench, "generate_random", lambda n, m, c, seed: jam if seed % 2 else cut)
+    rows, summary = run_bench(BenchConfig(suite=SPARSE, sizes=[5], samples=2, seed=0))
+    jammed = solve(jam, PAPER_FAITHFUL)
+    assert jammed.decode_jams > 0
+    assert [r.classical_value == 0 for r in rows] == [False, True]
+    assert summary["zero_flow_frac"] == 0.5
+    assert summary["jam_rate"] == jammed.decode_jams / (jammed.total_consults + 1)
+    _, classical = run_bench(BenchConfig(suite=SPARSE, sizes=[5], samples=2, seed=0, mode="classical"))
+    assert classical["zero_flow_frac"] == 0.5
+    assert classical["jam_rate"] == 0.0

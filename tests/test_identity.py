@@ -41,24 +41,24 @@ MODES = (PAPER_FAITHFUL, RESIDUAL, CLASSICAL)
 # (suite, mode) -> (sha256 of the bench rows, sha256 of every SolveResult JSON)
 PINNED = {
     (SPARSE, PAPER_FAITHFUL): (
-        "f5b929f39023c24d71b7b3800c2cfe3d348914b9feb7ffaa88bbe8e7f12a0802",
-        "aad5762e946c14f75469564d6dfd816a404286d0b1afd05228024fe255a94661",
+        "dc00d536bdbbd2fa8efba0ac2093f5ca494ca86b5b59eacdccfeec4e60fe9c8f",
+        "a678dd23815e8fc150413798d78939bc67e92207d69d110ccb4e4bae67510f3d",
     ),
     (SPARSE, RESIDUAL): (
-        "d128b878a038664ad85cfbbe5b0cc38c83c008f7fd8aedf1bb6f7d9a036744f0",
-        "18924f30e13781d368dd13e74ef2624015608f67241f429bca381d5d4e2ee670",
+        "fa877c14b26f2f67447d9350ad12355f7bc2a88df8be88fdd1cfabf5ce87ffbb",
+        "0791e5b04eac952882088eac6e5ae6acb6b15fbefa39cf7f9e8962b373718531",
     ),
     (SPARSE, CLASSICAL): (
         "eddb8be7c02fd9bd72097676c49f44d47a0c9c734b5da81f32255245a0b952ef",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     (DENSE, PAPER_FAITHFUL): (
-        "f7b98fc2f833344b94936ffbe29626835987b647c2ab6eadd7d0429ca73fd6be",
-        "b72a31cde46fc3514b5583e6c6b525096b5eaf392d61d628fd521c2ead0467b5",
+        "5143e406ad3ebbd46a45fdf9e6b9a793a212b65da05ab13f7450624f4ea6a350",
+        "3231506776c09821799ec6c79859a96cc73afb091fe8c3168c7262673aa96842",
     ),
     (DENSE, RESIDUAL): (
-        "b7f75ba5942df04def2fccbf1cb7abb8535cd2b5773a0e9224dcf5e81c870878",
-        "50c77f78f0c685e067b8ff45db0025bcea1121d51b12407e97ec352f7c38ca99",
+        "f5f8fbe5fc6911aadea5ae9b494c9d6d6a0411ef59a0055a840349b05bd2a8c7",
+        "8e8954050a1e7d06c48af23a3621335c9a3a26ed8cea2e4e6b2fc1092737d449",
     ),
     (DENSE, CLASSICAL): (
         "06b706deeb65bd13a5099b37362c5c9d940d8e6f27ffb4fa306bb0173ca6aa93",
@@ -257,7 +257,7 @@ def search_suite() -> list[tuple[FlowNetwork, bool]]:
 BUILD_PINNED = (
     "bfd06b080d9d30bcd5ad0aba777af1cf93b1dfba58fd9688cd796457168d7ded",
     "87d055f2070e26d640ad4933014d17e5d2dbdb4aa0b71ae7a594885d08817215",
-    "186bb166088be1074f9433fa749d3492a5118b49f565da9bda6e8b4fba0941cd",
+    "d8439fa1d964f4bc36779b67bf1d850494db2c0eb5e12acb886f13bf1043795e",
 )
 
 

@@ -3,10 +3,12 @@ from collections import Counter
 import pytest
 
 import spikeflow.bench as bench
+import spikeflow.maxflow as maxflow
 import spikeflow.oracle
 from flow_oracles import brute_force_max_flow
+from search_reference import build_direct_search_network
 from spikeflow.errors import WorkingMemoryExceeded
-from spikeflow.flow import FlowAssignment, FlowNetwork, edmonds_karp, generate_random, validate_flow
+from spikeflow.flow import FlowAssignment, FlowNetwork, edmonds_karp, generate_random, max_feasible_edges, validate_flow
 from spikeflow.maxflow import (
     PAPER_FAITHFUL,
     RESIDUAL,
@@ -255,6 +257,40 @@ def test_only_the_first_consultation_after_a_write_simulates(monkeypatch):
         counts.clear()
         decision = decide_naive(diamond_net(), d)
         assert counts["runs"] == counts["firsts"] == len(decision.report.consultations) == 1
+
+
+def _consultations(net, mode, build, monkeypatch):
+    """Solve with ``build`` as the search-network builder; return the result
+    and every consultation's tape events, steps, stop step and repeats."""
+    seen = []
+    real_consult = NeuromorphicOracle.consult
+
+    def consult(self, *args, **kwargs):
+        tape, record = real_consult(self, *args, **kwargs)
+        seen.append((list(tape.events), record.timesteps, record.stop_step, record.repeat_spikes))
+        return tape, record
+
+    with monkeypatch.context() as patch:
+        patch.setattr(NeuromorphicOracle, "consult", consult)
+        patch.setattr(maxflow, "build_search_network", build)
+        result = solve(net, mode)
+    return result, seen
+
+
+@pytest.mark.parametrize("mode", [PAPER_FAITHFUL, RESIDUAL])
+def test_hub_wiring_fires_like_direct_wiring(mode, monkeypatch):
+    nets = [generate_random(n, max_feasible_edges(n), 10, seed) for n in range(5, 31, 5) for seed in (1, 2)]
+    nets += [generate_random(n, n * 7 // 5, 10, seed) for n in range(10, 61, 10) for seed in (1, 2)]
+    hubs_used = 0
+    for net in nets:
+        hub, hub_seen = _consultations(net, mode, build_search_network, monkeypatch)
+        direct, direct_seen = _consultations(net, mode, build_direct_search_network, monkeypatch)
+        assert hub_seen == direct_seen
+        assert hub.assignment.flows == direct.assignment.flows
+        assert (hub.episodes, hub.decode_jams) == (direct.episodes, direct.decode_jams)
+        assert all(repeats == 0 for *_, repeats in hub_seen)
+        hubs_used += hub.report.oracle_space < direct.report.oracle_space
+    assert hubs_used > len(nets) // 2
 
 
 def test_path_record_invariants():

@@ -184,8 +184,12 @@ def test_working_memory_capacity_and_peak():
     wm.write("a", 3)  # overwrite is fine
     assert wm.read("a") == 3
     assert report.controller_wm_peak == 2
+    assert wm.peak_bits == 2  # 3 is the widest value written
     with pytest.raises(WorkingMemoryExceeded):
         wm.write("c", 4)
+    wm.write("a", -9)
+    wm.write("a", 0)
+    assert wm.peak_bits == 4
 
 
 def test_time_limit_must_be_positive():
