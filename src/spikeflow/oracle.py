@@ -8,10 +8,17 @@ resources (timesteps, network size, spikes) are tallied per consultation.
 
 A consultation is deterministic in the network and its resting potentials,
 and a stop set only truncates the run.  So the oracle keeps one simulation
-per network version and answers each consultation from its trace; the
-metering is that of a fresh run all the same.  The controller sees only the
-output tape: a consultation's spikes are counted while it is cut, and no
-record keeps them.
+per network version and answers each consultation from it; the metering is
+that of a fresh run all the same.  A saved run keeps its trace indexed once:
+its tape events, each neuron's first spike time and the trace positions of
+repeated spikes.  A consultation finds its cut as the earliest first spike of
+its stop set and counts its spikes, tape events and repeats by bisection, so
+it costs its stop set and its tape, not the trace.  The controller sees only
+the output tape, and no record keeps a consultation's spikes.
+
+The oracle holds only the resting potentials that ``write_voltage`` changed;
+every other neuron rests at the v0 it was written with, and a run starts from
+the network's v0 table with the written values laid over it.
 """
 
 from __future__ import annotations
@@ -21,13 +28,11 @@ import json
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .errors import UndecidedError, UnknownNeuronError, WorkingMemoryExceeded
 from .snn import Role, SimulationState, SpikingNetwork, run
 
 SpikeEvent = tuple[int, int]  # (time, neuron id)
-_neuron_id = itemgetter(1)
 
 
 class ConsultMode(enum.Enum):
@@ -165,18 +170,18 @@ class NeuromorphicOracle:
 
     Every network write (neuron, synapse, schedule, voltage) starts a new
     network version.  The first consultation of a version runs the
-    simulator; later ones cut that run's trace at their own stop spike or
-    limit, and run the version afresh, keeping the new run, only when the
-    saved run ends before either.  Metering does not change: every
-    consultation is recorded as the fresh run it replays.
+    simulator and indexes the run; later ones cut that run at their own stop
+    spike or limit, and run the version afresh, keeping and indexing the new
+    run, only when the saved run ends before either.  Metering does not
+    change: every consultation is recorded as the fresh run it replays.
     """
 
     def __init__(self, report: ResourceReport | None = None, overflow_reset: bool = False):
         self.report = report or ResourceReport()
         self.net = SpikingNetwork(overflow_reset=overflow_reset)
-        self._v: dict[int, int] = {}
+        self._written: dict[int, int] = {}  # resting potentials write_voltage changed
         self._path: list[int] = []
-        self._sim: SimulationState | None = None  # run of the current version
+        self._saved: _IndexedRun | None = None  # run of the current version
         self._charge = self.report.charge
 
     # --- construction (communication counts toward controller time) ---
@@ -184,37 +189,41 @@ class NeuromorphicOracle:
     def write_neurons(self, rows: Sequence[tuple]) -> None:
         """Write neuron rows ``(id, threshold, reset, leak, v0, role)``, one op each."""
         self._charge(len(rows))
-        self._sim = None
+        self._saved = None
         self.net.add_neurons(rows)
-        self._v.update({row[0]: row[4] for row in rows})
 
     def write_synapses(self, rows: Sequence[tuple]) -> None:
         """Write synapse rows ``(pre, post, delay, weight)``, one op each."""
         self._charge(len(rows))
-        self._sim = None
+        self._saved = None
         self.net.add_synapses(rows)
 
     def write_schedule(self, neuron_id: int, time: int) -> None:
         self._charge()
-        self._sim = None
+        self._saved = None
         self.net.add_schedule(neuron_id, time)
 
     def write_voltage(self, neuron_id: int, delta: int) -> None:
         """Additively adjust a neuron's resting potential (Write_Voltage)."""
         self._charge()
-        self._sim = None
-        if neuron_id not in self._v:
-            raise UnknownNeuronError(f"no neuron {neuron_id}")
-        value = self._v[neuron_id] + delta
+        self._saved = None
+        value = self._resting(neuron_id) + delta
         if value < 0:
             raise ValueError(f"write would drive neuron {neuron_id} below zero")
-        self._v[neuron_id] = value
+        self._written[neuron_id] = value
 
     def read_voltage(self, neuron_id: int) -> int:
         self._charge()
-        if neuron_id not in self._v:
-            raise UnknownNeuronError(f"no neuron {neuron_id}")
-        return self._v[neuron_id]
+        return self._resting(neuron_id)
+
+    def _resting(self, neuron_id: int) -> int:
+        written = self._written.get(neuron_id)
+        if written is not None:
+            return written
+        try:
+            return self.net.resting_potential(neuron_id)
+        except KeyError:
+            raise UnknownNeuronError(f"no neuron {neuron_id}") from None
 
     def threshold_of(self, neuron_id: int) -> int:
         self._charge()
@@ -241,17 +250,20 @@ class NeuromorphicOracle:
 
     # --- consultation ---
 
-    def _replay(self, time_limit: int, stop: frozenset[int]) -> tuple[list[SpikeEvent], int, int | None]:
-        """The trace and step count of a fresh run of the current version to
-        ``time_limit`` that halts at the first spike in ``stop``, and the
-        halting step (None when it runs to the limit)."""
-        sim = self._sim
-        cut = None if sim is None else _first_stop_time(sim.trace, stop, time_limit)
-        if cut is None and (sim is None or sim.steps_used < time_limit):
-            sim = self._sim = run(self.net, time_limit, stop_on_fire=stop, initial_potentials=self._v)
-            cut = sim.t if sim.halted else None
+    def _replay(self, time_limit: int, stop: frozenset[int]) -> tuple["_IndexedRun", int, int | None]:
+        """A run of the current version that answers a fresh run to
+        ``time_limit`` halting at the first spike in ``stop``: the saved run
+        when its trace decides that, else a new one.  Also the answer's step
+        count and halting step (None when it runs to the limit)."""
+        saved = self._saved
+        cut = None if saved is None else saved.first_spike(stop, time_limit)
+        if cut is None and (saved is None or saved.steps < time_limit):
+            net = self.net
+            state = run(net, time_limit, stop_on_fire=stop, initial_potentials=self._written)
+            saved = self._saved = _IndexedRun(state, net.tape_ids)
+            cut = state.t if state.halted else None
         steps = time_limit if cut is None else cut + 1
-        return sim.trace[: bisect_left(sim.trace, (steps,))], steps, cut
+        return saved, steps, cut
 
     def consult(
         self,
@@ -266,16 +278,16 @@ class NeuromorphicOracle:
             stop_on_fire = set(net.neurons_with_role(Role.ACCEPT)) | set(
                 net.neurons_with_role(Role.REJECT)
             )
-        trace, steps, cut = self._replay(time_limit, frozenset(stop_on_fire or ()))
-        tape_ids = net.tape_ids
-        tape = OutputTape([event for event in trace if event[1] in tape_ids])
+        saved, steps, cut = self._replay(time_limit, frozenset(stop_on_fire or ()))
+        tape_events, spikes, repeats = saved.cut(steps)
+        tape = OutputTape(tape_events)
         record = ConsultRecord(
             mode=mode.value,
             timesteps=steps,
-            spikes=len(trace),
+            spikes=spikes,
             network_size=net.size(),
             stop_step=cut,
-            repeat_spikes=len(trace) - len(set(map(_neuron_id, trace))),
+            repeat_spikes=repeats,
         )
         if mode is ConsultMode.DECIDER:
             roles = {net.neurons[nid].role for _, nid in tape.events}
@@ -294,11 +306,33 @@ class NeuromorphicOracle:
         return tape, record
 
 
-def _first_stop_time(trace: list[SpikeEvent], stop: frozenset[int], time_limit: int) -> int | None:
-    """Time of the first spike in ``stop`` before ``time_limit``, if any."""
-    for t, nid in trace:
-        if t >= time_limit:
-            return None
-        if nid in stop:
-            return t
-    return None
+class _IndexedRun:
+    """One simulation of a network version, indexed once for cutting."""
+
+    __slots__ = ("steps", "trace", "tape", "first", "repeats")
+
+    def __init__(self, state: SimulationState, tape_ids: set[int]):
+        self.steps = state.steps_used
+        trace = self.trace = state.trace
+        self.tape = [event for event in trace if event[1] in tape_ids]
+        first: dict[int, int] = {}  # neuron id -> time of its first spike
+        repeats: list[int] = []  # trace positions of spikes from a neuron seen before
+        for pos, (t, nid) in enumerate(trace):
+            if nid in first:
+                repeats.append(pos)
+            else:
+                first[nid] = t
+        self.first, self.repeats = first, repeats
+
+    def first_spike(self, stop: frozenset[int], time_limit: int) -> int | None:
+        """Time of the first spike in ``stop`` before ``time_limit``, if any."""
+        first = self.first
+        t = min((first[nid] for nid in stop if nid in first), default=None)
+        return t if t is not None and t < time_limit else None
+
+    def cut(self, steps: int) -> tuple[list[SpikeEvent], int, int]:
+        """The tape events, spike count and repeated-spike count of the
+        trace's first ``steps`` timesteps."""
+        end = bisect_left(self.trace, (steps,))
+        tape = self.tape
+        return tape[: bisect_left(tape, (steps,))], end, bisect_left(self.repeats, end)

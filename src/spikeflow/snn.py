@@ -27,7 +27,10 @@ fires at most once per step, and the trace lists each step's spikes by
 neuron id.
 
 Neurons with leak 1 keep a current potential and never decay; other leaks
-(0 or any fraction) are applied lazily when the neuron is next read.
+(0 or any fraction) are applied lazily when the neuron is next read.  An empty
+step therefore changes nothing but ``t``, and :func:`run` skips to its limit
+once a run is quiescent: no spike in flight, no neuron at threshold and no
+scheduled fire still to come.
 
 A network is written through one path, as rows of plain tuples that are
 checked, stored as given and copied into the simulator's flat tables in one
@@ -61,6 +64,8 @@ class Role(enum.Enum):
 
 # Roles whose spikes are visible on an oracle's output tape.
 TAPE_ROLES = frozenset({Role.READOUT, Role.ACCEPT, Role.REJECT})
+# The same roles as a tuple: membership tests by identity, not by Enum.__hash__.
+_TAPE_ROLES = tuple(TAPE_ROLES)
 
 _first = itemgetter(0)
 
@@ -115,7 +120,8 @@ class SpikingNetwork:
     (duplicate id, threshold >= 1, v0 >= 0, delay >= 0, unknown endpoint),
     stored as given, and copied into the flat tables :func:`step` reads:
     threshold, reset, initial potential, the leak of every neuron whose leak
-    is not 1 (``0`` when it is 0), the tape-role set and the synapse count.
+    is not 1 (``0`` when it is 0), the set of neurons whose initial potential
+    is at threshold, the tape-role set and the synapse count.
     ``neurons`` and ``out_synapses`` rebuild records from the rows.
 
     In the first run of a network a firing neuron's output is read from its
@@ -136,6 +142,7 @@ class SpikingNetwork:
         self._threshold: dict[int, int] = {}
         self._reset: dict[int, int] = {}
         self._v0: dict[int, int] = {}
+        self._at_threshold: set[int] = set()  # v0 >= threshold: fires at t=0
         self._leaky: dict[int, Fraction | int] = {}  # leak-1 neurons are absent
         self._tape: set[int] = set()
         self._out: dict[int, tuple[_Pairs, list[tuple[int, _Pairs]]]] = {}  # nid -> split
@@ -153,6 +160,7 @@ class SpikingNetwork:
     def add_neurons(self, rows: Iterable[tuple]) -> None:
         known, out = self._rows, self._syn
         threshold, reset, v0, leaky, tape = self._threshold, self._reset, self._v0, self._leaky, self._tape
+        at_threshold = self._at_threshold
         for row in rows:
             nid, th, r, leak, v, role = row
             if th < 1:
@@ -166,9 +174,11 @@ class SpikingNetwork:
             threshold[nid] = th
             reset[nid] = r
             v0[nid] = v
+            if v >= th:
+                at_threshold.add(nid)
             if leak != 1:
                 leaky[nid] = leak if leak else 0
-            if role in TAPE_ROLES:
+            if role in _TAPE_ROLES:
                 tape.add(nid)
 
     def add_synapses(self, rows: Iterable[tuple]) -> None:
@@ -222,6 +232,10 @@ class SpikingNetwork:
     def scheduled_at(self, t: int) -> list[int]:
         return self._schedule_by_time.get(t, [])
 
+    def resting_potential(self, nid: int) -> int:
+        """The neuron's initial potential v0; ``KeyError`` for an unknown id."""
+        return self._v0[nid]
+
     def size(self) -> int:
         """Neuron count plus synapse count (the oracle's space measure)."""
         return len(self._rows) + self._n_synapses
@@ -258,18 +272,23 @@ class SimulationState:
     ) -> "SimulationState":
         state = cls()
         values = dict(net._v0)
-        if potentials is not None:
-            if potentials.keys() <= values.keys():
-                values.update(potentials)
-            else:  # ids outside the network are ignored
-                for nid in values.keys() & potentials.keys():
-                    values[nid] = potentials[nid]
+        # Neurons already at threshold fire at t=0, before any synaptic input.
+        recheck = set(net._at_threshold)
+        if potentials:
+            threshold = net._threshold
+            for nid, v in potentials.items():
+                th = threshold.get(nid)
+                if th is None:  # ids outside the network are ignored
+                    continue
+                values[nid] = v
+                if v >= th:
+                    recheck.add(nid)
+                else:
+                    recheck.discard(nid)
         state.potentials = values
         state.last_update = dict.fromkeys(net._leaky, 0)
+        state._recheck = recheck
         net._runs += 1
-        # Neurons already at threshold fire at t=0, before any synaptic input.
-        threshold = net._threshold
-        state._recheck = {nid for nid, v in values.items() if v >= threshold[nid]}
         return state
 
     @property
@@ -447,12 +466,21 @@ def run(
     With ``stop_on_fire`` the run halts at the first step in which any listed
     neuron spikes; ``state.t`` then names that step and ``halted`` is set.
     ``initial_potentials`` overrides per-neuron starting values.
+
+    A run that falls quiescent, with no spike pending, no neuron due a
+    re-check and none scheduled at or after ``t``, can fire no more: it jumps
+    to ``t = max_steps`` and returns the trace, ``steps_used`` and potentials
+    that stepping on would give.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     stop_set = frozenset(stop_on_fire) if stop_on_fire is not None else None
     state = SimulationState.initial(net, initial_potentials)
+    last_scheduled = max(net._schedule_by_time, default=-1)
     while state.t < max_steps:
+        if state.t > last_scheduled and not state.pending and not state._recheck:
+            state.t = max_steps
+            break
         _, fired = step(net, state)
         if stop_set is not None and not stop_set.isdisjoint(fired):
             state.t -= 1

@@ -113,6 +113,30 @@ def test_write_voltage_validation():
         oracle.write_voltage(0, -6)
 
 
+def test_only_written_voltages_are_held(monkeypatch):
+    starts = []
+
+    def recording_run(net, max_steps, **kwargs):
+        starts.append(dict(kwargs["initial_potentials"]))
+        return run(net, max_steps, **kwargs)
+
+    monkeypatch.setattr(spikeflow.oracle, "run", recording_run)
+    oracle = NeuromorphicOracle()
+    oracle.write_neurons([Neuron(nid, 3, 0, ONE, v0=v0, role=Role.READOUT) for nid, v0 in enumerate((3, 1, 2))])
+    assert oracle.consult(ConsultMode.TRANSDUCER, time_limit=2)[0].events == [(0, 0)]
+    oracle.write_voltage(0, -1)  # off threshold: no spike at t=0
+    oracle.write_voltage(1, 2)  # onto threshold: a spike at t=0
+    assert oracle.consult(ConsultMode.TRANSDUCER, time_limit=2)[0].events == [(0, 1)]
+    assert starts == [{}, {0: 2, 1: 3}]
+    assert [oracle.read_voltage(nid) for nid in range(3)] == [2, 3, 2]  # 2 was never written
+    with pytest.raises(UnknownNeuronError):
+        oracle.read_voltage(3)
+    with pytest.raises(UnknownNeuronError):
+        oracle.write_voltage(3, 1)
+    oracle.consult(ConsultMode.TRANSDUCER, time_limit=2)
+    assert starts[-1] == {0: 2, 1: 3}  # a refused write leaves nothing behind
+
+
 def test_metering_counts_abstract_ops():
     report = ResourceReport()
     assert report.controller_time == 0

@@ -326,7 +326,7 @@ def test_step_matches_reference_after_every_step(case, n_steps):
 
 @settings(max_examples=300, deadline=None)
 @given(netlists(), st.data())
-def test_run_and_resumed_run_match_reference(case, data):
+def test_run_matches_reference(case, data):
     net, potentials = case
     ids = sorted(net.neurons)
     stops = st.none() | st.sets(st.sampled_from(ids), max_size=3)
@@ -337,6 +337,87 @@ def test_run_and_resumed_run_match_reference(case, data):
         assert (state.trace, state.t, state.halted) == (expected.trace, expected.t, expected.halted)
         assert state.steps_used == expected.steps_used
         assert current_potentials(net, state) == ref.current_potentials(net, expected)
+
+
+def _assert_run_matches_reference(net, limit, stop=None, potentials=None):
+    state = run(net, limit, stop_on_fire=stop, initial_potentials=potentials)
+    expected = ref.run(net, limit, stop_on_fire=stop, initial_potentials=potentials)
+    assert (state.trace, state.t, state.halted) == (expected.trace, expected.t, expected.halted)
+    assert state.steps_used == expected.steps_used
+    assert current_potentials(net, state) == ref.current_potentials(net, expected)
+    return state
+
+
+def _counting_steps(monkeypatch):
+    import spikeflow.snn as snn
+
+    steps = []
+
+    def counting_step(net, state):
+        steps.append(state.t)
+        return step(net, state)
+
+    monkeypatch.setattr(snn, "step", counting_step)
+    return steps
+
+
+def test_run_waits_out_a_quiet_gap_for_a_late_schedule(monkeypatch):
+    # The wave 0 -> 1 -> 2 dies at t=2; neuron 3 is scheduled at t=30 and
+    # reaches 4 at t=32.  The leaky neuron 4 decays across the quiet gap.
+    net = make_net()
+    driver(net, 0, [0])
+    net.add_neuron(Neuron(1, 1, 0, ONE))
+    net.add_neuron(Neuron(2, 1, 0, ONE))
+    driver(net, 3, [30])
+    net.add_neuron(Neuron(4, 9, 0, Fraction(1, 2), v0=8))
+    net.add_synapse(Synapse(0, 1, 1, 1))
+    net.add_synapse(Synapse(1, 2, 1, 1))
+    net.add_synapse(Synapse(3, 4, 2, 1))
+    steps = _counting_steps(monkeypatch)
+    state = _assert_run_matches_reference(net, 40)
+    assert state.trace == [(0, 0), (1, 1), (2, 2), (30, 3)]
+    assert state.steps_used == 40 and not state.halted
+    # the gap before the schedule is stepped through; the quiescent tail is not
+    assert steps == list(range(33))
+
+
+@pytest.mark.parametrize("leak", [ONE, Fraction(1, 2), Fraction(0)])
+def test_run_checks_a_leaky_neuron_left_at_threshold(leak):
+    # Neuron 2 reaches its threshold from the unchecked second delay-0
+    # delivery of step 0, the last activity of the run, so it is checked
+    # at t=1, after its leak: only the leak-1 neuron still fires.
+    net = make_net()
+    driver(net, 0, [0])
+    net.add_neuron(Neuron(1, 1, 0, ONE))
+    net.add_neuron(Neuron(2, 1, 0, leak))
+    net.add_synapse(Synapse(0, 1, 0, 1))
+    net.add_synapse(Synapse(1, 2, 0, 1))
+    state = _assert_run_matches_reference(net, 20)
+    assert state.trace == [(0, 0), (0, 1)] + ([(1, 2)] if leak == 1 else [])
+
+
+def test_run_refires_an_overflow_reset_neuron_left_above_threshold():
+    net = make_net(overflow=True)
+    net.add_neuron(Neuron(0, 2, 0, ONE, v0=5))
+    net.add_neuron(Neuron(1, 3, 0, ONE))
+    net.add_synapse(Synapse(0, 1, 1, 1))
+    state = _assert_run_matches_reference(net, 20)
+    # 5 -> 3 -> 1: neuron 0 fires at t=0 and t=1; neuron 1 gets 2 < 3
+    assert state.trace == [(0, 0), (1, 0)]
+    assert state.potentials == {0: 1, 1: 2}
+
+
+def test_overrides_move_neurons_onto_and_off_threshold(monkeypatch):
+    net = make_net()
+    net.add_neuron(Neuron(0, 3, 0, ONE, v0=3))
+    net.add_neuron(Neuron(1, 3, 0, ONE, v0=1))
+    net.add_neuron(Neuron(2, 3, 0, ONE, v0=3))
+    state = _assert_run_matches_reference(net, 4, potentials={0: 2, 1: 3, 99: 5})
+    assert state.trace == [(0, 1), (0, 2)]
+    steps = _counting_steps(monkeypatch)
+    state = _assert_run_matches_reference(net, 4, potentials={0: 2, 2: 0})
+    assert state.trace == [] and state.steps_used == 4
+    assert steps == []  # nothing at threshold: quiescent from the start
 
 
 def test_netlist_roundtrip():
