@@ -130,13 +130,6 @@ def run_instance(config: BenchConfig, n_nodes: int, sample: int) -> BenchRow:
     records = result.query_records
     spikes = [r.spikes for r in records]
     steps = [r.timesteps for r in records]
-    if config.mode == PAPER_FAITHFUL:
-        # a query stops at its first sink-edge readout, which fires at
-        # exactly twice the augmenting path's edge count
-        path_lens = [r.stop_step / 2 for r in records if r.stop_step is not None]
-    else:
-        # consultations per episode track path length one-to-one
-        path_lens = [(result.total_consults - 1) / result.episodes] if result.episodes else []
     return BenchRow(
         suite=config.suite,
         mode=config.mode,
@@ -153,7 +146,7 @@ def run_instance(config: BenchConfig, n_nodes: int, sample: int) -> BenchRow:
         mean_spikes_per_query=sum(spikes) / len(spikes) if spikes else 0.0,
         mean_timesteps_per_query=sum(steps) / len(steps) if steps else 0.0,
         max_query_timesteps=max(steps) if steps else 0,
-        mean_augmenting_path_len=(sum(path_lens) / len(path_lens)) if path_lens else 0.0,
+        mean_augmenting_path_len=result.path_arcs / result.episodes if result.episodes else 0.0,
         oracle_energy=result.report.oracle_energy,
         controller_time=result.report.controller_time,
         wm_peak=result.report.controller_wm_peak,

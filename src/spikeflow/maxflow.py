@@ -464,6 +464,7 @@ class SolveResult:
     voltage_sum: int              # literal sum of capacity-neuron potentials
     query_records: list[ConsultRecord] = field(default_factory=list)
     wm_peak_bits: int = 0         # widest working-memory word written; not in the JSON
+    path_arcs: int = 0            # arcs summed over the augmenting paths; not in the JSON
 
     def to_dict(self) -> dict:
         return {
@@ -505,6 +506,7 @@ def solve(net: FlowNetwork, mode: str = PAPER_FAITHFUL, wm_capacity: int = len(_
         wm.write(word, 0)
     wm.write("episodes", 0)
     wm.write("jams", 0)
+    path_arcs = 0
     while True:
         if mode == PAPER_FAITHFUL:
             tape, _ = run_search_query(oracle, emap)
@@ -520,6 +522,7 @@ def solve(net: FlowNetwork, mode: str = PAPER_FAITHFUL, wm_capacity: int = len(_
         if path is None:
             break
         apply_flow_update(oracle, emap, path, wm)
+        path_arcs += len(path.arcs)
         wm.write("episodes", wm.read("episodes") + 1)
         if mode == PAPER_FAITHFUL and wm.read("episodes") > net.n_edges:
             raise ConstructionBugError("more augmenting episodes than edges")
@@ -535,4 +538,5 @@ def solve(net: FlowNetwork, mode: str = PAPER_FAITHFUL, wm_capacity: int = len(_
         voltage_sum=voltage_sum,
         query_records=list(report.consultations),
         wm_peak_bits=wm.peak_bits,
+        path_arcs=path_arcs,
     )

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import spikeflow.bench as bench
+import spikeflow.maxflow as maxflow
 from spikeflow.bench import (
     CSV_COLUMNS,
     DENSE,
@@ -67,6 +68,24 @@ def test_run_instance_raises_on_an_invalid_flow(monkeypatch):
     monkeypatch.setattr(bench, "solve", overfull_solve)
     with pytest.raises(ConstructionBugError, match="invalid flow: edge 0: flow"):
         run_instance(BenchConfig(suite=SPARSE, sizes=[8], samples=1, seed=3), 8, 0)
+
+
+@pytest.mark.parametrize("mode", [PAPER_FAITHFUL, RESIDUAL])
+def test_mean_path_len_counts_each_episode_once(mode, monkeypatch):
+    """A jam-recovery hop replays its episode's query, so per-query counts
+    would weigh jammed episodes more than once; the mean is per episode."""
+    lens = []
+    apply_flow_update = maxflow.apply_flow_update
+
+    def recording(oracle, emap, path, wm):
+        lens.append(len(path.arcs))
+        return apply_flow_update(oracle, emap, path, wm)
+
+    monkeypatch.setattr(maxflow, "apply_flow_update", recording)
+    row = run_instance(BenchConfig(suite=DENSE, sizes=[10], samples=1, seed=7, mode=mode), 10, 1)
+    assert row.decode_jams > 0 if mode == PAPER_FAITHFUL else row.decode_jams == 0
+    assert len(lens) == row.episodes > 0
+    assert row.mean_augmenting_path_len == sum(lens) / len(lens)
 
 
 def test_bench_rows_and_summary_sparse():
