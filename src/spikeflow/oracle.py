@@ -250,7 +250,7 @@ class NeuromorphicOracle:
 
     # --- consultation ---
 
-    def _replay(self, time_limit: int, stop: frozenset[int]) -> tuple["_IndexedRun", int, int | None]:
+    def _replay(self, time_limit: int, stop: frozenset[int]) -> tuple[_IndexedRun, int, int | None]:
         """A run of the current version that answers a fresh run to
         ``time_limit`` halting at the first spike in ``stop``: the saved run
         when its trace decides that, else a new one.  Also the answer's step

@@ -62,10 +62,9 @@ class Role(enum.Enum):
     CAPACITY = "capacity"
 
 
-# Roles whose spikes are visible on an oracle's output tape.
-TAPE_ROLES = frozenset({Role.READOUT, Role.ACCEPT, Role.REJECT})
-# The same roles as a tuple: membership tests by identity, not by Enum.__hash__.
-_TAPE_ROLES = tuple(TAPE_ROLES)
+# Roles whose spikes are visible on an oracle's output tape.  A tuple, so a
+# membership test compares by identity and calls no Python-level Enum.__hash__.
+TAPE_ROLES = (Role.READOUT, Role.ACCEPT, Role.REJECT)
 
 _first = itemgetter(0)
 
@@ -178,7 +177,7 @@ class SpikingNetwork:
                 at_threshold.add(nid)
             if leak != 1:
                 leaky[nid] = leak if leak else 0
-            if role in _TAPE_ROLES:
+            if role in TAPE_ROLES:
                 tape.add(nid)
 
     def add_synapses(self, rows: Iterable[tuple]) -> None:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snn_reference as ref
+import spikeflow.snn as snn
 from spikeflow.errors import ParseError
 from spikeflow.snn import (
     _materialize,
@@ -332,11 +333,7 @@ def test_run_matches_reference(case, data):
     stops = st.none() | st.sets(st.sampled_from(ids), max_size=3)
     for _ in range(2):  # a first and a later run: from the second on, fires use split tables
         stop, limit = data.draw(stops), data.draw(st.integers(0, 20))
-        state = run(net, limit, stop_on_fire=stop, initial_potentials=potentials)
-        expected = ref.run(net, limit, stop_on_fire=stop, initial_potentials=potentials)
-        assert (state.trace, state.t, state.halted) == (expected.trace, expected.t, expected.halted)
-        assert state.steps_used == expected.steps_used
-        assert current_potentials(net, state) == ref.current_potentials(net, expected)
+        _assert_run_matches_reference(net, limit, stop, potentials)
 
 
 def _assert_run_matches_reference(net, limit, stop=None, potentials=None):
@@ -349,8 +346,7 @@ def _assert_run_matches_reference(net, limit, stop=None, potentials=None):
 
 
 def _counting_steps(monkeypatch):
-    import spikeflow.snn as snn
-
+    """Record the ``t`` of every step that ``run`` simulates."""
     steps = []
 
     def counting_step(net, state):
