@@ -315,14 +315,16 @@ class _IndexedRun:
         self.steps = state.steps_used
         trace = self.trace = state.trace
         self.tape = [event for event in trace if event[1] in tape_ids]
-        first: dict[int, int] = {}  # neuron id -> time of its first spike
-        repeats: list[int] = []  # trace positions of spikes from a neuron seen before
-        for pos, (t, nid) in enumerate(trace):
-            if nid in first:
-                repeats.append(pos)
-            else:
-                first[nid] = t
-        self.first, self.repeats = first, repeats
+        # neuron id -> time of its first spike: read backwards, the earliest is stored last
+        self.first = {nid: t for t, nid in reversed(trace)}
+        self.repeats: list[int] = []  # trace positions of spikes from a neuron seen before
+        if len(self.first) < len(trace):
+            seen: set[int] = set()
+            for pos, (_, nid) in enumerate(trace):
+                if nid in seen:
+                    self.repeats.append(pos)
+                else:
+                    seen.add(nid)
 
     def first_spike(self, stop: frozenset[int], time_limit: int) -> int | None:
         """Time of the first spike in ``stop`` before ``time_limit``, if any."""
