@@ -24,7 +24,7 @@ class UndecidedError(SpikeflowError):
 
 
 class WorkingMemoryExceeded(SpikeflowError):
-    """The controller tried to use more working-memory words than its capacity."""
+    """The controller wrote a working-memory word outside its fixed frame."""
 
 
 class GuardExceeded(SpikeflowError):

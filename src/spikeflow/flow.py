@@ -147,24 +147,6 @@ def edmonds_karp(net: FlowNetwork) -> FlowAssignment:
     return FlowAssignment(flows, value, steps)
 
 
-def min_cut_capacity(net: FlowNetwork, assignment: FlowAssignment) -> int:
-    """Capacity of the cut induced by residual reachability from the source."""
-    flows = assignment.flows
-    seen = {net.source}
-    queue = deque([net.source])
-    while queue:
-        v = queue.popleft()
-        for e in net.out_edges[v]:
-            if e.head not in seen and flows[e.id] < e.cap:
-                seen.add(e.head)
-                queue.append(e.head)
-        for e in net.in_edges[v]:
-            if e.tail not in seen and flows[e.id] > 0:
-                seen.add(e.tail)
-                queue.append(e.tail)
-    return sum(e.cap for e in net.edges if e.tail in seen and e.head not in seen)
-
-
 def max_feasible_edges(n_nodes: int) -> int:
     return n_nodes * (n_nodes - 1) // 2
 

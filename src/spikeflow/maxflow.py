@@ -45,7 +45,7 @@ PAPER_FAITHFUL = "paper-faithful"
 RESIDUAL = "residual"
 
 # The controller's fixed working-memory frame: the eight words it ever uses,
-# in any mode.  ``solve`` writes the whole frame once before the first query,
+# in any mode.  ``solve`` allocates the whole frame before the first query,
 # so the frame, not the words a given input happens to touch, sets the peak.
 _WM_WORDS = ("head", "min_cap", "started", "episodes", "jams", "delta", "value", "tmp")
 
@@ -237,9 +237,7 @@ def decode_path(
     wm.write("started", 0)
     wm.write("min_cap", 0)
     wm.write("head", source)
-    while not tape.end():
-        oracle.report.charge()  # one tape read
-        _, nid = tape.read()
+    for _, nid in tape:
         arc = emap.arc_of_readout(nid)
         if not wm.read("started"):
             if arc.tail != source:
@@ -292,9 +290,7 @@ def recover_path_backward(
     sink_ids = {emap.readout_id(i) for i in emap.sink_arc_idxs()}
     tape, _ = run_search_query(oracle, emap)
     wm.write("started", 0)
-    while not tape.end():
-        oracle.report.charge()
-        t, nid = tape.read()
+    for t, nid in tape:
         if nid in sink_ids:
             arc = emap.arc_of_readout(nid)
             wm.write("tmp", t)
@@ -308,9 +304,7 @@ def recover_path_backward(
     while wm.read("head") != source:
         tape, _ = run_search_query(oracle, emap)
         found = False
-        while not tape.end():
-            oracle.report.charge()
-            t, nid = tape.read()
+        for t, nid in tape:
             if t >= wm.read("tmp"):
                 break
             arc = emap.arc_of_readout(nid)
@@ -356,9 +350,7 @@ def descend_path(
             ConsultMode.TRANSDUCER, time_limit=emap.query_time_limit(), stop_on_fire=stop
         )
         accepted = None
-        while not tape.end():
-            oracle.report.charge()
-            _, nid = tape.read()
+        for _, nid in tape:
             arc = emap.arc_of_search(nid)
             if arc.tail == wm.read("head"):
                 accepted = arc
@@ -482,28 +474,23 @@ class SolveResult:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def solve(net: FlowNetwork, mode: str = PAPER_FAITHFUL, wm_capacity: int = len(_WM_WORDS)) -> SolveResult:
+def solve(net: FlowNetwork, mode: str = PAPER_FAITHFUL) -> SolveResult:
     """Full controller loop: build the oracle network once, then alternate
     search queries, path decoding and flow updates until no path remains.
 
-    The controller's working memory is the fixed ``_WM_WORDS`` frame, written
-    (as zeros) once before the first query.  Its peak is therefore the frame
-    size on every input, and a ``wm_capacity`` below it raises
-    :class:`~spikeflow.errors.WorkingMemoryExceeded` before any query runs.
-    No other value changes the result; the parameter is there so that tests
-    can pin the frame.
+    The controller's working memory is the fixed ``_WM_WORDS`` frame,
+    allocated (as zeros) before the first query, so its peak is the frame
+    size on every input.
     """
     if mode not in (PAPER_FAITHFUL, RESIDUAL):
         raise ValueError(f"unknown mode {mode!r}")
     report = ResourceReport()
-    wm = WorkingMemory(wm_capacity, report)
     oracle = NeuromorphicOracle(report)
     emap = EdgeNeuronMap(net, residual=(mode == RESIDUAL))
     build_capacity_neurons(oracle, emap)
     build_search_network(oracle, emap)
 
-    for word in _WM_WORDS:
-        wm.write(word, 0)
+    wm = WorkingMemory(_WM_WORDS, report)
     wm.write("episodes", 0)
     wm.write("jams", 0)
     path_arcs = 0

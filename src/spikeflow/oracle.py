@@ -2,19 +2,23 @@
 
 The conventional controller builds a spiking network on the oracle through
 metered write operations, consults it, and reads time-ordered spike events
-back.  Every abstract controller operation costs one time unit (a bulk write
-of neuron or synapse rows costs one per row); oracle
-resources (timesteps, network size, spikes) are tallied per consultation.
+back.  Every abstract controller operation costs one time unit, and each
+primitive charges its own: a bulk write of neuron or synapse rows costs one
+per row, iterating an output tape one per event it yields (a scan that stops
+early pays only for what it read), and the working memory one per word when
+its fixed frame is allocated and one per read or write.  Oracle resources
+(timesteps, network size, spikes) are tallied per consultation.
 
 A consultation is deterministic in the network and its resting potentials,
 and a stop set only truncates the run.  So the oracle keeps one simulation
 per network version and answers each consultation from it; the metering is
 that of a fresh run all the same.  A saved run keeps its trace indexed once:
-its tape events, each neuron's first spike time and the trace positions of
-repeated spikes.  A consultation finds its cut as the earliest first spike of
-its stop set and counts its spikes, tape events and repeats by bisection, so
-it costs its stop set and its tape, not the trace.  The controller sees only
-the output tape, and no record keeps a consultation's spikes.
+its tape events and each neuron's first spike time, also sorted.  A
+consultation finds its cut as the earliest first spike of its stop set and
+counts its spikes, tape events and first spikes by bisection (every other
+spike in the cut repeats a neuron), so it costs its stop set and its tape,
+not the trace.  The controller sees only the output tape, and no record
+keeps a consultation's spikes.
 
 The oracle holds only the resting potentials that ``write_voltage`` changed;
 every other neuron rests at the v0 it was written with, and a run starts from
@@ -26,7 +30,7 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .errors import UndecidedError, UnknownNeuronError, WorkingMemoryExceeded
@@ -41,21 +45,21 @@ class ConsultMode(enum.Enum):
 
 
 class OutputTape:
-    """Time-ordered spike events of readout/accept/reject neurons, read once."""
+    """Time-ordered spike events of readout/accept/reject neurons.
 
-    def __init__(self, events: list[SpikeEvent]):
+    Iterating the tape reads it, at one controller op on ``report`` per event
+    yielded; ``events`` is the tape as the oracle wrote it, unmetered.
+    """
+
+    def __init__(self, events: list[SpikeEvent], report: ResourceReport):
         self.events = sorted(events)
-        self.cursor = 0
+        self.report = report
 
-    def end(self) -> bool:
-        return self.cursor >= len(self.events)
-
-    def read(self) -> SpikeEvent:
-        if self.end():
-            raise IndexError("read past end of output tape")
-        event = self.events[self.cursor]
-        self.cursor += 1
-        return event
+    def __iter__(self) -> Iterator[SpikeEvent]:
+        report = self.report
+        for event in self.events:
+            report.controller_time += 1
+            yield event
 
 
 @dataclass
@@ -82,10 +86,6 @@ class ResourceReport:
 
     def charge(self, n: int = 1) -> None:
         self.controller_time += n
-
-    def note_wm_cells(self, in_use: int) -> None:
-        if in_use > self.controller_wm_peak:
-            self.controller_wm_peak = in_use
 
     def add_consultation(self, record: ConsultRecord) -> None:
         self.consultations.append(record)
@@ -126,34 +126,34 @@ class ResourceReport:
 
 
 class WorkingMemory:
-    """A bounded set of named integer cells; going over capacity is an error.
+    """The controller's fixed frame of named integer words.
 
-    ``peak_bits`` is the bit width of the widest value ever written, so the
-    words' size, and not only their count, can be checked against the
-    logspace bound.
+    The frame is allocated at once, as zeros, at one controller op per word,
+    and its size is the report's ``controller_wm_peak``.  Every read and
+    write costs one op; writing a word outside the frame raises
+    :class:`WorkingMemoryExceeded`.  ``peak_bits`` is the bit width of the
+    widest value ever written, so the words' size, and not only their count,
+    can be checked against the logspace bound.
     """
 
-    def __init__(self, capacity: int, report: ResourceReport | None = None):
-        self.capacity = capacity
+    def __init__(self, frame: Sequence[str], report: ResourceReport):
+        self.cells = dict.fromkeys(frame, 0)
         self.report = report
-        self.cells: dict[str, int] = {}
         self.peak_bits = 0
+        report.controller_time += len(self.cells)
+        report.controller_wm_peak = len(self.cells)
 
     def write(self, name: str, value: int) -> None:
-        if name not in self.cells and len(self.cells) >= self.capacity:
-            raise WorkingMemoryExceeded(
-                f"cannot allocate {name!r}: all {self.capacity} words in use"
-            )
-        self.cells[name] = value
+        cells = self.cells
+        if name not in cells:
+            raise WorkingMemoryExceeded(f"{name!r} is not one of the {len(cells)} words of the frame")
+        cells[name] = value
         if value.bit_length() > self.peak_bits:
             self.peak_bits = value.bit_length()
-        if self.report is not None:
-            self.report.charge()
-            self.report.note_wm_cells(len(self.cells))
+        self.report.controller_time += 1
 
     def read(self, name: str) -> int:
-        if self.report is not None:
-            self.report.charge()
+        self.report.controller_time += 1
         return self.cells[name]
 
 
@@ -176,9 +176,9 @@ class NeuromorphicOracle:
     change: every consultation is recorded as the fresh run it replays.
     """
 
-    def __init__(self, report: ResourceReport | None = None, overflow_reset: bool = False):
+    def __init__(self, report: ResourceReport | None = None):
         self.report = report or ResourceReport()
-        self.net = SpikingNetwork(overflow_reset=overflow_reset)
+        self.net = SpikingNetwork()
         self._written: dict[int, int] = {}  # resting potentials write_voltage changed
         self._path: list[int] = []
         self._saved: _IndexedRun | None = None  # run of the current version
@@ -280,7 +280,7 @@ class NeuromorphicOracle:
             )
         saved, steps, cut = self._replay(time_limit, frozenset(stop_on_fire or ()))
         tape_events, spikes, repeats = saved.cut(steps)
-        tape = OutputTape(tape_events)
+        tape = OutputTape(tape_events, self.report)
         record = ConsultRecord(
             mode=mode.value,
             timesteps=steps,
@@ -309,7 +309,7 @@ class NeuromorphicOracle:
 class _IndexedRun:
     """One simulation of a network version, indexed once for cutting."""
 
-    __slots__ = ("steps", "trace", "tape", "first", "repeats")
+    __slots__ = ("steps", "trace", "tape", "first", "first_times")
 
     def __init__(self, state: SimulationState, tape_ids: set[int]):
         self.steps = state.steps_used
@@ -317,14 +317,7 @@ class _IndexedRun:
         self.tape = [event for event in trace if event[1] in tape_ids]
         # neuron id -> time of its first spike: read backwards, the earliest is stored last
         self.first = {nid: t for t, nid in reversed(trace)}
-        self.repeats: list[int] = []  # trace positions of spikes from a neuron seen before
-        if len(self.first) < len(trace):
-            seen: set[int] = set()
-            for pos, (_, nid) in enumerate(trace):
-                if nid in seen:
-                    self.repeats.append(pos)
-                else:
-                    seen.add(nid)
+        self.first_times = sorted(self.first.values())
 
     def first_spike(self, stop: frozenset[int], time_limit: int) -> int | None:
         """Time of the first spike in ``stop`` before ``time_limit``, if any."""
@@ -334,7 +327,8 @@ class _IndexedRun:
 
     def cut(self, steps: int) -> tuple[list[SpikeEvent], int, int]:
         """The tape events, spike count and repeated-spike count of the
-        trace's first ``steps`` timesteps."""
+        trace's first ``steps`` timesteps: every spike there that is not its
+        neuron's first repeats one."""
         end = bisect_left(self.trace, (steps,))
         tape = self.tape
-        return tape[: bisect_left(tape, (steps,))], end, bisect_left(self.repeats, end)
+        return tape[: bisect_left(tape, (steps,))], end, end - bisect_left(self.first_times, steps)

@@ -228,9 +228,6 @@ class SpikingNetwork:
             clone.add_schedule(nid, time)
         return clone
 
-    def scheduled_at(self, t: int) -> list[int]:
-        return self._schedule_by_time.get(t, [])
-
     def resting_potential(self, nid: int) -> int:
         """The neuron's initial potential v0; ``KeyError`` for an unknown id."""
         return self._v0[nid]

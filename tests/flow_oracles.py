@@ -4,7 +4,8 @@ Deliberately dumb: `brute_force_max_flow` enumerates every integer assignment
 (with conservation pruning), and `exhaustive_min_cut` enumerates every s/t
 partition.  By weak duality, a feasible flow whose value equals any cut
 capacity is provably optimal, so these certify optimality without trusting
-any augmenting-path search.
+any augmenting-path search.  `min_cut_capacity` reads the cut a given flow
+leaves reachable from the source.
 """
 
 from collections import deque
@@ -61,6 +62,25 @@ def exhaustive_min_cut(net: FlowNetwork) -> int:
             if best is None or cap < best:
                 best = cap
     return best
+
+
+def min_cut_capacity(net: FlowNetwork, flows: dict[int, int]) -> int:
+    """Capacity of the cut induced by residual reachability from the source
+    under ``flows``; it equals the flow's value exactly when the flow is
+    maximum."""
+    seen = {net.source}
+    queue = deque([net.source])
+    while queue:
+        v = queue.popleft()
+        for e in net.out_edges[v]:
+            if e.head not in seen and flows[e.id] < e.cap:
+                seen.add(e.head)
+                queue.append(e.head)
+        for e in net.in_edges[v]:
+            if e.tail not in seen and flows[e.id] > 0:
+                seen.add(e.tail)
+                queue.append(e.tail)
+    return sum(e.cap for e in net.edges if e.tail in seen and e.head not in seen)
 
 
 def weakly_connected(n_nodes: int, pairs: list[tuple[int, int]]) -> bool:

@@ -1,7 +1,7 @@
 """Reference simulator: a direct, dict-based reading of the LIF step rule.
 
 It reads every neuron and synapse through the public ``SpikingNetwork``
-records (``neurons``, ``out_synapses``, ``scheduled_at``) and compares leaks
+records (``neurons``, ``out_synapses``, ``schedule``) and compares leaks
 as ``Fraction``s, one neuron at a time, with no precomputed tables.
 It exists only to check ``spikeflow.snn`` against; it shares no code with it.
 """
@@ -87,8 +87,8 @@ def step(net: SpikingNetwork, state: RefState) -> frozenset[int]:
                 bucket = state.pending.setdefault(t + syn.delay, {})
                 bucket[syn.post] = bucket.get(syn.post, 0) + syn.weight
 
-    for nid in net.scheduled_at(t):
-        if nid not in fired:
+    for nid, time in net.schedule:
+        if time == t and nid not in fired:
             do_fire(nid)
 
     arrivals = state.pending.pop(t, {})

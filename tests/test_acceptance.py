@@ -14,6 +14,7 @@ from flow_oracles import brute_force_max_flow, exhaustive_min_cut
 from spikeflow.bench import DENSE, SPARSE, BenchConfig, least_squares, run_bench, write_divergence_counterexamples
 from spikeflow.flow import FlowNetwork, edmonds_karp, generate_random, max_feasible_edges, validate_flow
 from spikeflow.maxflow import (
+    _WM_WORDS,
     PAPER_FAITHFUL,
     RESIDUAL,
     EdgeNeuronMap,
@@ -182,18 +183,16 @@ def test_criterion_5_constant_controller_space():
         net = generate_random(n, suite_edge_count(suite, n), 10, seed=MASTER_SEED + n)
         log_x = math.log2(n * max(e.cap for e in net.edges) + net.n_edges)
         for mode in (PAPER_FAITHFUL, RESIDUAL):
-            narrow = solve(net, mode, wm_capacity=8)
-            wide = solve(net, mode, wm_capacity=16)
-            assert narrow.report.controller_wm_peak == wide.report.controller_wm_peak
-            assert narrow.assignment.value == wide.assignment.value
-            assert narrow.wm_peak_bits <= 2 * log_x, (n, suite, mode, narrow.wm_peak_bits)
-            peaks.add(narrow.report.controller_wm_peak)
-            widest = max(widest, narrow.wm_peak_bits / log_x)
+            result = solve(net, mode)
+            assert result.report.controller_wm_peak == len(_WM_WORDS) == 8, (n, suite, mode)
+            assert result.wm_peak_bits <= 2 * log_x, (n, suite, mode, result.wm_peak_bits)
+            peaks.add(result.report.controller_wm_peak)
+            widest = max(widest, result.wm_peak_bits / log_x)
     report(
         5,
-        len(peaks) == 1 and max(peaks) <= 8,
-        f"both modes complete at 8 working-memory words up to n=100; "
-        f"peak {max(peaks)} words, identical at capacity 16; "
+        peaks == {len(_WM_WORDS)} and len(_WM_WORDS) == 8,
+        f"both modes complete in the 8-word working-memory frame up to n=100; "
+        f"peak {max(peaks)} words; "
         f"widest word {widest:.2f} * log2(n*c_max + m) bits (bound 2)",
     )
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flow_oracles import brute_force_max_flow, exhaustive_min_cut, weakly_connected
+from flow_oracles import brute_force_max_flow, exhaustive_min_cut, min_cut_capacity, weakly_connected
 from spikeflow.errors import ParseError
 from spikeflow.flow import (
     FlowAssignment,
@@ -14,7 +14,6 @@ from spikeflow.flow import (
     format_dimacs,
     generate_random,
     max_feasible_edges,
-    min_cut_capacity,
     parse_dimacs,
     validate_flow,
 )
@@ -66,7 +65,7 @@ def test_trap_graph_optimum_is_two():
     result = edmonds_karp(net)
     assert result.value == 2
     assert validate_flow(net, result) == []
-    assert min_cut_capacity(net, result) == 2
+    assert min_cut_capacity(net, result.flows) == 2
 
 
 def test_bfs_none_on_saturated_edge():
@@ -170,7 +169,7 @@ def test_edmonds_karp_equals_brute_force_on_tiny_suite():
                 result = edmonds_karp(net)
                 assert validate_flow(net, result) == []
                 assert result.value == brute_force_max_flow(net)
-                assert result.value == min_cut_capacity(net, result)
+                assert result.value == min_cut_capacity(net, result.flows)
                 assert result.value == exhaustive_min_cut(net)
 
 

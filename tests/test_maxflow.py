@@ -24,7 +24,7 @@ from spikeflow.maxflow import (
     verify_episode_properties,
 )
 from spikeflow.naive import decide_naive
-from spikeflow.oracle import ConsultRecord, NeuromorphicOracle, ResourceReport, WorkingMemory
+from spikeflow.oracle import ConsultRecord, NeuromorphicOracle, OutputTape, ResourceReport, WorkingMemory
 from spikeflow.snn import Role, run
 
 
@@ -125,7 +125,7 @@ def test_chain_query_tape_and_timing():
 def test_chain_decode_and_min_cap():
     net = chain_net(caps=(3, 5))
     oracle, emap = build_oracle(net)
-    wm = WorkingMemory(8, oracle.report)
+    wm = WorkingMemory(maxflow._WM_WORDS, oracle.report)
     tape, _ = run_search_query(oracle, emap)
     path = decode_path(tape, emap, oracle, wm)
     assert path is not None
@@ -136,16 +136,14 @@ def test_chain_decode_and_min_cap():
 def test_empty_tape_decodes_to_none():
     net = chain_net()
     oracle, emap = build_oracle(net)
-    wm = WorkingMemory(8, oracle.report)
-    from spikeflow.oracle import OutputTape
-
-    assert decode_path(OutputTape([]), emap, oracle, wm) is None
+    wm = WorkingMemory(maxflow._WM_WORDS, oracle.report)
+    assert decode_path(OutputTape([], oracle.report), emap, oracle, wm) is None
 
 
 def test_diamond_wave_symmetry_and_tie_break():
     net = diamond_net()
     oracle, emap = build_oracle(net)
-    wm = WorkingMemory(8, oracle.report)
+    wm = WorkingMemory(maxflow._WM_WORDS, oracle.report)
     tape, record = run_search_query(oracle, emap)
     # both sink-edge search neurons fire together at t=1
     stop = {emap.readout_id(i) for i in emap.sink_arc_idxs()}
@@ -196,7 +194,7 @@ def test_residual_uses_reverse_arc_on_trap_graph():
 def test_decode_jam_is_detected_and_recovered():
     net = jam_net()
     oracle, emap = build_oracle(net)
-    wm = WorkingMemory(8, oracle.report)
+    wm = WorkingMemory(maxflow._WM_WORDS, oracle.report)
     tape, _ = run_search_query(oracle, emap)
     with pytest.raises(DecodeJamError):
         decode_path(tape, emap, oracle, wm)
@@ -397,27 +395,24 @@ def disconnected_net():
     return net_from([(0, 1, 2), (2, 3, 2)], 4)
 
 
-def test_working_memory_peak_independent_of_capacity_and_size():
+def test_working_memory_peak_independent_of_input_size():
     peaks = set()
     nets = [generate_random(n, m, c_max=5, seed=n) for n, m in ((4, 5), (8, 11), (12, 18))]
     nets.append(disconnected_net())
     for net in nets:
-        for capacity in (8, 16):
-            result = solve(net, RESIDUAL, wm_capacity=capacity)
-            peaks.add(result.report.controller_wm_peak)
-            result = solve(net, PAPER_FAITHFUL, wm_capacity=capacity)
-            peaks.add(result.report.controller_wm_peak)
-    assert len(peaks) == 1
-    assert peaks.pop() <= 8
+        for mode in (PAPER_FAITHFUL, RESIDUAL):
+            peaks.add(solve(net, mode).report.controller_wm_peak)
+    assert peaks == {len(maxflow._WM_WORDS)}
 
 
 @pytest.mark.parametrize("mode", [PAPER_FAITHFUL, RESIDUAL])
-def test_working_memory_frame_is_eight_words_even_at_zero_flow(mode):
+def test_working_memory_frame_is_eight_words_even_at_zero_flow(mode, monkeypatch):
     net = disconnected_net()
     assert edmonds_karp(net).value == 0
-    assert solve(net, mode, wm_capacity=8).report.controller_wm_peak == 8
+    assert solve(net, mode).report.controller_wm_peak == 8
+    monkeypatch.setattr(maxflow, "_WM_WORDS", maxflow._WM_WORDS[:7])
     with pytest.raises(WorkingMemoryExceeded):
-        solve(net, mode, wm_capacity=7)
+        solve(net, mode)
 
 
 def test_controller_time_regression_window_on_chain():

@@ -19,22 +19,24 @@ from spikeflow.snn import TAPE_ROLES, Neuron, Role, Synapse, run
 ONE = Fraction(1)
 
 
-def test_tape_read_and_end():
-    empty = OutputTape([])
-    assert empty.end()
-    with pytest.raises(IndexError):
-        empty.read()
-
-    tape = OutputTape([(1, 5)])
-    assert not tape.end()
-    assert tape.read() == (1, 5)
-    assert tape.end()
-    with pytest.raises(IndexError):
-        tape.read()
+def test_consulted_tape_charges_one_op_per_event_read():
+    net, (T, H1, H2, R1, R2, C1, C2) = build_chain_search_net()
+    oracle = NeuromorphicOracle()
+    oracle.write_neurons(list(net.neurons.values()))
+    oracle.write_synapses([s for out in net.out_synapses.values() for s in out])
+    report = oracle.report
+    tape, _ = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5)
+    before = report.controller_time
+    assert list(tape) == tape.events == [(3, R1), (4, R2)]
+    assert report.controller_time == before + 2
+    assert next(iter(tape)) == (3, R1)  # a scan that stops early pays for what it read
+    assert report.controller_time == before + 3
+    assert list(OutputTape([], report)) == []
+    assert report.controller_time == before + 3
 
 
 def test_tape_orders_by_time_then_id():
-    tape = OutputTape([(2, 1), (1, 9), (1, 3)])
+    tape = OutputTape([(2, 1), (1, 9), (1, 3)], ResourceReport())
     assert tape.events == [(1, 3), (1, 9), (2, 1)]
 
 
@@ -82,10 +84,7 @@ def test_chain_consult_matches_hand_propagated_tape():
     tape, record = oracle.consult(
         ConsultMode.TRANSDUCER, time_limit=2 * 2 + 1, stop_on_fire={R2}
     )
-    assert tape.events == [(3, R1), (4, R2)]
-    assert tape.read() == (3, R1)
-    assert tape.read() == (4, R2)
-    assert tape.end()
+    assert list(tape) == [(3, R1), (4, R2)]
     assert record.timesteps == 5
     assert record.spikes == 5
     assert record.network_size == 7 + 8
@@ -202,18 +201,22 @@ def test_resource_report_aggregates():
 
 def test_working_memory_capacity_and_peak():
     report = ResourceReport()
-    wm = WorkingMemory(capacity=2, report=report)
+    wm = WorkingMemory(("a", "b"), report)
+    assert report.controller_time == 2  # one op per word of the frame
+    assert report.controller_wm_peak == 2
+    assert wm.read("b") == 0
     wm.write("a", 1)
-    wm.write("b", 2)
     wm.write("a", 3)  # overwrite is fine
     assert wm.read("a") == 3
-    assert report.controller_wm_peak == 2
+    assert report.controller_time == 2 + 4
     assert wm.peak_bits == 2  # 3 is the widest value written
     with pytest.raises(WorkingMemoryExceeded):
         wm.write("c", 4)
+    assert report.controller_time == 2 + 4  # a refused write costs nothing
     wm.write("a", -9)
     wm.write("a", 0)
     assert wm.peak_bits == 4
+    assert report.controller_wm_peak == 2
 
 
 def test_time_limit_must_be_positive():

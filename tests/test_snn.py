@@ -438,7 +438,7 @@ def test_copy_is_a_never_run_equal_network(overflow):
     assert run(copy, 6).trace == first.trace
     text = format_netlist(net)
     copy.add_schedule(T, 5)
-    assert format_netlist(net) == text and net.scheduled_at(5) == []
+    assert format_netlist(net) == text and net.schedule == [(T, 3)]
 
 
 def test_netlist_comments_and_errors():
