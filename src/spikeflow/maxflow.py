@@ -17,9 +17,10 @@ A wave crosses a node v from one side's arcs to the other's.  Where
 wave family (threshold ``K + 1``, potential ``K``, not on the tape) instead
 of one synapse per arc pair: the arcs on the wave's upstream side excite the
 hub with delay 0 and the hub excites the other side with delay 1.  An arc
-neuron fires in the step's first threshold check, so its hub fires in the
-delay-0 re-check of the same step and every arc neuron fires at the step it
-would with direct wiring; the hub's fan-in is below K, so it fires once.
+neuron fires in the first round of its step, so its hub fires in the next
+round of the same step, which delivers the arc's delay-0 output, and every
+arc neuron fires at the step it would with direct wiring; the hub's fan-in
+is below K, so it fires once.
 Each family thus costs at most ``in(v) + out(v) + 1`` neurons and synapses
 per node, and the oracle network is linear in ``n + m``.
 
@@ -93,9 +94,14 @@ class EdgeNeuronMap:
         self.arcs = arcs
         self.n_arcs = len(arcs)
         self.mirror = mirror
-        # offset: |E|+1 in forward-decode mode; the fixed arc-universe bound
-        # 2|E|+1 in residual mode so capacity thresholds survive flow updates
-        self.K = (2 * net.n_edges + 1) if residual else (net.n_edges + 1)
+        # offset: |E|+1 in forward-decode mode.  In residual mode the fixed
+        # arc-universe bound 2|E|+1, so capacity thresholds survive flow
+        # updates, or the largest capacity if that is more: a mirror rests at
+        # K minus its forward arc's flow and must not go below zero
+        if residual:
+            self.K = max([2 * net.n_edges + 1] + [e.cap for e in net.edges])
+        else:
+            self.K = net.n_edges + 1
         self.arcs_by_tail: dict[int, list[Arc]] = {}
         self.arcs_by_head: dict[int, list[Arc]] = {}
         for a in arcs:

@@ -150,8 +150,10 @@ def build_decider(net: FlowNetwork, d: int, oracle: NeuromorphicOracle) -> Decid
     synapses.append((reject, reject, 1, reject_threshold))
     synapses += [(violation, reject, 0, 1) for violation in candidate_outputs]
 
-    # accept fires on schedule unless the reject latch keeps inhibiting it;
-    # the schedule leaves room for the slowest possible violation report
+    # accept fires on schedule unless the reject latch keeps inhibiting it.
+    # The latch fires in the step of the last violation report, at most the
+    # worst detector latency, and inhibits accept from the next step on; the
+    # schedule keeps one step of slack beyond that, and at least f_max + 5
     accept_time = max(f_max + 5, _worst_detector_latency(net) + 2)
     accept, starter = reject + 1, reject + 2
     neurons += [(accept, 1, 0, 1, 0, Role.ACCEPT), (starter, accept_time + 2, 0, 1, 0, Role.SCHEDULED)]

@@ -6,25 +6,23 @@ reset value (or, in overflow mode, the threshold is subtracted).  Potentials
 are clamped at zero only after all same-step arrivals have been summed, so
 inhibition can cancel excitation within a step.
 
-One timestep ``t`` runs in this order:
+One timestep ``t`` fires the neurons scheduled at ``t``, whatever their
+potential, and then runs rounds to a fixed point.  Each round delivers a
+batch of spikes, checks the neurons the batch reached, and fires every
+checked neuron with ``V >= threshold`` that has not fired in this step.
+The first round's batch is the spikes due at ``t``, and it also checks the
+neurons left at threshold after step ``t-1`` (or at the start).  Each later
+round's batch is the delay-0 output of the fires before it that no round
+has delivered yet; the scheduled fires count as fires of the first round.
+The step ends with the first round that queues no delay-0 output.  Touched
+potentials are then clamped at zero, and any left at threshold are checked
+in the first round of step ``t+1``.
 
-1. scheduled neurons fire, whatever their potential;
-2. delayed spikes due at ``t`` are added;
-3. every neuron that received them, or sat at threshold after step ``t-1``
-   (or at the start), fires if ``V >= threshold``;
-4. the delay-0 output of every fire so far is added, and the neurons it
-   reached fire if they are now at threshold (one re-check);
-5. the delay-0 output of those re-check fires is added with no further check;
-6. touched potentials are clamped at zero, and any left at threshold are
-   checked first thing in step ``t+1``.
-
-So delay-0 propagation reaches two levels per step.  In a chain 0 -> 1 -> 2
--> 3 of delay-0 synapses where neuron 0 fires at ``t``, neuron 1 fires at
-``t``, while neuron 2, which receives its input in (5), and neuron 3 fire at
-``t+1``.  The naive decider's timers and reject latch are two levels deep
-and rely on this (its ``accept_time`` is at least ``f_max + 5``).  A neuron
-fires at most once per step, and the trace lists each step's spikes by
-neuron id.
+Every neuron a delivery reaches is checked in that round, so delay-0
+propagation has no depth limit: in a chain 0 -> 1 -> 2 -> 3 of delay-0
+synapses where neuron 0 fires at ``t``, all four fire at ``t``.  A neuron
+fires at most once per step, so a step runs at most one round per neuron,
+and the trace lists each step's spikes by neuron id.
 
 Neurons with leak 1 keep a current potential and never decay; other leaks
 (0 or any fraction) are applied lazily when the neuron is next read.  An empty
@@ -41,7 +39,7 @@ rebuilt from the rows only when a reader asks for them.
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -116,11 +114,12 @@ class SpikingNetwork:
     leak, v0, role)``) and ``add_synapses`` (rows ``(pre, post, delay,
     weight)``); ``add_neuron``/``add_synapse`` write one row, such as a
     :class:`Neuron` or :class:`Synapse` record.  Each row is checked
-    (duplicate id, threshold >= 1, v0 >= 0, delay >= 0, unknown endpoint),
-    stored as given, and copied into the flat tables :func:`step` reads:
-    threshold, reset, initial potential, the leak of every neuron whose leak
-    is not 1 (``0`` when it is 0), the set of neurons whose initial potential
-    is at threshold, the tape-role set and the synapse count.
+    (duplicate id, threshold >= 1, v0 >= 0, leak in [0, 1], delay >= 0,
+    unknown endpoint), stored as given, and copied into the flat tables
+    :func:`step` reads: threshold, reset, initial potential, the leak of
+    every neuron whose leak is not 1 (``0`` when it is 0), the set of
+    neurons whose initial potential is at threshold, the tape-role set and
+    the synapse count.
     ``neurons`` and ``out_synapses`` rebuild records from the rows.
 
     In the first run of a network a firing neuron's output is read from its
@@ -166,6 +165,8 @@ class SpikingNetwork:
                 raise ValueError(f"neuron {nid}: threshold must be >= 1")
             if v < 0:
                 raise ValueError(f"neuron {nid}: initial potential must be >= 0")
+            if not 0 <= leak <= 1:
+                raise ValueError(f"neuron {nid}: leak must be in [0, 1]")
             if nid in known:
                 raise ValueError(f"duplicate neuron id {nid}")
             known[nid] = row
@@ -311,7 +312,7 @@ def _materialize(net: SpikingNetwork, state: SimulationState, nid: int, t: int) 
 
 
 def _fire(
-    net: SpikingNetwork, state: SimulationState, nids: list[int], t: int, zero_queue: list[_Pairs]
+    net: SpikingNetwork, state: SimulationState, nids: Collection[int], t: int, zero_queue: list[_Pairs]
 ) -> None:
     """Fire every neuron in ``nids`` at step ``t``: drop its potential, put
     its delay-0 pairs on ``zero_queue`` and its delayed ones in
@@ -380,63 +381,45 @@ def _deliver(
 def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, frozenset[int]]:
     """Execute timestep ``state.t`` and advance.  Returns the spike set of the step.
 
-    Order within a step: scheduled fires, delayed-arrival integration,
-    threshold check, delay-0 propagation, one threshold re-check, a second
-    delay-0 delivery with no check, clamp (see the module docstring).
-    A neuron fires at most once per timestep.  Since a firing changes only
-    its own potential before the next delivery, each check finds all its
-    firing neurons first and then fires them together.
+    Scheduled fires, then deliver-check-fire rounds until a round queues no
+    delay-0 output, then the clamp (see the module docstring).  Since a
+    firing changes only its own potential before the next delivery, each
+    round finds all its firing neurons first and then fires them together.
     """
     t = state.t
     potentials = state.potentials
     threshold = net._threshold
     zero_queue: list[_Pairs] = []
 
-    # 1. Scheduled fires happen unconditionally.
-    scheduled = net._schedule_by_time.get(t)
-    if scheduled:
-        firing = list(dict.fromkeys(scheduled))
-        _fire(net, state, firing, t, zero_queue)
-        fired = set(firing)
-    else:
-        fired = set()
-    touched = set(fired)
+    fired = set(net._schedule_by_time.get(t, ()))
+    if fired:
+        _fire(net, state, fired, t, zero_queue)
+    touched: set[int] = set()
 
-    # 2. Integrate arrivals due now; 3. threshold check.
+    # Each round checks the neurons its batch reached, fires those at
+    # threshold, and delivers their delay-0 output as the next batch.
     check = state._recheck
     state._recheck = set()
+    if net._leaky:
+        for nid in net._leaky.keys() & check:
+            _materialize(net, state, nid, t)
     arrivals = state.pending.pop(t, None)
     if arrivals:
-        reached = _deliver(net, state, arrivals, t)
-        touched |= reached
-        check |= reached
-    if check:
+        check |= _deliver(net, state, arrivals, t)
+    while True:
+        touched |= check
         check -= fired
-        if net._leaky:
-            for nid in net._leaky.keys() & check:
-                _materialize(net, state, nid, t)
         firing = [nid for nid in check if potentials[nid] >= threshold[nid]]
         if firing:
             _fire(net, state, firing, t, zero_queue)
             fired.update(firing)
-            touched.update(firing)
+        if not zero_queue:
+            break
+        check = _deliver(net, state, zero_queue, t)
+        zero_queue = []
 
-    # 4. Same-step delivery over delay-0 synapses; 5. one re-check pass.
-    if zero_queue:
-        reached = _deliver(net, state, zero_queue, t)
-        touched |= reached
-        reached -= fired
-        firing = [nid for nid in reached if potentials[nid] >= threshold[nid]]
-        if firing:
-            second_queue: list[_Pairs] = []
-            _fire(net, state, firing, t, second_queue)
-            fired.update(firing)
-            touched.update(firing)
-            # Delay-0 output of re-check fires still lands this step, unchecked.
-            if second_queue:
-                touched |= _deliver(net, state, second_queue, t)
-
-    # 6. Clamp after all same-step arrivals, never per synapse.
+    # Clamp after all same-step arrivals, never per synapse.
+    touched |= fired
     recheck_next = state._recheck
     for nid in touched:
         v = potentials[nid]

@@ -62,9 +62,11 @@ def materialize(net: SpikingNetwork, state: RefState, nid: int, t: int) -> int:
 def step(net: SpikingNetwork, state: RefState) -> frozenset[int]:
     """Execute timestep ``state.t``; returns the spike set of the step.
 
-    Scheduled fires, delayed arrivals, threshold check, delay-0 delivery,
-    one re-check pass, a second delay-0 delivery with no check, then the
-    clamp at zero.
+    Scheduled fires, then rounds until a round queues no delay-0 output:
+    deliver a batch (first the arrivals due now, then the delay-0 output
+    not yet delivered), check each neuron it reached (in the first round
+    also those left at threshold), and fire those at threshold that have
+    not fired this step.  Then the clamp at zero.
     """
     t = state.t
     fired: set[int] = set()
@@ -91,31 +93,23 @@ def step(net: SpikingNetwork, state: RefState) -> frozenset[int]:
         if time == t and nid not in fired:
             do_fire(nid)
 
-    arrivals = state.pending.pop(t, {})
-    for nid, weight in arrivals.items():
-        materialize(net, state, nid, t)
-        state.potentials[nid] += weight
-        touched.add(nid)
-    check = set(arrivals) | state.recheck
+    batch = list(state.pending.pop(t, {}).items())
+    check = state.recheck
     state.recheck = set()
-    for nid in sorted(check):
-        if nid not in fired and materialize(net, state, nid, t) >= net.neurons[nid].threshold:
-            do_fire(nid)
-
-    deliveries, zero_queue = zero_queue, []
-    recheck: set[int] = set()
-    for post, weight in deliveries:
-        materialize(net, state, post, t)
-        state.potentials[post] += weight
-        touched.add(post)
-        recheck.add(post)
-    for nid in sorted(recheck):
-        if nid not in fired and state.potentials[nid] >= net.neurons[nid].threshold:
-            do_fire(nid)
-    for post, weight in zero_queue:
-        materialize(net, state, post, t)
-        state.potentials[post] += weight
-        touched.add(post)
+    while True:
+        for post, weight in batch:
+            materialize(net, state, post, t)
+            state.potentials[post] += weight
+            touched.add(post)
+            check.add(post)
+        for nid in sorted(check):
+            if nid not in fired and materialize(net, state, nid, t) >= net.neurons[nid].threshold:
+                do_fire(nid)
+        if not zero_queue:
+            break
+        batch = list(zero_queue)
+        zero_queue.clear()
+        check = set()
 
     for nid in touched:
         if state.potentials[nid] < 0:

@@ -5,7 +5,7 @@ import pytest
 
 import spikeflow.bench as bench
 from spikeflow.cli import EXIT_GUARD, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
-from spikeflow.flow import FlowAssignment
+from spikeflow.flow import FlowAssignment, format_dimacs, generate_random
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +33,15 @@ def test_solve_chain_json(tmp_path, capsys):
     assert payload["mode"] == "paper-faithful"
     code, out, _ = run_cli(capsys, "solve", str(path), "--mode", "residual")
     assert json.loads(out)["value"] == 3
+
+
+def test_solve_residual_with_capacities_above_two_m_plus_one(tmp_path, capsys):
+    path = tmp_path / "wide.max"
+    path.write_text(format_dimacs(generate_random(12, 18, c_max=500, seed=12)))
+    for mode in ("paper-faithful", "residual"):
+        code, out, _ = run_cli(capsys, "solve", str(path), "--mode", mode)
+        assert code == EXIT_OK, mode
+        assert json.loads(out)["value"] == 131, mode
 
 
 def test_simulate_outputs_trace(tmp_path, capsys):
@@ -114,6 +123,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # missing file is an input error too
     code, _, _ = run_cli(capsys, "solve", str(tmp_path / "nope.max"))
     assert code == EXIT_INPUT
+
+    # input error: a neuron leak outside [0, 1]
+    for leak in ("-1", "2"):
+        netlist = tmp_path / "leak.snn"
+        netlist.write_text(f"N 1 5 0 {leak} 0 standard\n")
+        code, _, err = run_cli(capsys, "simulate", str(netlist), "--steps", "3")
+        assert code == EXIT_INPUT, leak
+        assert "line 1" in err and "leak" in err, leak
 
     # usage: an output path that cannot be written
     chain = tmp_path / "chain.max"

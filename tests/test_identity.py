@@ -255,7 +255,7 @@ def search_suite() -> list[tuple[FlowNetwork, bool]]:
 
 # (sha256 of the decisions, of the decider netlists, of the search netlists)
 BUILD_PINNED = (
-    "bfd06b080d9d30bcd5ad0aba777af1cf93b1dfba58fd9688cd796457168d7ded",
+    "72c28219907789140f16e1530d65ff660e57598d400e2505a94a620097e7b9c6",
     "87d055f2070e26d640ad4933014d17e5d2dbdb4aa0b71ae7a594885d08817215",
     "d8439fa1d964f4bc36779b67bf1d850494db2c0eb5e12acb886f13bf1043795e",
 )

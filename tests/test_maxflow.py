@@ -191,6 +191,16 @@ def test_residual_uses_reverse_arc_on_trap_graph():
     assert result.assignment.flows[3] == 1  # a->e carries the rerouted unit
 
 
+def test_residual_offset_covers_capacities_above_two_m_plus_one():
+    # A mirror capacity neuron rests at K minus its forward arc's flow, so
+    # residual mode's offset K must reach the largest capacity.
+    for net, value in ((chain_net((100, 100, 100)), 100), (generate_random(12, 18, c_max=500, seed=12), 131)):
+        assert EdgeNeuronMap(net, residual=True).K == max(e.cap for e in net.edges) > 2 * net.n_edges + 1
+        result = solve(net, RESIDUAL)
+        assert result.assignment.value == edmonds_karp(net).value == value
+        assert validate_flow(net, result.assignment) == []
+
+
 def test_decode_jam_is_detected_and_recovered():
     net = jam_net()
     oracle, emap = build_oracle(net)

@@ -255,9 +255,10 @@ def test_determinism_and_nonnegativity(data):
     assert len(first.trace) == len(set(first.trace))  # no double-counted spikes
 
 
-def test_delay0_propagation_reaches_two_levels_per_step():
-    # Chain 0 -> 1 -> 2 -> 3 over delay-0 synapses: the scheduled fire of 0
-    # reaches 1 in the same step, but 2 and 3 only fire one step later.
+def test_delay0_propagation_reaches_a_fixed_point_in_the_step():
+    # Chain 0 -> 1 -> 2 -> 3 over delay-0 synapses: each round delivers the
+    # previous round's delay-0 output and fires what it brought to threshold,
+    # so the scheduled fire of 0 carries through the whole chain at t=0.
     net = make_net()
     net.add_neuron(Neuron(0, 10**9, 0, ONE, v0=0, role=Role.SCHEDULED))
     for nid in (1, 2, 3):
@@ -266,7 +267,7 @@ def test_delay0_propagation_reaches_two_levels_per_step():
         net.add_synapse(Synapse(pre, pre + 1, 0, 1))
     net.add_schedule(0, 0)
     state = run(net, 3)
-    assert state.trace == [(0, 0), (0, 1), (1, 2), (1, 3)]
+    assert state.trace == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
 
 LEAKS = (Fraction(0), ONE, Fraction(1, 2), Fraction(2, 3))
@@ -379,17 +380,46 @@ def test_run_waits_out_a_quiet_gap_for_a_late_schedule(monkeypatch):
 
 @pytest.mark.parametrize("leak", [ONE, Fraction(1, 2), Fraction(0)])
 def test_run_checks_a_leaky_neuron_left_at_threshold(leak):
-    # Neuron 2 reaches its threshold from the unchecked second delay-0
-    # delivery of step 0, the last activity of the run, so it is checked
-    # at t=1, after its leak: only the leak-1 neuron still fires.
+    # Neurons 1 and 2 fire in the round that delivers 0's output.  Neuron
+    # 1's output reaches 2 in the next round; 2 has fired this step, so it
+    # is left at threshold, the last activity of the run, and checked at
+    # t=1, after its leak: only the leak-1 neuron fires again.
     net = make_net()
     driver(net, 0, [0])
     net.add_neuron(Neuron(1, 1, 0, ONE))
     net.add_neuron(Neuron(2, 1, 0, leak))
     net.add_synapse(Synapse(0, 1, 0, 1))
+    net.add_synapse(Synapse(0, 2, 0, 1))
     net.add_synapse(Synapse(1, 2, 0, 1))
     state = _assert_run_matches_reference(net, 20)
-    assert state.trace == [(0, 0), (0, 1)] + ([(1, 2)] if leak == 1 else [])
+    assert state.trace == [(0, 0), (0, 1), (0, 2)] + ([(1, 2)] if leak == 1 else [])
+
+
+def test_four_deep_delay0_chain_matches_reference():
+    # Rounds beyond the second, over every leak kind, whatever hypothesis draws.
+    net = make_net()
+    driver(net, 0, [0, 3])
+    for nid, leak in zip((1, 2, 3, 4), LEAKS):
+        net.add_neuron(Neuron(nid, 1, 0, leak))
+        net.add_synapse(Synapse(nid - 1, nid, 0, 1))
+    for _ in range(2):  # a first and a later run, with unsplit and split out-synapses
+        state = _assert_run_matches_reference(net, 6)
+        assert state.trace == [(t, nid) for t in (0, 3) for nid in range(5)]
+
+
+def test_delay0_cycle_fires_each_neuron_once_per_step():
+    # 0 -> 1 -> 2 -> 0 over delay-0 synapses: the cycle's last round brings 0,
+    # which has fired, back to threshold, so it starts the cycle again at t+1.
+    net = make_net()
+    net.add_neuron(Neuron(0, 1, 0, ONE, v0=1))
+    net.add_neuron(Neuron(1, 1, 0, ONE))
+    net.add_neuron(Neuron(2, 1, 0, ONE))
+    for pre in range(3):
+        net.add_synapse(Synapse(pre, (pre + 1) % 3, 0, 1))
+    for _ in range(2):
+        state = _assert_run_matches_reference(net, 4)
+        assert state.trace == [(t, nid) for t in range(4) for nid in range(3)]
+        assert state.potentials == {0: 1, 1: 0, 2: 0}
 
 
 def test_run_refires_an_overflow_reset_neuron_left_above_threshold():
@@ -483,6 +513,8 @@ def test_trace_csv():
         ("S 1 0 -2 1\nN 0 1 0 1 0 standard\nN 1 1 0 1 0 standard\n", 1),  # ... on a forward reference
         ("N 0 0 0 1 0 standard\n", 1),  # threshold < 1
         ("N 0 1 0 1 0 standard\nN 1 1 0 1 -1 standard\n", 2),  # v0 < 0
+        ("N 0 1 0 -1 0 standard\n", 1),  # leak < 0
+        ("N 0 1 0 1 0 standard\nN 1 1 0 2 0 standard\n", 2),  # leak > 1
         ("N 0 1 0 1 0 standard\nN 0 2 0 1 0 standard\n", 2),  # duplicate id
     ],
 )
