@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConstructionBugError
-from .flow import FlowAssignment, FlowNetwork
+from .flow import Edge, FlowAssignment, FlowNetwork
 from .oracle import ConsultMode, ConsultRecord, NeuromorphicOracle, OutputTape, ResourceReport, WorkingMemory
 from .snn import Role
 
@@ -64,6 +64,12 @@ class Arc(NamedTuple):
     forward: bool
 
 
+def _companion_edges(net: FlowNetwork) -> list[Edge]:
+    """The edges that get a reverse companion in residual mode: an arc into
+    the source or out of the sink can never lie on an augmenting path."""
+    return [e for e in net.edges if e.tail != net.source and e.head != net.sink]
+
+
 class EdgeNeuronMap:
     """Arc table plus the arithmetic neuron-id layout for one oracle network.
 
@@ -83,11 +89,7 @@ class EdgeNeuronMap:
         # arc a companion reverses; None for an arc without one
         mirror: list[int | None] = [None] * len(arcs)
         if residual:
-            for e in net.edges:
-                # reverse companions; arcs into the source or out of the sink
-                # can never lie on an augmenting path
-                if e.tail == net.source or e.head == net.sink:
-                    continue
+            for e in _companion_edges(net):
                 mirror[e.id] = len(arcs)
                 mirror.append(e.id)
                 arcs.append(Arc(len(arcs), e.head, e.tail, 0, e.id, False))
@@ -438,7 +440,8 @@ def verify_episode_properties(net: FlowNetwork, result: "SolveResult") -> list[s
     """
     violations: list[str] = []
     m = net.n_edges
-    horizon = EdgeNeuronMap(net, residual=(result.mode == RESIDUAL)).query_time_limit()
+    arcs = m + (len(_companion_edges(net)) if result.mode == RESIDUAL else 0)
+    horizon = 2 * arcs + 1  # EdgeNeuronMap.query_time_limit, without the arc table
     for i, rec in enumerate(result.query_records):
         if rec.timesteps > horizon:
             violations.append(f"query {i}: {rec.timesteps} steps > {horizon}")

@@ -12,13 +12,16 @@ its fixed frame is allocated and one per read or write.  Oracle resources
 A consultation is deterministic in the network and its resting potentials,
 and a stop set only truncates the run.  So the oracle keeps one simulation
 per network version and answers each consultation from it; the metering is
-that of a fresh run all the same.  A saved run keeps its trace indexed once:
-its tape events and each neuron's first spike time, also sorted.  A
-consultation finds its cut as the earliest first spike of its stop set and
-counts its spikes, tape events and first spikes by bisection (every other
-spike in the cut repeats a neuron), so it costs its stop set and its tape,
-not the trace.  The controller sees only the output tape, and no record
-keeps a consultation's spikes.
+that of a fresh run all the same.  The consultation that runs a version is
+answered by the whole run: its spike count, its tape events and its repeats
+(spikes less distinct neurons).  A later consultation, which replays the
+run, indexes it once: each neuron's first spike time, also sorted.  A replay
+finds its cut as the earliest first spike of its stop set and counts its
+spikes, tape events and first spikes by bisection (every other spike in the
+cut repeats a neuron), so it costs its stop set and its tape, not the trace.
+A version consulted once, such as the naive decider's, builds no index.
+The controller sees only the output tape, and no record keeps a
+consultation's spikes.
 
 The oracle holds only the resting potentials that ``write_voltage`` changed;
 every other neuron rests at the v0 it was written with, and a run starts from
@@ -30,11 +33,12 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import UndecidedError, UnknownNeuronError, WorkingMemoryExceeded
-from .snn import Role, SimulationState, SpikingNetwork, run
+from .snn import SimulationState, SpikingNetwork, run
 
 SpikeEvent = tuple[int, int]  # (time, neuron id)
 
@@ -170,8 +174,8 @@ class NeuromorphicOracle:
 
     Every network write (neuron, synapse, schedule, voltage) starts a new
     network version.  The first consultation of a version runs the
-    simulator and indexes the run; later ones cut that run at their own stop
-    spike or limit, and run the version afresh, keeping and indexing the new
+    simulator and keeps the run; later ones index it and cut it at their
+    own stop spike or limit, and run the version afresh, keeping the new
     run, only when the saved run ends before either.  Metering does not
     change: every consultation is recorded as the fresh run it replays.
     """
@@ -227,10 +231,10 @@ class NeuromorphicOracle:
 
     def threshold_of(self, neuron_id: int) -> int:
         self._charge()
-        neurons = self.net.neurons
-        if neuron_id not in neurons:
-            raise UnknownNeuronError(f"no neuron {neuron_id}")
-        return neurons[neuron_id].threshold
+        try:
+            return self.net.threshold(neuron_id)
+        except KeyError:
+            raise UnknownNeuronError(f"no neuron {neuron_id}") from None
 
     # --- path store (the oracle-side network that "maintains the path") ---
 
@@ -269,15 +273,14 @@ class NeuromorphicOracle:
         self,
         mode: ConsultMode,
         time_limit: int,
-        stop_on_fire: set[int] | None = None,
+        stop_on_fire: Collection[int] | None = None,
     ) -> tuple[OutputTape, ConsultRecord]:
         if time_limit < 1:
             raise ValueError("time_limit must be >= 1")
         net = self.net
+        bits = net.decider_bits
         if mode is ConsultMode.DECIDER and stop_on_fire is None:
-            stop_on_fire = set(net.neurons_with_role(Role.ACCEPT)) | set(
-                net.neurons_with_role(Role.REJECT)
-            )
+            stop_on_fire = bits.keys()
         saved, steps, cut = self._replay(time_limit, frozenset(stop_on_fire or ()))
         tape_events, spikes, repeats = saved.cut(steps)
         tape = OutputTape(tape_events, self.report)
@@ -290,38 +293,38 @@ class NeuromorphicOracle:
             repeat_spikes=repeats,
         )
         if mode is ConsultMode.DECIDER:
-            roles = {net.neurons[nid].role for _, nid in tape.events}
-            accepted = Role.ACCEPT in roles
-            rejected = Role.REJECT in roles
-            if accepted:
-                record.bit = 1
-            elif rejected:
-                record.bit = 0
-            else:
+            read = {bits[nid] for _, nid in tape.events if nid in bits}
+            if not read:
                 self.report.add_consultation(record)
                 raise UndecidedError(
                     f"decider ran {record.timesteps} steps with neither accept nor reject"
                 )
+            record.bit = max(read)  # an accept outweighs a reject
         self.report.add_consultation(record)
         return tape, record
 
 
 class _IndexedRun:
-    """One simulation of a network version, indexed once for cutting."""
+    """One simulation of a network version.  Its first-spike index, which
+    cuts it for later consultations, is built on the first replay."""
 
-    __slots__ = ("steps", "trace", "tape", "first", "first_times")
+    __slots__ = ("steps", "trace", "tape", "repeats", "first", "first_times")
 
     def __init__(self, state: SimulationState, tape_ids: set[int]):
         self.steps = state.steps_used
         trace = self.trace = state.trace
         self.tape = [event for event in trace if event[1] in tape_ids]
-        # neuron id -> time of its first spike: read backwards, the earliest is stored last
-        self.first = {nid: t for t, nid in reversed(trace)}
-        self.first_times = sorted(self.first.values())
+        self.repeats = len(trace) - len(set(map(itemgetter(1), trace)))
+        self.first: dict[int, int] | None = None
 
     def first_spike(self, stop: frozenset[int], time_limit: int) -> int | None:
-        """Time of the first spike in ``stop`` before ``time_limit``, if any."""
+        """Time of the first spike in ``stop`` before ``time_limit``, if any.
+        Every replay starts here, so this indexes the run for :meth:`cut`."""
         first = self.first
+        if first is None:
+            # neuron id -> time of its first spike: read backwards, the earliest is stored last
+            first = self.first = {nid: t for t, nid in reversed(self.trace)}
+            self.first_times = sorted(first.values())
         t = min((first[nid] for nid in stop if nid in first), default=None)
         return t if t is not None and t < time_limit else None
 
@@ -329,6 +332,9 @@ class _IndexedRun:
         """The tape events, spike count and repeated-spike count of the
         trace's first ``steps`` timesteps: every spike there that is not its
         neuron's first repeats one."""
-        end = bisect_left(self.trace, (steps,))
+        trace = self.trace
+        if steps >= self.steps:  # the whole run: no index needed
+            return self.tape, len(trace), self.repeats
+        end = bisect_left(trace, (steps,))
         tape = self.tape
         return tape[: bisect_left(tape, (steps,))], end, end - bisect_left(self.first_times, steps)

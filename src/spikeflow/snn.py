@@ -24,11 +24,14 @@ synapses where neuron 0 fires at ``t``, all four fire at ``t``.  A neuron
 fires at most once per step, so a step runs at most one round per neuron,
 and the trace lists each step's spikes by neuron id.
 
-Neurons with leak 1 keep a current potential and never decay; other leaks
-(0 or any fraction) are applied lazily when the neuron is next read.  An empty
-step therefore changes nothing but ``t``, and :func:`run` skips to its limit
-once a run is quiescent: no spike in flight, no neuron at threshold and no
-scheduled fire still to come.
+Neurons with leak 1 keep a current potential and never decay.  Leak-0
+neurons are memoryless: those a step touched (at step 1 also those with a
+nonzero start) are zeroed as the next step begins.  A run that halts or ends
+leaves their last step's values, and :func:`_materialize` reads them as 0
+once ``t`` reaches the next step.  A fractional leak is applied lazily when
+the neuron is next read.  An empty step therefore changes nothing but ``t``,
+and :func:`run` skips to its limit once a run is quiescent: no spike in
+flight, no neuron at threshold and no scheduled fire still to come.
 
 A network is written through one path, as rows of plain tuples that are
 checked, stored as given and copied into the simulator's flat tables in one
@@ -64,9 +67,9 @@ class Role(enum.Enum):
 # membership test compares by identity and calls no Python-level Enum.__hash__.
 TAPE_ROLES = (Role.READOUT, Role.ACCEPT, Role.REJECT)
 
-_first = itemgetter(0)
+_post = itemgetter(1)
 
-_Pairs = list[tuple[int, int]]  # (post, weight) deliveries
+_Rows = list[tuple]  # synapse rows (pre, post, delay, weight), the unit of delivery
 
 
 class Neuron(NamedTuple):
@@ -116,19 +119,20 @@ class SpikingNetwork:
     :class:`Neuron` or :class:`Synapse` record.  Each row is checked
     (duplicate id, threshold >= 1, v0 >= 0, leak in [0, 1], delay >= 0,
     unknown endpoint), stored as given, and copied into the flat tables
-    :func:`step` reads: threshold, reset, initial potential, the leak of
-    every neuron whose leak is not 1 (``0`` when it is 0), the set of
-    neurons whose initial potential is at threshold, the tape-role set and
-    the synapse count.
+    :func:`step` reads: threshold, reset, initial potential, the set of
+    leak-0 neurons, the fractional leaks, the set of neurons whose initial
+    potential is at threshold, the tape-role set, the decider bits (accept
+    1, reject 0) and the synapse count.
     ``neurons`` and ``out_synapses`` rebuild records from the rows.
 
-    In the first run of a network a firing neuron's output is read from its
-    out-synapse rows.  From the second run on, a neuron that fires has them
-    split into a delay-0 ``(post, weight)`` list and ``(delay, [(post,
-    weight), ...])`` groups, which its spikes then queue whole; the split
-    lives until a synapse is added to the neuron.  So a network that serves
-    many runs (an oracle's) is compiled once, while one written and run once
-    (the naive decider's, the reduction's) pays for no split.
+    A spike delivers the synapse rows themselves.  In the first run of a
+    network a firing neuron queues its out-synapse rows one by one.  From
+    the second run on, a neuron that fires has them split into a delay-0
+    list and ``(delay, [row, ...])`` groups of the same row objects, which
+    its spikes then queue whole; the split lives until a synapse is added
+    to the neuron.  So a network that serves many runs (an oracle's) is
+    grouped once, while one written and run once (the naive decider's, the
+    reduction's) pays for no split.
     """
 
     def __init__(self, overflow_reset: bool = False):
@@ -141,9 +145,11 @@ class SpikingNetwork:
         self._reset: dict[int, int] = {}
         self._v0: dict[int, int] = {}
         self._at_threshold: set[int] = set()  # v0 >= threshold: fires at t=0
-        self._leaky: dict[int, Fraction | int] = {}  # leak-1 neurons are absent
+        self._leak0: set[int] = set()
+        self._leaky: dict[int, Fraction] = {}  # fractional leaks only
         self._tape: set[int] = set()
-        self._out: dict[int, tuple[_Pairs, list[tuple[int, _Pairs]]]] = {}  # nid -> split
+        self.decider_bits: dict[int, int] = {}  # accept id -> 1, reject id -> 0
+        self._out: dict[int, tuple[_Rows, list[tuple[int, _Rows]]]] = {}  # nid -> split
         self._runs = 0  # simulations started on this network
         self._n_synapses = 0
 
@@ -158,7 +164,7 @@ class SpikingNetwork:
     def add_neurons(self, rows: Iterable[tuple]) -> None:
         known, out = self._rows, self._syn
         threshold, reset, v0, leaky, tape = self._threshold, self._reset, self._v0, self._leaky, self._tape
-        at_threshold = self._at_threshold
+        at_threshold, leak0, decider = self._at_threshold, self._leak0, self.decider_bits
         for row in rows:
             nid, th, r, leak, v, role = row
             if th < 1:
@@ -176,10 +182,14 @@ class SpikingNetwork:
             v0[nid] = v
             if v >= th:
                 at_threshold.add(nid)
-            if leak != 1:
-                leaky[nid] = leak if leak else 0
+            if not leak:
+                leak0.add(nid)
+            elif leak != 1:
+                leaky[nid] = leak
             if role in TAPE_ROLES:
                 tape.add(nid)
+                if role is not Role.READOUT:
+                    decider[nid] = int(role is Role.ACCEPT)
 
     def add_synapses(self, rows: Iterable[tuple]) -> None:
         out, split = self._syn, self._out
@@ -204,11 +214,11 @@ class SpikingNetwork:
         self.add_synapses((synapse,))
         return synapse
 
-    def _split_out(self, nid: int) -> tuple[_Pairs, list[tuple[int, _Pairs]]]:
-        """The neuron's out-synapses as delay-0 pairs and per-delay groups."""
-        by_delay: dict[int, _Pairs] = {}
-        for _, post, delay, weight in self._syn[nid]:
-            by_delay.setdefault(delay, []).append((post, weight))
+    def _split_out(self, nid: int) -> tuple[_Rows, list[tuple[int, _Rows]]]:
+        """The neuron's out-synapse rows as a delay-0 list and per-delay groups."""
+        by_delay: dict[int, _Rows] = {}
+        for row in self._syn[nid]:
+            by_delay.setdefault(row[2], []).append(row)
         out = self._out[nid] = (by_delay.pop(0, []), list(by_delay.items()))
         return out
 
@@ -233,6 +243,10 @@ class SpikingNetwork:
         """The neuron's initial potential v0; ``KeyError`` for an unknown id."""
         return self._v0[nid]
 
+    def threshold(self, nid: int) -> int:
+        """The neuron's threshold; ``KeyError`` for an unknown id."""
+        return self._threshold[nid]
+
     def size(self) -> int:
         """Neuron count plus synapse count (the oracle's space measure)."""
         return len(self._rows) + self._n_synapses
@@ -242,9 +256,6 @@ class SpikingNetwork:
         """Ids of the neurons whose spikes appear on an oracle's output tape."""
         return self._tape
 
-    def neurons_with_role(self, role: Role) -> list[int]:
-        return sorted(nid for nid, row in self._rows.items() if row[5] is role)
-
 
 @dataclass
 class SimulationState:
@@ -252,16 +263,19 @@ class SimulationState:
     step once a stop condition has triggered inside :func:`run`).
 
     ``potentials`` holds every neuron's V.  A leak-1 potential is always
-    current; a leaky one is current as of ``last_update`` and decays lazily.
+    current, a fractional-leak one as of ``last_update``; the leak-0 ones
+    in ``_zero`` read 0 from step ``_zero_at`` on, when :func:`step` zeroes them.
     """
 
     t: int = 0
     potentials: dict[int, int] = field(default_factory=dict)
     last_update: dict[int, int] = field(default_factory=dict)
-    pending: dict[int, list[_Pairs]] = field(default_factory=dict)  # step -> batches due
+    pending: dict[int, list[_Rows]] = field(default_factory=dict)  # step -> batches due
     trace: list[tuple[int, int]] = field(default_factory=list)
     halted: bool = False
     _recheck: set[int] = field(default_factory=set)
+    _zero: set[int] = field(default_factory=set)
+    _zero_at: int = 1
 
     @classmethod
     def initial(
@@ -284,6 +298,7 @@ class SimulationState:
                     recheck.discard(nid)
         state.potentials = values
         state.last_update = dict.fromkeys(net._leaky, 0)
+        state._zero = {nid for nid in net._leak0 if values[nid]}
         state._recheck = recheck
         net._runs += 1
         return state
@@ -295,27 +310,27 @@ class SimulationState:
 
 
 def _materialize(net: SpikingNetwork, state: SimulationState, nid: int, t: int) -> int:
-    """Apply the multiplicative leak lazily up to time ``t`` and return V."""
+    """V at time ``t``: a fractional leak is applied lazily, and a leak-0
+    neuron still due to be zeroed reads 0 from its zeroing step on."""
     leak = net._leaky.get(nid)
-    if leak is None or state.last_update[nid] == t:
+    if leak is None:
+        return 0 if t >= state._zero_at and nid in state._zero else state.potentials[nid]
+    if state.last_update[nid] == t:
         return state.potentials[nid]
     v = state.potentials[nid]
     if v:
-        if leak == 0:
-            v = 0
-        else:
-            scaled = v * leak ** (t - state.last_update[nid])
-            v = int(scaled) if scaled.denominator == 1 else scaled
+        scaled = v * leak ** (t - state.last_update[nid])
+        v = int(scaled) if scaled.denominator == 1 else scaled
         state.potentials[nid] = v
     state.last_update[nid] = t
     return v
 
 
 def _fire(
-    net: SpikingNetwork, state: SimulationState, nids: Collection[int], t: int, zero_queue: list[_Pairs]
+    net: SpikingNetwork, state: SimulationState, nids: Collection[int], t: int, zero_queue: list[_Rows]
 ) -> None:
     """Fire every neuron in ``nids`` at step ``t``: drop its potential, put
-    its delay-0 pairs on ``zero_queue`` and its delayed ones in
+    its delay-0 synapse rows on ``zero_queue`` and its delayed ones in
     ``state.pending``.  A firing changes no other neuron's potential."""
     potentials = state.potentials
     if net._leaky:
@@ -329,51 +344,52 @@ def _fire(
         reset = net._reset
         for nid in nids:
             potentials[nid] = reset[nid]
-    # pending[s][0] collects single pairs; split groups are queued whole after it
+    # pending[s][0] collects single rows; split groups are queued whole after it
     pending = state.pending
     outs = net._out
     split = net._runs > 1
-    loose: _Pairs = []
+    loose: _Rows = []
     for nid in nids:
         out = outs.get(nid)
         if out is None:
             if split:
                 out = net._split_out(nid)
             else:
-                for _, post, delay, weight in net._syn[nid]:
+                for row in net._syn[nid]:
+                    delay = row[2]
                     if delay:
                         batches = pending.get(t + delay)
                         if batches is None:
-                            pending[t + delay] = [[(post, weight)]]
+                            pending[t + delay] = [[row]]
                         else:
-                            batches[0].append((post, weight))
+                            batches[0].append(row)
                     else:
-                        loose.append((post, weight))
+                        loose.append(row)
                 continue
         zero, delayed = out
         if zero:
             zero_queue.append(zero)
-        for delay, pairs in delayed:
+        for delay, rows in delayed:
             batches = pending.get(t + delay)
             if batches is None:
-                pending[t + delay] = [[], pairs]
+                pending[t + delay] = [[], rows]
             else:
-                batches.append(pairs)
+                batches.append(rows)
     if loose:
         zero_queue.append(loose)
 
 
 def _deliver(
-    net: SpikingNetwork, state: SimulationState, batches: list[_Pairs], t: int
+    net: SpikingNetwork, state: SimulationState, batches: list[_Rows], t: int
 ) -> set[int]:
-    """Add batches of ``(post, weight)`` pairs now; returns the neurons reached."""
-    pairs = list(chain.from_iterable(batches))
-    posts = set(map(_first, pairs))
+    """Add the weights of batches of synapse rows now; returns the neurons reached."""
+    rows = list(chain.from_iterable(batches))
+    posts = set(map(_post, rows))
     if net._leaky:
         for nid in net._leaky.keys() & posts:
             _materialize(net, state, nid, t)
     potentials = state.potentials
-    for post, weight in pairs:
+    for _, post, _, weight in rows:
         potentials[post] += weight
     return posts
 
@@ -381,15 +397,20 @@ def _deliver(
 def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, frozenset[int]]:
     """Execute timestep ``state.t`` and advance.  Returns the spike set of the step.
 
-    Scheduled fires, then deliver-check-fire rounds until a round queues no
-    delay-0 output, then the clamp (see the module docstring).  Since a
-    firing changes only its own potential before the next delivery, each
-    round finds all its firing neurons first and then fires them together.
+    The leak-0 zeroing, scheduled fires, then deliver-check-fire rounds
+    until a round queues no delay-0 output, then the clamp (see the module
+    docstring).  Since a firing changes only its own potential before the
+    next delivery, each round finds all its firing neurons first and then
+    fires them together.
     """
     t = state.t
     potentials = state.potentials
     threshold = net._threshold
-    zero_queue: list[_Pairs] = []
+    zero_queue: list[_Rows] = []
+    stale = state._zero
+    if stale and state._zero_at == t:
+        potentials.update(dict.fromkeys(stale, 0))
+        stale.clear()
 
     fired = set(net._schedule_by_time.get(t, ()))
     if fired:
@@ -427,6 +448,8 @@ def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, 
             potentials[nid] = 0
         elif v >= threshold[nid]:
             recheck_next.add(nid)
+    if net._leak0:  # zeroed as step t+1 begins; after step 0 with the nonzero starts
+        state._zero, state._zero_at = net._leak0 & touched | state._zero, t + 1
 
     if fired:
         state.trace.extend([(t, nid) for nid in sorted(fired)])

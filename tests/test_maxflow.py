@@ -364,6 +364,19 @@ def test_verify_episode_properties_reports_planted_violations():
     ]
 
 
+def test_verify_episode_properties_horizon_is_the_query_time_limit():
+    # the horizon is counted without building the arc table; it must be the
+    # map's 2 * arcs + 1 in both modes, companions included
+    nets = [chain_net(caps=(3, 5, 2))] + [generate_random(n, 2 * n, 5, seed=n) for n in (6, 9, 12)]
+    for net in nets:
+        for mode in (PAPER_FAITHFUL, RESIDUAL):
+            limit = EdgeNeuronMap(net, residual=(mode == RESIDUAL)).query_time_limit()
+            at, past = (ConsultRecord("transducer", steps, 0, 0) for steps in (limit, limit + 1))
+            assert verify_episode_properties(net, _planted(mode, [at, past])) == [
+                f"query 1: {limit + 1} steps > {limit}"
+            ]
+
+
 def test_timing_law_on_chains():
     for length in (1, 2, 3, 5, 8):
         net = chain_net(caps=tuple([2] * length))

@@ -328,3 +328,63 @@ def test_one_simulation_per_network_version(monkeypatch):
     assert blocked_tape.events == [] and blocked.spikes == 2
     assert blocked.timesteps == 5 and blocked.stop_step is None
     assert all(r.repeat_spikes == 0 for r in (first, again, shorter, longer, blocked))
+
+
+def test_first_consultation_equals_its_replay_and_builds_no_index(monkeypatch):
+    # neuron 0 is a readout that fires every step (repeats); 1 fires at 2 and
+    # 3, and 2 once at 3 from 1's delay-1 synapse
+    calls = []
+
+    def counting_run(net, max_steps, **kwargs):
+        calls.append(max_steps)
+        return run(net, max_steps, **kwargs)
+
+    monkeypatch.setattr(spikeflow.oracle, "run", counting_run)
+    oracle = NeuromorphicOracle()
+    oracle.write_neurons([
+        (0, 1, 1, 1, 1, Role.READOUT),
+        (1, 1, 0, 1, 0, Role.STANDARD),
+        (2, 1, 0, 1, 0, Role.READOUT),
+    ])
+    oracle.write_schedule(1, 2)
+    oracle.write_schedule(1, 3)
+    oracle.write_synapses([(1, 2, 1, 1)])
+    for stop, limit in ((None, 6), ({2}, 6)):
+        first_tape, first = oracle.consult(ConsultMode.TRANSDUCER, time_limit=limit, stop_on_fire=stop)
+        assert oracle._saved.first is None  # answered from the whole run
+        again_tape, again = oracle.consult(ConsultMode.TRANSDUCER, time_limit=limit, stop_on_fire=stop)
+        assert oracle._saved.first is not None  # the replay indexed it
+        assert again_tape.events == first_tape.events
+        assert (again.spikes, again.repeat_spikes, again.timesteps, again.stop_step) == (
+            first.spikes, first.repeat_spikes, first.timesteps, first.stop_step
+        )
+        oracle.write_voltage(2, 0)  # a new version for the next pair
+    assert calls == [6, 6]
+    # the halting pair: 0 at steps 0..3, 1 at 2 and 3, 2 at 3
+    assert (first.spikes, first.repeat_spikes, first.timesteps, first.stop_step) == (7, 4, 4, 3)
+    assert first_tape.events == [(0, 0), (1, 0), (2, 0), (3, 0), (3, 2)]
+
+
+def test_decider_sees_accept_and_reject_neurons_written_after_a_consultation():
+    oracle = NeuromorphicOracle()
+    oracle.write_neurons([Neuron(0, 1, 1, ONE, v0=1, role=Role.READOUT)])
+    _, record = oracle.consult(ConsultMode.TRANSDUCER, time_limit=3)
+    assert record.stop_step is None
+    oracle.write_neurons([Neuron(1, 10, 0, ONE, role=Role.ACCEPT)])
+    oracle.write_schedule(1, 4)
+    tape, record = oracle.consult(ConsultMode.DECIDER, time_limit=8)
+    assert (record.bit, record.stop_step, tape.events[-1]) == (1, 4, (4, 1))
+    oracle.write_neurons([Neuron(2, 10, 0, ONE, role=Role.REJECT)])
+    oracle.write_schedule(2, 2)
+    tape, record = oracle.consult(ConsultMode.DECIDER, time_limit=8)
+    assert (record.bit, record.stop_step, tape.events[-1]) == (0, 2, (2, 2))
+
+
+def test_threshold_of_charges_one_op_and_rejects_unknown_ids():
+    oracle = NeuromorphicOracle()
+    oracle.write_neurons([Neuron(0, 7, 0, ONE, v0=2)])
+    before = oracle.report.controller_time
+    assert oracle.threshold_of(0) == 7
+    assert oracle.report.controller_time == before + 1
+    with pytest.raises(UnknownNeuronError):
+        oracle.threshold_of(1)

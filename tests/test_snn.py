@@ -66,6 +66,49 @@ def test_leak_zero_erases_history():
     assert [(t, n) for t, n in state.trace if n == 0] == []
 
 
+def _leak_zero_net():
+    """Driver 9 fires at 0 into the leak-0 neuron 0 (threshold 5) and the
+    leak-1 neuron 1 (threshold 1), each with weight 2 and delay 1."""
+    net = make_net()
+    net.add_neuron(Neuron(0, threshold=5, reset=0, leak=Fraction(0)))
+    net.add_neuron(Neuron(1, threshold=1, reset=0, leak=ONE))
+    driver(net, 9, [0])
+    net.add_synapse(Synapse(9, 0, delay=1, weight=2))
+    net.add_synapse(Synapse(9, 1, delay=1, weight=2))
+    return net
+
+
+def test_leak_zero_touched_in_the_halting_step_keeps_its_value():
+    net = _leak_zero_net()
+    for _ in range(2):  # unsplit and split out-synapses
+        state = _assert_run_matches_reference(net, 6, stop={1})
+        assert (state.t, state.halted) == (1, True)
+        assert state.potentials[0] == 2 and current_potentials(net, state)[0] == 2
+
+
+@pytest.mark.parametrize("limit", [2, 6])
+def test_leak_zero_touched_in_the_last_step_reads_zero_after_it(limit):
+    net = _leak_zero_net()
+    for _ in range(2):
+        state = _assert_run_matches_reference(net, limit)
+        assert state.t == limit and not state.halted
+        # the stored value is left as the last step wrote it
+        assert state.potentials[0] == 2 and current_potentials(net, state)[0] == 0
+
+
+def test_leak_zero_nonzero_start_is_zeroed_at_step_one():
+    # an override of 3 is read at step 0 only: the arrival of 2 at step 1
+    # finds 0, so threshold 5 is never reached
+    net = _leak_zero_net()
+    for _ in range(2):
+        state = _assert_run_matches_reference(net, 1, potentials={0: 3})
+        assert state.potentials[0] == 3 and current_potentials(net, state)[0] == 0
+        halted = _assert_run_matches_reference(net, 6, stop={9}, potentials={0: 3})
+        assert halted.t == 0 and current_potentials(net, halted)[0] == 3
+        state = _assert_run_matches_reference(net, 6, potentials={0: 3})
+        assert state.trace == [(0, 9), (1, 1)]
+
+
 def test_leak_one_holds_potential_without_input():
     net = make_net()
     net.add_neuron(Neuron(0, threshold=5, reset=0, leak=ONE, v0=3))
