@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConstructionBugError
@@ -16,30 +16,6 @@ CLASSICAL = "classical"
 
 SPARSE_SIZES = list(range(5, 101, 5))
 DENSE_SIZES = list(range(5, 41, 5))
-
-CSV_COLUMNS = [
-    "suite",
-    "mode",
-    "n_nodes",
-    "n_edges",
-    "sample",
-    "seed",
-    "value",
-    "classical_value",
-    "divergence",
-    "episodes",
-    "total_consults",
-    "decode_jams",
-    "mean_spikes_per_query",
-    "mean_timesteps_per_query",
-    "max_query_timesteps",
-    "mean_augmenting_path_len",
-    "oracle_energy",
-    "controller_time",
-    "wm_peak",
-    "classical_time_steps",
-    "property_violations",
-]
 
 
 def suite_edge_count(suite: str, n_nodes: int) -> int:
@@ -80,23 +56,26 @@ class BenchRow:
     seed: int
     value: int
     classical_value: int
-    divergence: int
-    episodes: int
-    total_consults: int
-    decode_jams: int
-    mean_spikes_per_query: float
-    mean_timesteps_per_query: float
-    max_query_timesteps: int
-    mean_augmenting_path_len: float
-    oracle_energy: int
-    controller_time: int
-    wm_peak: int
-    classical_time_steps: int
+    divergence: int = 0
+    episodes: int = 0
+    total_consults: int = 0
+    decode_jams: int = 0
+    mean_spikes_per_query: float = 0.0
+    mean_timesteps_per_query: float = 0.0
+    max_query_timesteps: int = 0
+    mean_augmenting_path_len: float = 0.0
+    oracle_energy: int = 0
+    controller_time: int = 0
+    wm_peak: int = 0
+    classical_time_steps: int = 0
     property_violations: int = 0
     network: FlowNetwork | None = None
 
     def as_csv_values(self) -> list:
         return [getattr(self, col) for col in CSV_COLUMNS]
+
+
+CSV_COLUMNS = [f.name for f in fields(BenchRow) if f.name != "network"]
 
 
 def classical_search_steps(net: FlowNetwork) -> tuple[int, int]:
@@ -116,11 +95,7 @@ def run_instance(config: BenchConfig, n_nodes: int, sample: int) -> BenchRow:
         return BenchRow(
             suite=config.suite, mode=config.mode, n_nodes=n_nodes, n_edges=m,
             sample=sample, seed=seed, value=classical_value,
-            classical_value=classical_value, divergence=0, episodes=0,
-            total_consults=0, decode_jams=0, mean_spikes_per_query=0.0,
-            mean_timesteps_per_query=0.0, max_query_timesteps=0,
-            mean_augmenting_path_len=0.0, oracle_energy=0, controller_time=0,
-            wm_peak=0, classical_time_steps=classical_steps, network=net,
+            classical_value=classical_value, classical_time_steps=classical_steps, network=net,
         )
 
     result = solve(net, config.mode)

@@ -125,14 +125,10 @@ class SpikingNetwork:
     1, reject 0) and the synapse count.
     ``neurons`` and ``out_synapses`` rebuild records from the rows.
 
-    A spike delivers the synapse rows themselves.  In the first run of a
-    network a firing neuron queues its out-synapse rows one by one.  From
-    the second run on, a neuron that fires has them split into a delay-0
-    list and ``(delay, [row, ...])`` groups of the same row objects, which
-    its spikes then queue whole; the split lives until a synapse is added
-    to the neuron.  So a network that serves many runs (an oracle's) is
-    grouped once, while one written and run once (the naive decider's, the
-    reduction's) pays for no split.
+    A spike delivers the synapse rows themselves: a firing neuron queues
+    its out-synapse rows one by one, by delay, into its run's state.
+    :func:`run` and :func:`step` write nothing here, so a network is the
+    same before and after any number of runs.
     """
 
     def __init__(self, overflow_reset: bool = False):
@@ -149,8 +145,6 @@ class SpikingNetwork:
         self._leaky: dict[int, Fraction] = {}  # fractional leaks only
         self._tape: set[int] = set()
         self.decider_bits: dict[int, int] = {}  # accept id -> 1, reject id -> 0
-        self._out: dict[int, tuple[_Rows, list[tuple[int, _Rows]]]] = {}  # nid -> split
-        self._runs = 0  # simulations started on this network
         self._n_synapses = 0
 
     @property
@@ -192,7 +186,7 @@ class SpikingNetwork:
                     decider[nid] = int(role is Role.ACCEPT)
 
     def add_synapses(self, rows: Iterable[tuple]) -> None:
-        out, split = self._syn, self._out
+        out = self._syn
         for row in rows:
             pre, post, delay, _ = row
             if delay < 0:
@@ -202,9 +196,6 @@ class SpikingNetwork:
                 raise UnknownNeuronError(f"synapse endpoint {missing} not in network")
             out[pre].append(row)
             self._n_synapses += 1
-            if split:
-                # Spikes already in flight keep the old lists; the next fire re-splits.
-                split.pop(pre, None)
 
     def add_neuron(self, neuron: Neuron) -> Neuron:
         self.add_neurons((neuron,))
@@ -213,14 +204,6 @@ class SpikingNetwork:
     def add_synapse(self, synapse: Synapse) -> Synapse:
         self.add_synapses((synapse,))
         return synapse
-
-    def _split_out(self, nid: int) -> tuple[_Rows, list[tuple[int, _Rows]]]:
-        """The neuron's out-synapse rows as a delay-0 list and per-delay groups."""
-        by_delay: dict[int, _Rows] = {}
-        for row in self._syn[nid]:
-            by_delay.setdefault(row[2], []).append(row)
-        out = self._out[nid] = (by_delay.pop(0, []), list(by_delay.items()))
-        return out
 
     def add_schedule(self, neuron_id: int, time: int) -> None:
         if neuron_id not in self._rows:
@@ -231,7 +214,7 @@ class SpikingNetwork:
         self._schedule_by_time.setdefault(time, []).append(neuron_id)
 
     def copy(self) -> "SpikingNetwork":
-        """A never-run copy: same neurons, synapses, schedule, reset mode."""
+        """An independent copy: same neurons, synapses, schedule, reset mode."""
         clone = SpikingNetwork(overflow_reset=self.overflow_reset)
         clone.add_neurons(self._rows.values())
         clone.add_synapses(chain.from_iterable(self._syn.values()))
@@ -270,7 +253,7 @@ class SimulationState:
     t: int = 0
     potentials: dict[int, int] = field(default_factory=dict)
     last_update: dict[int, int] = field(default_factory=dict)
-    pending: dict[int, list[_Rows]] = field(default_factory=dict)  # step -> batches due
+    pending: dict[int, _Rows] = field(default_factory=dict)  # step -> synapse rows due
     trace: list[tuple[int, int]] = field(default_factory=list)
     halted: bool = False
     _recheck: set[int] = field(default_factory=set)
@@ -300,7 +283,6 @@ class SimulationState:
         state.last_update = dict.fromkeys(net._leaky, 0)
         state._zero = {nid for nid in net._leak0 if values[nid]}
         state._recheck = recheck
-        net._runs += 1
         return state
 
     @property
@@ -327,11 +309,12 @@ def _materialize(net: SpikingNetwork, state: SimulationState, nid: int, t: int) 
 
 
 def _fire(
-    net: SpikingNetwork, state: SimulationState, nids: Collection[int], t: int, zero_queue: list[_Rows]
+    net: SpikingNetwork, state: SimulationState, nids: Collection[int], t: int, zero_queue: _Rows
 ) -> None:
-    """Fire every neuron in ``nids`` at step ``t``: drop its potential, put
-    its delay-0 synapse rows on ``zero_queue`` and its delayed ones in
-    ``state.pending``.  A firing changes no other neuron's potential."""
+    """Fire every neuron in ``nids`` at step ``t``: drop its potential and
+    queue each of its synapse rows, a delay-0 one on ``zero_queue`` and a
+    delayed one on ``state.pending[t + delay]``.  A firing changes no other
+    neuron's potential."""
     potentials = state.potentials
     if net._leaky:
         for nid in net._leaky.keys() & nids:
@@ -344,46 +327,23 @@ def _fire(
         reset = net._reset
         for nid in nids:
             potentials[nid] = reset[nid]
-    # pending[s][0] collects single rows; split groups are queued whole after it
     pending = state.pending
-    outs = net._out
-    split = net._runs > 1
-    loose: _Rows = []
+    syn = net._syn
     for nid in nids:
-        out = outs.get(nid)
-        if out is None:
-            if split:
-                out = net._split_out(nid)
+        for row in syn[nid]:
+            delay = row[2]
+            if delay:
+                due = pending.get(t + delay)
+                if due is None:
+                    pending[t + delay] = [row]
+                else:
+                    due.append(row)
             else:
-                for row in net._syn[nid]:
-                    delay = row[2]
-                    if delay:
-                        batches = pending.get(t + delay)
-                        if batches is None:
-                            pending[t + delay] = [[row]]
-                        else:
-                            batches[0].append(row)
-                    else:
-                        loose.append(row)
-                continue
-        zero, delayed = out
-        if zero:
-            zero_queue.append(zero)
-        for delay, rows in delayed:
-            batches = pending.get(t + delay)
-            if batches is None:
-                pending[t + delay] = [[], rows]
-            else:
-                batches.append(rows)
-    if loose:
-        zero_queue.append(loose)
+                zero_queue.append(row)
 
 
-def _deliver(
-    net: SpikingNetwork, state: SimulationState, batches: list[_Rows], t: int
-) -> set[int]:
-    """Add the weights of batches of synapse rows now; returns the neurons reached."""
-    rows = list(chain.from_iterable(batches))
+def _deliver(net: SpikingNetwork, state: SimulationState, rows: _Rows, t: int) -> set[int]:
+    """Add the weights of synapse rows now; returns the neurons reached."""
     posts = set(map(_post, rows))
     if net._leaky:
         for nid in net._leaky.keys() & posts:
@@ -406,7 +366,7 @@ def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, 
     t = state.t
     potentials = state.potentials
     threshold = net._threshold
-    zero_queue: list[_Rows] = []
+    zero_queue: _Rows = []
     stale = state._zero
     if stale and state._zero_at == t:
         potentials.update(dict.fromkeys(stale, 0))

@@ -22,6 +22,8 @@ from .snn import step as snn_step
 
 PLAIN, SOURCE, SINK, RES_SINK, RES_SOURCE = "plain", "s", "t", "r", "p"
 
+MAX_DOMAIN = 129  # check_feasible bound on c_max - c_min + 2, an arc domain's size
+
 
 class TnfrArc:
     """One arc.  Slotted: cheaper to build than a dataclass, as fast to read."""
@@ -138,7 +140,6 @@ def check_feasible(
     inst: TNFRInstance,
     d: int | None = None,
     max_arcs: int = 64,
-    max_domain: int = 129,
     budget: int = 10**8,
 ) -> tuple[bool, dict[int, int] | None]:
     """Exact backtracking search for a feasible flow with source outflow > d.
@@ -160,7 +161,7 @@ def check_feasible(
     if len(inst.arcs) > max_arcs:
         raise GuardExceeded(f"{len(inst.arcs)} arcs exceed the limit {max_arcs}")
     for arc in inst.arcs:
-        if arc.c_max - arc.c_min + 2 > max_domain:
+        if arc.c_max - arc.c_min + 2 > MAX_DOMAIN:
             raise GuardExceeded(f"arc {arc.idx} domain too large")
 
     order = _topological_arc_order(inst)
@@ -527,7 +528,7 @@ class ReductionVerdict:
     details: list[str] = field(default_factory=list)
 
 
-def verify_reduction(cfg: ReductionConfig, search_budget: int = 10**8) -> ReductionVerdict:
+def verify_reduction(cfg: ReductionConfig) -> ReductionVerdict:
     """Check the biconditional on one configuration, both directions."""
     outcome = simulate_constrained(cfg)
     inst = reduce_network(cfg, _run=outcome if outcome.accepted else None)
@@ -544,7 +545,7 @@ def verify_reduction(cfg: ReductionConfig, search_budget: int = 10**8) -> Reduct
             details.append(f"witness value {value} != 3")
     feasible = bool(witness_ok)  # a valid witness is itself the certificate
     if not feasible:
-        feasible, found = check_feasible(inst, max_arcs=len(inst.arcs), budget=search_budget)
+        feasible, found = check_feasible(inst, max_arcs=len(inst.arcs))
         if feasible and not outcome.accepted:
             details.append(f"rejecting network but flow of value > 2 exists: {found}")
     passed = (outcome.accepted == feasible) and (witness_ok is not False)

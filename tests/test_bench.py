@@ -125,8 +125,7 @@ def test_csv_and_dat_and_summary_files(tmp_path):
         parsed = list(csv.reader(fh))
     assert parsed[0] == CSV_COLUMNS
     assert len(parsed) == 1 + len(rows)
-    seed_col = CSV_COLUMNS.index("seed")
-    assert all(int(line[seed_col]) != 0 or True for line in parsed[1:])
+    assert parsed[1:] == [[str(v) for v in row.as_csv_values()] for row in rows]
 
     dat_path = tmp_path / "rows.dat"
     write_gnuplot_dat(rows, dat_path)

@@ -156,6 +156,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "decide-naive", str(big), "-d", "0")
     assert code == EXIT_GUARD
 
+    # guard: a TNFR arc whose flow domain is too large to search
+    wide = tmp_path / "wide.tnfr"
+    wide.write_text("p tnfr 2 1 0\nn 1 s\nn 2 t\na 1 2 0 200\n")
+    code, out, err = run_cli(capsys, "tnfr-check", str(wide))
+    assert (code, out) == (EXIT_GUARD, "")
+    assert "domain too large" in err
+
     # invariant: bench checks each solved flow, here a negative one
     solve = bench.solve
     monkeypatch.setattr(

@@ -1,4 +1,5 @@
 import io
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -80,7 +81,7 @@ def _leak_zero_net():
 
 def test_leak_zero_touched_in_the_halting_step_keeps_its_value():
     net = _leak_zero_net()
-    for _ in range(2):  # unsplit and split out-synapses
+    for _ in range(2):  # a later run equals the first
         state = _assert_run_matches_reference(net, 6, stop={1})
         assert (state.t, state.halted) == (1, True)
         assert state.potentials[0] == 2 and current_potentials(net, state)[0] == 2
@@ -358,7 +359,7 @@ def current_potentials(net, state):
 @given(netlists(), st.integers(0, 14))
 def test_step_matches_reference_after_every_step(case, n_steps):
     net, potentials = case
-    for _ in range(2):  # from its second run on, a network's fires use split tables
+    for _ in range(2):  # a later run of the network equals the first
         state = SimulationState.initial(net, potentials)
         expected = ref.RefState.initial(net, potentials)
         for _ in range(n_steps):
@@ -375,7 +376,7 @@ def test_run_matches_reference(case, data):
     net, potentials = case
     ids = sorted(net.neurons)
     stops = st.none() | st.sets(st.sampled_from(ids), max_size=3)
-    for _ in range(2):  # a first and a later run: from the second on, fires use split tables
+    for _ in range(2):  # a first and a later run of the same network
         stop, limit = data.draw(stops), data.draw(st.integers(0, 20))
         _assert_run_matches_reference(net, limit, stop, potentials)
 
@@ -445,7 +446,7 @@ def test_four_deep_delay0_chain_matches_reference():
     for nid, leak in zip((1, 2, 3, 4), LEAKS):
         net.add_neuron(Neuron(nid, 1, 0, leak))
         net.add_synapse(Synapse(nid - 1, nid, 0, 1))
-    for _ in range(2):  # a first and a later run, with unsplit and split out-synapses
+    for _ in range(2):  # a later run equals the first
         state = _assert_run_matches_reference(net, 6)
         assert state.trace == [(t, nid) for t in (0, 3) for nid in range(5)]
 
@@ -497,17 +498,28 @@ def test_netlist_roundtrip():
     assert format_netlist(parsed) == text
 
 
+def test_run_leaves_the_network_unchanged():
+    net, (T, _, _, R1, R2, _, _) = chain_search_net()
+    net.add_neurons([(7, 1, 0, Fraction(1, 2), 0, Role.STANDARD), (8, 1, 0, 0, 0, Role.STANDARD)])
+    net.add_synapses([(R1, 7, 0, 1), (7, 8, 2, 1)])
+    net.add_schedule(T, 3)
+    before = deepcopy(vars(net))
+    halted = run(net, 9, stop_on_fire=[R2])
+    full = run(net, 9)
+    assert halted.halted and not full.halted and len(full.trace) > len(halted.trace)
+    assert vars(net) == before
+
+
 @pytest.mark.parametrize("overflow", [False, True])
 def test_copy_is_a_never_run_equal_network(overflow):
     net, (T, *_) = chain_search_net()
     net.overflow_reset = overflow
     net.add_schedule(T, 3)
     first = run(net, 6)
-    run(net, 6)  # a second run splits the firing neurons' out-synapses
+    run(net, 6)
     copy = net.copy()
     assert format_netlist(copy) == format_netlist(net)
     assert copy.overflow_reset is overflow and copy.size() == net.size()
-    assert copy._runs == 0 and copy._out == {}
     assert run(copy, 6).trace == first.trace
     text = format_netlist(net)
     copy.add_schedule(T, 5)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from spikeflow.errors import GuardExceeded, ParseError, SearchBudgetExceeded
 from spikeflow.snn import Neuron, SpikingNetwork, Synapse
 from spikeflow.tnfr import (
+    MAX_DOMAIN,
     ReductionConfig,
     TNFRInstance,
     check_feasible,
@@ -146,6 +147,9 @@ def test_checker_guards():
     hard.add_arc("x", "t", 0, 3)
     with pytest.raises(SearchBudgetExceeded):
         check_feasible(hard, budget=1)
+    with pytest.raises(GuardExceeded, match="arc 0 domain too large"):
+        check_feasible(single_arc(0, 200, 0))
+    assert check_feasible(single_arc(0, MAX_DOMAIN - 2, 0))[0]
 
 
 # --- the reduction -----------------------------------------------------------
