@@ -4,7 +4,7 @@ from .flow import FlowAssignment, FlowNetwork, edmonds_karp, generate_random, va
 from .maxflow import PAPER_FAITHFUL, RESIDUAL, SolveResult, solve
 from .naive import decide_naive
 from .oracle import ConsultMode, NeuromorphicOracle, OutputTape, ResourceReport, WorkingMemory
-from .snn import Neuron, Role, SimulationState, SpikingNetwork, Synapse, energy, run, step
+from .snn import Neuron, Role, SimulationState, SpikingNetwork, Synapse, run, step
 from .tnfr import ReductionConfig, TNFRInstance, check_feasible, reduce_network, verify_reduction
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "SimulationState",
     "SpikingNetwork",
     "Synapse",
-    "energy",
     "run",
     "step",
     "ReductionConfig",

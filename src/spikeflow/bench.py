@@ -40,6 +40,8 @@ class BenchConfig:
             self.sizes = list(SPARSE_SIZES if self.suite == SPARSE else DENSE_SIZES)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if len(set(self.sizes)) < len(self.sizes):
+            raise ValueError("sizes must not repeat")
         if self.suite not in (SPARSE, DENSE):
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.mode not in (PAPER_FAITHFUL, RESIDUAL, CLASSICAL):

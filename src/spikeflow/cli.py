@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bench import (
@@ -120,7 +121,7 @@ def cmd_decide_naive(args) -> int:
 
 
 def _reduction_config_from_args(args) -> ReductionConfig:
-    """The validated configuration; a broken assumption raises ValueError."""
+    """The validated configuration; a broken assumption raises ParseError."""
     # the netlist format carries structure only; the reduction's semantics
     # always use overflow resets, a flag read only when a neuron fires
     net = parse_netlist(_read_in(args.netlist))
@@ -132,17 +133,15 @@ def _reduction_config_from_args(args) -> ReductionConfig:
         time_bound=args.time_bound,
         energy_bound=args.energy_bound,
     )
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     return cfg
 
 
 def cmd_reduce(args) -> int:
-    try:
-        cfg = _reduction_config_from_args(args)
-        inst = reduce_network(cfg)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    _write_out(format_tnfr(inst), args.out)
+    _write_out(format_tnfr(reduce_network(_reduction_config_from_args(args))), args.out)
     return EXIT_OK
 
 
@@ -158,22 +157,8 @@ def cmd_tnfr_check(args) -> int:
 
 
 def cmd_verify_reduction(args) -> int:
-    try:
-        cfg = _reduction_config_from_args(args)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    verdict = verify_reduction(cfg)
-    payload = {
-        "passed": verdict.passed,
-        "snn_accepts": verdict.snn_accepts,
-        "accept_step": verdict.accept_step,
-        "spikes": verdict.spikes,
-        "flow_feasible": verdict.flow_feasible,
-        "witness_valid": verdict.witness_valid,
-        "witness_value": verdict.witness_value,
-        "details": verdict.details,
-    }
-    _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+    verdict = verify_reduction(_reduction_config_from_args(args))
+    _write_out(json.dumps({"passed": verdict.passed, **asdict(verdict)}, indent=2) + "\n", args.out)
     return EXIT_OK if verdict.passed else EXIT_INVARIANT
 
 
@@ -238,14 +223,18 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_decide_naive)
 
-    p = sub.add_parser("reduce", help="unroll a constrained netlist into a TNFR instance")
-    p.add_argument("netlist")
-    p.add_argument("--constant", type=int, required=True, help="always-firing input neuron id")
-    p.add_argument("--accept", type=int, required=True, help="acceptance neuron id")
-    p.add_argument("-t", "--time-bound", type=int, required=True)
-    p.add_argument("-e", "--energy-bound", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_reduce)
+    for name, fn, summary in (
+        ("reduce", cmd_reduce, "unroll a constrained netlist into a TNFR instance"),
+        ("verify-reduction", cmd_verify_reduction, "check the reduction biconditional"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("netlist")
+        p.add_argument("--constant", type=int, required=True, help="always-firing input neuron id")
+        p.add_argument("--accept", type=int, required=True, help="acceptance neuron id")
+        p.add_argument("-t", "--time-bound", type=int, required=True)
+        p.add_argument("-e", "--energy-bound", type=int, required=True)
+        p.add_argument("--out")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("tnfr-check", help="decide a TNFR instance exactly")
     p.add_argument("input")
@@ -254,15 +243,6 @@ def build_parser() -> _Parser:
     p.add_argument("--witness", help="write the feasible flow as CSV here")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_tnfr_check)
-
-    p = sub.add_parser("verify-reduction", help="check the reduction biconditional")
-    p.add_argument("netlist")
-    p.add_argument("--constant", type=int, required=True)
-    p.add_argument("--accept", type=int, required=True)
-    p.add_argument("-t", "--time-bound", type=int, required=True)
-    p.add_argument("-e", "--energy-bound", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_verify_reduction)
 
     p = sub.add_parser("bench", help="run a benchmark sweep")
     p.add_argument("--suite", choices=["sparse", "dense"], default="sparse")

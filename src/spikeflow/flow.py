@@ -59,10 +59,6 @@ class FlowAssignment:
     value: int
     search_steps: int = 0  # operations spent by edmonds_karp's searches
 
-    @classmethod
-    def zero(cls, net: FlowNetwork) -> "FlowAssignment":
-        return cls({e.id: 0 for e in net.edges}, 0)
-
 
 def validate_flow(net: FlowNetwork, assignment: FlowAssignment) -> list[str]:
     """Return all capacity/conservation/value violations (empty means valid)."""
@@ -213,6 +209,7 @@ def parse_dimacs(text: str) -> FlowNetwork:
     source = None
     sink = None
     arcs: list[tuple[int, int, int]] = []
+    ids: list[tuple[int, int]] = []  # every node id the file names, 1-based, with its line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -230,6 +227,7 @@ def parse_dimacs(text: str) -> FlowNetwork:
                 if len(fields) != 3 or fields[2] not in ("s", "t"):
                     raise ValueError("expected: n <id> s|t")
                 node = int(fields[1]) - 1
+                ids.append((int(fields[1]), line_no))
                 if fields[2] == "s":
                     if source is not None:
                         raise ValueError("multiple sources are not supported")
@@ -242,6 +240,7 @@ def parse_dimacs(text: str) -> FlowNetwork:
                 if len(fields) != 4:
                     raise ValueError("expected: a <tail> <head> <capacity>")
                 arcs.append((int(fields[1]) - 1, int(fields[2]) - 1, int(fields[3])))
+                ids += ((int(node), line_no) for node in fields[1:3])
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
         except ValueError as exc:
@@ -252,6 +251,9 @@ def parse_dimacs(text: str) -> FlowNetwork:
         raise ParseError("missing source or sink designation")
     if n_arcs is not None and n_arcs != len(arcs):
         raise ParseError(f"problem line promises {n_arcs} arcs, file has {len(arcs)}")
+    for node, line_no in ids:  # checked here, where the node count is known
+        if not 1 <= node <= n_nodes:
+            raise ParseError(f"node id {node} outside 1..{n_nodes}", line_no)
     try:
         return FlowNetwork(n_nodes, arcs, source, sink)
     except ValueError as exc:

@@ -156,9 +156,6 @@ class PathRecord:
             if prev.head != nxt.tail:
                 raise ConstructionBugError("path edges do not chain")
 
-    def edge_ids(self) -> list[int]:
-        return [a.edge_id for a in self.arcs]
-
 
 def build_capacity_neurons(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> None:
     """One accumulator neuron per arc; its potential above K is the arc's flow."""
@@ -311,10 +308,9 @@ def recover_path_backward(
         raise ConstructionBugError("jammed tape holds no sink-edge readout")
     while wm.read("head") != source:
         tape, _ = run_search_query(oracle, emap)
-        found = False
         for t, nid in tape:
             if t >= wm.read("tmp"):
-                break
+                raise ConstructionBugError("backward chain lost its exciter")
             arc = emap.arc_of_readout(nid)
             if t == wm.read("tmp") - 1 and arc.head == wm.read("head"):
                 if _remaining_capacity(oracle, emap, arc) < wm.read("min_cap"):
@@ -322,9 +318,8 @@ def recover_path_backward(
                 oracle.write_path(arc.idx)
                 wm.write("head", arc.tail)
                 wm.write("tmp", wm.read("tmp") - 1)
-                found = True
                 break
-        if not found:
+        else:
             raise ConstructionBugError("backward chain lost its exciter")
     return _path_from_store(oracle, emap, wm.read("min_cap"), reverse=True)
 
@@ -357,13 +352,11 @@ def descend_path(
         tape, _ = oracle.consult(
             ConsultMode.TRANSDUCER, time_limit=emap.query_time_limit(), stop_on_fire=stop
         )
-        accepted = None
         for _, nid in tape:
-            arc = emap.arc_of_search(nid)
-            if arc.tail == wm.read("head"):
-                accepted = arc
+            accepted = emap.arc_of_search(nid)
+            if accepted.tail == wm.read("head"):
                 break
-        if accepted is None:
+        else:
             if not wm.read("started"):
                 return None  # no augmenting path at all
             raise ConstructionBugError("descent wave died before the sink")

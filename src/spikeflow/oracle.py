@@ -88,12 +88,6 @@ class ResourceReport:
     controller_wm_peak: int = 0
     consultations: list[ConsultRecord] = field(default_factory=list)
 
-    def charge(self, n: int = 1) -> None:
-        self.controller_time += n
-
-    def add_consultation(self, record: ConsultRecord) -> None:
-        self.consultations.append(record)
-
     @property
     def oracle_time(self) -> int:
         return max((c.timesteps for c in self.consultations), default=0)
@@ -186,30 +180,29 @@ class NeuromorphicOracle:
         self._written: dict[int, int] = {}  # resting potentials write_voltage changed
         self._path: list[int] = []
         self._saved: _IndexedRun | None = None  # run of the current version
-        self._charge = self.report.charge
 
     # --- construction (communication counts toward controller time) ---
 
     def write_neurons(self, rows: Sequence[tuple]) -> None:
         """Write neuron rows ``(id, threshold, reset, leak, v0, role)``, one op each."""
-        self._charge(len(rows))
+        self.report.controller_time += len(rows)
         self._saved = None
         self.net.add_neurons(rows)
 
     def write_synapses(self, rows: Sequence[tuple]) -> None:
         """Write synapse rows ``(pre, post, delay, weight)``, one op each."""
-        self._charge(len(rows))
+        self.report.controller_time += len(rows)
         self._saved = None
         self.net.add_synapses(rows)
 
     def write_schedule(self, neuron_id: int, time: int) -> None:
-        self._charge()
+        self.report.controller_time += 1
         self._saved = None
         self.net.add_schedule(neuron_id, time)
 
     def write_voltage(self, neuron_id: int, delta: int) -> None:
         """Additively adjust a neuron's resting potential (Write_Voltage)."""
-        self._charge()
+        self.report.controller_time += 1
         self._saved = None
         value = self._resting(neuron_id) + delta
         if value < 0:
@@ -217,7 +210,7 @@ class NeuromorphicOracle:
         self._written[neuron_id] = value
 
     def read_voltage(self, neuron_id: int) -> int:
-        self._charge()
+        self.report.controller_time += 1
         return self._resting(neuron_id)
 
     def _resting(self, neuron_id: int) -> int:
@@ -230,7 +223,7 @@ class NeuromorphicOracle:
             raise UnknownNeuronError(f"no neuron {neuron_id}") from None
 
     def threshold_of(self, neuron_id: int) -> int:
-        self._charge()
+        self.report.controller_time += 1
         try:
             return self.net.threshold(neuron_id)
         except KeyError:
@@ -240,16 +233,16 @@ class NeuromorphicOracle:
 
     def write_path(self, marker: int) -> None:
         """Append one marker to the oracle-held path (Write_Path)."""
-        self._charge()
+        self.report.controller_time += 1
         self._path.append(marker)
 
     def read_path(self) -> list[int]:
         """Read the stored path back in write order (Read_Path), metered per item."""
-        self._charge(max(1, len(self._path)))
+        self.report.controller_time += max(1, len(self._path))
         return list(self._path)
 
     def clear_path(self) -> None:
-        self._charge()
+        self.report.controller_time += 1
         self._path = []
 
     # --- consultation ---
@@ -295,12 +288,12 @@ class NeuromorphicOracle:
         if mode is ConsultMode.DECIDER:
             read = {bits[nid] for _, nid in tape.events if nid in bits}
             if not read:
-                self.report.add_consultation(record)
+                self.report.consultations.append(record)
                 raise UndecidedError(
                     f"decider ran {record.timesteps} steps with neither accept nor reject"
                 )
             record.bit = max(read)  # an accept outweighs a reject
-        self.report.add_consultation(record)
+        self.report.consultations.append(record)
         return tape, record
 
 

@@ -143,7 +143,7 @@ class SpikingNetwork:
         self._at_threshold: set[int] = set()  # v0 >= threshold: fires at t=0
         self._leak0: set[int] = set()
         self._leaky: dict[int, Fraction] = {}  # fractional leaks only
-        self._tape: set[int] = set()
+        self.tape_ids: set[int] = set()  # neurons whose spikes an oracle's output tape shows
         self.decider_bits: dict[int, int] = {}  # accept id -> 1, reject id -> 0
         self._n_synapses = 0
 
@@ -157,7 +157,7 @@ class SpikingNetwork:
 
     def add_neurons(self, rows: Iterable[tuple]) -> None:
         known, out = self._rows, self._syn
-        threshold, reset, v0, leaky, tape = self._threshold, self._reset, self._v0, self._leaky, self._tape
+        threshold, reset, v0, leaky, tape = self._threshold, self._reset, self._v0, self._leaky, self.tape_ids
         at_threshold, leak0, decider = self._at_threshold, self._leak0, self.decider_bits
         for row in rows:
             nid, th, r, leak, v, role = row
@@ -197,13 +197,11 @@ class SpikingNetwork:
             out[pre].append(row)
             self._n_synapses += 1
 
-    def add_neuron(self, neuron: Neuron) -> Neuron:
+    def add_neuron(self, neuron: Neuron) -> None:
         self.add_neurons((neuron,))
-        return neuron
 
-    def add_synapse(self, synapse: Synapse) -> Synapse:
+    def add_synapse(self, synapse: Synapse) -> None:
         self.add_synapses((synapse,))
-        return synapse
 
     def add_schedule(self, neuron_id: int, time: int) -> None:
         if neuron_id not in self._rows:
@@ -233,11 +231,6 @@ class SpikingNetwork:
     def size(self) -> int:
         """Neuron count plus synapse count (the oracle's space measure)."""
         return len(self._rows) + self._n_synapses
-
-    @property
-    def tape_ids(self) -> set[int]:
-        """Ids of the neurons whose spikes appear on an oracle's output tape."""
-        return self._tape
 
 
 @dataclass
@@ -449,11 +442,6 @@ def run(
             state.halted = True
             break
     return state
-
-
-def energy(state: SimulationState) -> int:
-    """Total spike count of the run (one unit of energy per spike)."""
-    return len(state.trace)
 
 
 # --- netlist and trace I/O -------------------------------------------------

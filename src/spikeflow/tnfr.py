@@ -138,11 +138,10 @@ def _topological_arc_order(inst: TNFRInstance) -> list[TnfrArc]:
 
 def check_feasible(
     inst: TNFRInstance,
-    d: int | None = None,
     max_arcs: int = 64,
     budget: int = 10**8,
 ) -> tuple[bool, dict[int, int] | None]:
-    """Exact backtracking search for a feasible flow with source outflow > d.
+    """Exact backtracking search for a feasible flow with source outflow > ``inst.d``.
 
     Arcs are assigned one at a time (in topological order on an acyclic
     instance) from the domains {0} u [c_min, c_max], largest flow first.
@@ -154,8 +153,6 @@ def check_feasible(
     when a conserving endpoint's in- and outflow intervals no longer meet.
     Raises on oversized instances or when the expansion budget runs out.
     """
-    if d is None:
-        d = inst.d
     if inst.source is None or inst.sink is None:
         raise ValueError("instance needs a master source and sink")
     if len(inst.arcs) > max_arcs:
@@ -180,7 +177,7 @@ def check_feasible(
         )
         for arc in order
     ]
-    source = index[inst.source]
+    source, d = index[inst.source], inst.d
     flows: dict[int, int] = {}  # filled as a successful search unwinds
     expansions = 0
 
@@ -217,10 +214,8 @@ def check_feasible(
     return False, None
 
 
-def enumerate_feasible_naive(inst: TNFRInstance, d: int | None = None) -> bool:
+def enumerate_feasible_naive(inst: TNFRInstance) -> bool:
     """Unpruned full enumeration; the independent oracle for the checker itself."""
-    if d is None:
-        d = inst.d
     domains = []
     for arc in inst.arcs:
         dom = sorted({0, *range(arc.c_min, arc.c_max + 1)})
@@ -229,7 +224,7 @@ def enumerate_feasible_naive(inst: TNFRInstance, d: int | None = None) -> bool:
         flows = dict(enumerate(combo))
         if validate_witness(inst, flows):
             continue
-        if witness_value(inst, flows) > d:
+        if witness_value(inst, flows) > inst.d:
             return True
     return False
 
@@ -290,9 +285,6 @@ class ReductionConfig:
             raise ValueError("assumption 2 violated: the constant input must have unit threshold")
         if not (0 <= self.energy_bound <= len(n.neurons) * self.time_bound):
             raise ValueError("energy bound must satisfy 0 <= e <= n*t")
-
-    def unrolled_ids(self) -> list[int]:
-        return sorted(self.net.neurons)
 
 
 @dataclass
@@ -431,7 +423,7 @@ def reduce_network(cfg: ReductionConfig, *, _run: SimulationOutcome | None = Non
     unrolled: dict[tuple[int, int], str] = {}
     for k, col in enumerate(con_cols, start=1):
         unrolled[(cfg.constant_id, k)] = col
-    plain_ids = [nid for nid in cfg.unrolled_ids() if nid != cfg.constant_id]
+    plain_ids = [nid for nid in sorted(cfg.net.neurons) if nid != cfg.constant_id]
     for nid in plain_ids:
         T_i = cfg.net.neurons[nid].threshold
         cap = max(T_i - 1, 0)
@@ -468,7 +460,7 @@ def reduce_network(cfg: ReductionConfig, *, _run: SimulationOutcome | None = Non
     # and fabricate deliveries or silence units without the neuron firing.
     # Every gadget arc is all-or-nothing: it carries its capacity exactly when
     # the neuron fires in that column.
-    for nid in cfg.unrolled_ids():
+    for nid in sorted(cfg.net.neurons):
         is_accept = nid == cfg.accept_id
         T_i = 1 if nid == cfg.constant_id else cfg.net.neurons[nid].threshold
         fires = run.fires[nid]

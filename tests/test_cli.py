@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import spikeflow
 import spikeflow.bench as bench
 from spikeflow.cli import EXIT_GUARD, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from spikeflow.flow import FlowAssignment, format_dimacs, generate_random
@@ -12,6 +13,34 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ACCEPTING_VERDICT = """{
+  "passed": true,
+  "snn_accepts": true,
+  "accept_step": 1,
+  "spikes": 5,
+  "flow_feasible": true,
+  "witness_valid": true,
+  "witness_value": 3,
+  "details": []
+}
+"""
+REJECTING_VERDICT = """{
+  "passed": true,
+  "snn_accepts": false,
+  "accept_step": null,
+  "spikes": 3,
+  "flow_feasible": false,
+  "witness_valid": null,
+  "witness_value": null,
+  "details": []
+}
+"""
+
+
+def test_package_exports_resolve():
+    assert [name for name in spikeflow.__all__ if not hasattr(spikeflow, name)] == []
 
 
 def test_generate_is_deterministic(tmp_path, capsys):
@@ -93,6 +122,7 @@ def test_reduce_and_tnfr_check_and_verify(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["passed"] is True
+    assert out == ACCEPTING_VERDICT
 
 
 def test_bench_command_writes_artifacts(tmp_path, capsys):
@@ -146,6 +176,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert code == EXIT_USAGE, argv
         assert err.startswith("usage error: ") and err.count("\n") == 1, argv
 
+    # usage: a repeated bench size would solve the same seeded instances twice
+    code, _, err = run_cli(capsys, "bench", "--sizes", "5,5", "--samples", "1", "--out-dir", str(tmp_path / "r"))
+    assert (code, err) == (EXIT_USAGE, "usage error: sizes must not repeat\n")
+    assert not (tmp_path / "r").exists()
+
     # guard: naive decider on an oversized instance
     big = tmp_path / "big.max"
     lines = ["p max 7 10", "n 1 s", "n 7 t"]
@@ -185,6 +220,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # a rejecting network still verifies (both directions agree): exit 0
     assert code == EXIT_OK
     assert json.loads(out)["passed"] is True
+    assert out == REJECTING_VERDICT
 
     # input error: a netlist that breaks a reduction assumption (delay 0)
     delay0 = tmp_path / "delay0.snn"

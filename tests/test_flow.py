@@ -96,7 +96,7 @@ def test_bfs_uses_reverse_arc_in_trap_graph():
 
 def test_validate_flow_reports_violations():
     net = diamond_graph()
-    ok = FlowAssignment.zero(net)
+    ok = FlowAssignment({e.id: 0 for e in net.edges}, 0)
     assert validate_flow(net, ok) == []
 
     over = FlowAssignment({0: 2, 1: 0, 2: 0, 3: 0}, 2)
@@ -199,6 +199,21 @@ def test_dimacs_errors_carry_line_numbers():
         parse_dimacs("n 1 s\nn 2 t\n")  # missing problem line
     with pytest.raises(ParseError):
         parse_dimacs("p max 2 2\nn 1 s\nn 2 t\na 1 2 1\n")  # arc count mismatch
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p max 3 1\nn 1 s\nn 3 t\na 1 5 2\n", "line 4: node id 5 outside 1..3"),
+        ("p max 3 1\nn 1 s\nn 4 t\na 1 3 2\n", "line 3: node id 4 outside 1..3"),
+        ("n 0 s\nn 3 t\np max 3 1\na 1 3 2\n", "line 1: node id 0 outside 1..3"),
+    ],
+    ids=["arc-head", "sink-record", "record-before-problem-line"],
+)
+def test_dimacs_unknown_node_names_its_line_and_file_id(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_dimacs(text)
+    assert str(exc.value) == message
 
 
 @st.composite

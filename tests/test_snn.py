@@ -16,7 +16,6 @@ from spikeflow.snn import (
     SimulationState,
     SpikingNetwork,
     Synapse,
-    energy,
     format_netlist,
     parse_netlist,
     run,
@@ -179,7 +178,7 @@ def test_chain_wave_stops_at_sink_readout():
 def test_chain_episode_energy_is_five_spikes():
     net, (_, _, _, _, R2, _, _) = chain_search_net()
     state = run(net, 5, stop_on_fire=[R2])
-    assert energy(state) == 5
+    assert len(state.trace) == 5
 
 
 def test_saturated_capacity_inhibits_same_step():
@@ -199,11 +198,11 @@ def test_saturated_capacity_inhibits_same_step():
 
 
 def test_energy_counts_trace_events():
-    assert energy(SimulationState.initial(make_net())) == 0
+    assert len(SimulationState.initial(make_net()).trace) == 0
     net = make_net()
     net.add_neuron(Neuron(0, 1, 0, ONE, v0=1, role=Role.TRANSMITTER))
     state = run(net, 3)
-    assert energy(state) == 1
+    assert len(state.trace) == 1
 
 
 def test_overflow_reset_subtracts_threshold():

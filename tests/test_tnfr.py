@@ -69,7 +69,7 @@ def test_single_arc_threshold_semantics():
     assert not no
 
     # the gap below c_min is unusable
-    no, _ = check_feasible(single_arc(5, 5, 2), d=4)
+    no, _ = check_feasible(single_arc(5, 5, 4))
     assert no  # 5 > 4 still
     no, _ = check_feasible(single_arc(4, 4, 4))
     assert not no
