@@ -41,6 +41,7 @@ from .tnfr import (
     format_witness_csv,
     parse_tnfr,
     reduce_network,
+    simulate_constrained,
     verify_reduction,
 )
 
@@ -121,27 +122,31 @@ def cmd_decide_naive(args) -> int:
 
 
 def _reduction_config_from_args(args) -> ReductionConfig:
-    """The validated configuration; a broken assumption raises ParseError."""
+    """The configuration as given, not yet validated."""
     # the netlist format carries structure only; the reduction's semantics
     # always use overflow resets, a flag read only when a neuron fires
     net = parse_netlist(_read_in(args.netlist))
     net.overflow_reset = True
-    cfg = ReductionConfig(
+    return ReductionConfig(
         net=net,
         constant_id=args.constant,
         accept_id=args.accept,
         time_bound=args.time_bound,
         energy_bound=args.energy_bound,
     )
+
+
+def _validated(fn, cfg: ReductionConfig):
+    """``fn(cfg)``, where ``fn`` validates first; a broken assumption raises ParseError."""
     try:
-        cfg.validate()
+        return fn(cfg)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return cfg
 
 
 def cmd_reduce(args) -> int:
-    _write_out(format_tnfr(reduce_network(_reduction_config_from_args(args))), args.out)
+    cfg = _reduction_config_from_args(args)
+    _write_out(format_tnfr(reduce_network(cfg, _validated(simulate_constrained, cfg))), args.out)
     return EXIT_OK
 
 
@@ -157,7 +162,9 @@ def cmd_tnfr_check(args) -> int:
 
 
 def cmd_verify_reduction(args) -> int:
-    verdict = verify_reduction(_reduction_config_from_args(args))
+    cfg = _reduction_config_from_args(args)
+    _validated(ReductionConfig.validate, cfg)
+    verdict = verify_reduction(cfg)
     _write_out(json.dumps({"passed": verdict.passed, **asdict(verdict)}, indent=2) + "\n", args.out)
     return EXIT_OK if verdict.passed else EXIT_INVARIANT
 

@@ -33,20 +33,25 @@ class FlowNetwork:
         self.out_edges: dict[int, list[Edge]] = {v: [] for v in range(n_nodes)}
         self.in_edges: dict[int, list[Edge]] = {v: [] for v in range(n_nodes)}
         for tail, head, cap in edges:
-            if not (0 <= tail < n_nodes and 0 <= head < n_nodes):
-                raise ValueError(f"edge ({tail},{head}) references unknown node")
-            if tail == head:
-                raise ValueError("self-loops are not allowed")
-            if cap < 0:
-                raise ValueError("capacities must be >= 0")
-            if head == source:
-                raise ValueError("source must have no incoming edges")
-            if tail == sink:
-                raise ValueError("sink must have no outgoing edges")
-            edge = Edge(len(self.edges), tail, head, cap)
-            self.edges.append(edge)
-            self.out_edges[tail].append(edge)
-            self.in_edges[head].append(edge)
+            self.add_edge(tail, head, cap)
+
+    def add_edge(self, tail: int, head: int, cap: int) -> Edge:
+        """Append one edge; ``ValueError`` names the edge rule it breaks."""
+        if not (0 <= tail < self.n_nodes and 0 <= head < self.n_nodes):
+            raise ValueError(f"edge ({tail},{head}) references unknown node")
+        if tail == head:
+            raise ValueError("self-loops are not allowed")
+        if cap < 0:
+            raise ValueError("capacities must be >= 0")
+        if head == self.source:
+            raise ValueError("source must have no incoming edges")
+        if tail == self.sink:
+            raise ValueError("sink must have no outgoing edges")
+        edge = Edge(len(self.edges), tail, head, cap)
+        self.edges.append(edge)
+        self.out_edges[tail].append(edge)
+        self.in_edges[head].append(edge)
+        return edge
 
     @property
     def n_edges(self) -> int:
@@ -208,7 +213,7 @@ def parse_dimacs(text: str) -> FlowNetwork:
     n_arcs = None
     source = None
     sink = None
-    arcs: list[tuple[int, int, int]] = []
+    arcs: list[tuple[int, int, int, int]] = []  # (tail, head, capacity, line number)
     ids: list[tuple[int, int]] = []  # every node id the file names, 1-based, with its line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -239,7 +244,7 @@ def parse_dimacs(text: str) -> FlowNetwork:
             elif kind == "a":
                 if len(fields) != 4:
                     raise ValueError("expected: a <tail> <head> <capacity>")
-                arcs.append((int(fields[1]) - 1, int(fields[2]) - 1, int(fields[3])))
+                arcs.append((int(fields[1]) - 1, int(fields[2]) - 1, int(fields[3]), line_no))
                 ids += ((int(node), line_no) for node in fields[1:3])
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
@@ -255,9 +260,15 @@ def parse_dimacs(text: str) -> FlowNetwork:
         if not 1 <= node <= n_nodes:
             raise ParseError(f"node id {node} outside 1..{n_nodes}", line_no)
     try:
-        return FlowNetwork(n_nodes, arcs, source, sink)
+        net = FlowNetwork(n_nodes, [], source, sink)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    for tail, head, cap, line_no in arcs:
+        try:
+            net.add_edge(tail, head, cap)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from exc
+    return net
 
 
 def format_dimacs(net: FlowNetwork, comment: str | None = None) -> str:

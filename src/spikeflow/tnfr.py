@@ -8,6 +8,10 @@ its time bound into such an instance so that a flow of 3 can cross from
 master source to master sink exactly when the network accepts within its
 time and energy budgets; ``check_feasible`` decides instances exactly at
 desk scale; ``verify_reduction`` exercises both directions.
+
+Every path runs the network once: ``simulate_constrained`` validates and
+simulates the configuration, and ``reduce_network`` lays the instance out
+from that run, checks its dynamic range and keeps an accepting run's flow.
 """
 
 from __future__ import annotations
@@ -70,44 +74,36 @@ class TNFRInstance:
         return name
 
     def add_arc(self, tail: str, head: str, c_min: int, c_max: int, tag: str = "") -> TnfrArc:
-        if tail not in self.kinds or head not in self.kinds:
+        tail_arcs, head_arcs = self.out_arcs.get(tail), self.in_arcs.get(head)
+        if tail_arcs is None or head_arcs is None:
             raise ValueError(f"arc ({tail!r},{head!r}) references unknown node")
         if not (0 <= c_min <= c_max):
             raise ValueError(f"bad capacity interval [{c_min},{c_max}]")
         arc = TnfrArc(len(self.arcs), tail, head, c_min, c_max, tag)
         self.arcs.append(arc)
-        self.out_arcs[tail].append(arc)
-        self.in_arcs[head].append(arc)
+        tail_arcs.append(arc)
+        head_arcs.append(arc)
         return arc
 
     def conserving_nodes(self) -> list[str]:
         return [n for n in self.order if self.kinds[n] == PLAIN]
 
-    def without_arcs(self, tag_prefix: str) -> "TNFRInstance":
-        """A copy minus every arc whose tag starts with the prefix (mutation hook)."""
-        clone = TNFRInstance(self.d)
-        for name in self.order:
-            clone.add_node(name, self.kinds[name], self.node_tags.get(name, ""))
-        for arc in self.arcs:
-            if not arc.tag.startswith(tag_prefix):
-                clone.add_arc(arc.tail, arc.head, arc.c_min, arc.c_max, arc.tag)
-        return clone
-
 
 def validate_witness(inst: TNFRInstance, flows: dict[int, int]) -> list[str]:
     """All threshold/conservation violations of a flow assignment (empty = valid)."""
     problems = []
+    inflow, outflow = dict.fromkeys(inst.order, 0), dict.fromkeys(inst.order, 0)
     for arc in inst.arcs:
         f = flows.get(arc.idx, 0)
         if f != 0 and not (arc.c_min <= f <= arc.c_max):
             problems.append(f"arc {arc.idx} ({arc.tag}): flow {f} outside {{0}} u [{arc.c_min},{arc.c_max}]")
         if f < 0:
             problems.append(f"arc {arc.idx}: negative flow")
+        outflow[arc.tail] += f
+        inflow[arc.head] += f
     for node in inst.conserving_nodes():
-        inflow = sum(flows.get(a.idx, 0) for a in inst.in_arcs[node])
-        outflow = sum(flows.get(a.idx, 0) for a in inst.out_arcs[node])
-        if inflow != outflow:
-            problems.append(f"node {node} ({inst.node_tags.get(node, '')}): {inflow} in != {outflow} out")
+        if inflow[node] != outflow[node]:
+            problems.append(f"node {node} ({inst.node_tags.get(node, '')}): {inflow[node]} in != {outflow[node]} out")
     return problems
 
 
@@ -209,24 +205,12 @@ def check_feasible(
             in_hi[head] -= gap
         return False
 
-    if rec(0):
-        return True, {arc.idx: flows[arc.idx] for arc in inst.arcs}
-    return False, None
-
-
-def enumerate_feasible_naive(inst: TNFRInstance) -> bool:
-    """Unpruned full enumeration; the independent oracle for the checker itself."""
-    domains = []
-    for arc in inst.arcs:
-        dom = sorted({0, *range(arc.c_min, arc.c_max + 1)})
-        domains.append(dom)
-    for combo in itertools.product(*domains):
-        flows = dict(enumerate(combo))
-        if validate_witness(inst, flows):
-            continue
-        if witness_value(inst, flows) > inst.d:
-            return True
-    return False
+    try:
+        if rec(0):
+            return True, {arc.idx: flows[arc.idx] for arc in inst.arcs}
+        return False, None
+    finally:
+        del rec  # rec refers to itself: free its tables now, not at the next gc pass
 
 
 # --- the reduction -----------------------------------------------------------
@@ -321,7 +305,7 @@ def simulate_constrained(cfg: ReductionConfig) -> SimulationOutcome:
     return SimulationOutcome(accepted, accept_step, spikes, fires, potential_after)
 
 
-def reduce_network(cfg: ReductionConfig, *, _run: SimulationOutcome | None = None) -> TNFRInstance:
+def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance:
     """Unroll the constrained network into a TNFR instance with d = 2.
 
     Flow semantics: a neuron's carried potential rides its chain arcs, a
@@ -331,21 +315,16 @@ def reduce_network(cfg: ReductionConfig, *, _run: SimulationOutcome | None = Non
     when the corresponding global constraint holds, so value 3 is attainable
     iff the network accepts within its bounds.
 
-    Given an accepting run of the network (as ``simulate_to_witness`` and
-    ``verify_reduction`` do), each arc also gets that run's flow as it is
-    laid out, and ``inst.witness`` holds the resulting value-3 flow.  Raises
-    ``GuardExceeded`` when the run carries a potential its chain arcs cannot.
+    ``run`` is ``simulate_constrained(cfg)``, which has validated ``cfg``.
+    The arcs do not depend on the run; each gets the run's flow as it is laid
+    out, and ``inst.witness`` keeps that value-3 flow when the run accepts
+    (None otherwise).  Raises ``GuardExceeded`` when the run, accepting or
+    not, carries a potential its chain arcs cannot.
     """
-    cfg.validate()
     t_bound, e_bound = cfg.time_bound, cfg.energy_bound
     inst = TNFRInstance(d=2)
     witness: dict[int, int] = {}
-    if _run is None:
-        # an idle run: every flow below is 0 or a constant, and none is kept
-        ids = cfg.net.neurons
-        run = SimulationOutcome(False, None, 0, dict.fromkeys(ids, ()), dict.fromkeys(ids, [0] * t_bound))
-    else:
-        run = _run
+    if run.accepted:
         inst.witness = witness
 
     def arc(tail: str, head: str, c_min: int, c_max: int, tag: str, flow: int = 0) -> None:
@@ -425,7 +404,7 @@ def reduce_network(cfg: ReductionConfig, *, _run: SimulationOutcome | None = Non
         unrolled[(cfg.constant_id, k)] = col
     plain_ids = [nid for nid in sorted(cfg.net.neurons) if nid != cfg.constant_id]
     for nid in plain_ids:
-        T_i = cfg.net.neurons[nid].threshold
+        T_i = cfg.net.threshold(nid)
         cap = max(T_i - 1, 0)
         carried = run.potential_after[nid]
         if max(carried) > cap:
@@ -462,7 +441,7 @@ def reduce_network(cfg: ReductionConfig, *, _run: SimulationOutcome | None = Non
     # the neuron fires in that column.
     for nid in sorted(cfg.net.neurons):
         is_accept = nid == cfg.accept_id
-        T_i = 1 if nid == cfg.constant_id else cfg.net.neurons[nid].threshold
+        T_i = cfg.net.threshold(nid)  # 1 for the constant, as validate checks
         fires = run.fires[nid]
         synapses = cfg.net.out_synapses[nid]
         for k in range(1, t_bound + 1):
@@ -505,7 +484,7 @@ def simulate_to_witness(cfg: ReductionConfig) -> dict[int, int] | None:
     outcome = simulate_constrained(cfg)
     if not outcome.accepted:
         return None
-    return reduce_network(cfg, _run=outcome).witness
+    return reduce_network(cfg, outcome).witness
 
 
 @dataclass
@@ -521,9 +500,11 @@ class ReductionVerdict:
 
 
 def verify_reduction(cfg: ReductionConfig) -> ReductionVerdict:
-    """Check the biconditional on one configuration, both directions."""
+    """Check the biconditional on one configuration, both directions, from
+    one run: an accepting run's valid witness is its own certificate, and
+    ``check_feasible`` searches every other instance."""
     outcome = simulate_constrained(cfg)
-    inst = reduce_network(cfg, _run=outcome if outcome.accepted else None)
+    inst = reduce_network(cfg, outcome)
     details: list[str] = []
     witness_ok: bool | None = None
     value: int | None = None

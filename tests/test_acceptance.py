@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from flow_oracles import brute_force_max_flow, exhaustive_min_cut
+from tnfr_oracles import without_arcs
 from spikeflow.bench import DENSE, SPARSE, BenchConfig, least_squares, run_bench, write_divergence_counterexamples
 from spikeflow.flow import FlowNetwork, edmonds_karp, generate_random, max_feasible_edges, validate_flow
 from spikeflow.maxflow import (
@@ -26,7 +27,7 @@ from spikeflow.maxflow import (
 from spikeflow.naive import decide_naive
 from spikeflow.oracle import NeuromorphicOracle
 from spikeflow.snn import Neuron, SpikingNetwork, Synapse
-from spikeflow.tnfr import ReductionConfig, check_feasible, reduce_network, verify_reduction
+from spikeflow.tnfr import ReductionConfig, check_feasible, reduce_network, simulate_constrained, verify_reduction
 
 MASTER_SEED = 20260810
 ONE = Fraction(1)
@@ -279,9 +280,9 @@ def test_criterion_8_reduction_biconditional():
             rejects += 1
     # mutation: deleting the failure gadget flips an accepting verdict
     cfg = _reduction_suite()[0][1]
-    inst = reduce_network(cfg)
+    inst = reduce_network(cfg, simulate_constrained(cfg))
     healthy, _ = check_feasible(inst, max_arcs=len(inst.arcs))
-    mutated = inst.without_arcs("failure")
+    mutated = without_arcs(inst, "failure")
     broken, _ = check_feasible(mutated, max_arcs=len(mutated.arcs))
     flipped = healthy and not broken
     report(

@@ -232,15 +232,20 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert code == EXIT_INPUT, command
         assert "assumption 3" in err
 
-    # guard: an accepting run ends its horizon with more potential than the
-    # accept neuron's chain can carry
+    # guard: a run carries more potential than a chain can hold.  The
+    # accepting run ends its horizon with the accept neuron holding 1; the
+    # rejecting one leaves neuron 1 holding 2 after its second firing.
     fin = tmp_path / "fin.snn"
     fin.write_text("N 0 1 0 1 1 input\nN 1 1 0 1 0 accept\nS 0 1 2 2\nS 1 1 1 1\n")
-    code, _, err = run_cli(
-        capsys, "verify-reduction", str(fin), "--constant", "0", "--accept", "1", "-t", "3", "-e", "4",
-    )
-    assert code == EXIT_GUARD
-    assert "guard/budget" in err
+    held = tmp_path / "held.snn"
+    held.write_text("N 0 1 0 1 1 input\nN 1 2 0 1 0 standard\nN 2 3 0 1 0 accept\nS 0 1 1 3\nS 1 2 1 1\n")
+    for netlist, accept, energy in ((fin, "1", "4"), (held, "2", "8")):
+        for command in ("reduce", "verify-reduction"):
+            code, out, err = run_cli(
+                capsys, command, str(netlist), "--constant", "0", "--accept", accept, "-t", "3", "-e", energy,
+            )
+            assert (code, out) == (EXIT_GUARD, ""), (netlist.name, command)
+            assert err.startswith("guard/budget: ") and "carries potential" in err, (netlist.name, command)
 
 
 def test_usage_error_for_missing_subcommand(capsys):

@@ -216,6 +216,22 @@ def test_dimacs_unknown_node_names_its_line_and_file_id(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "arc, message",
+    [
+        ("a 2 2 2", "line 5: self-loops are not allowed"),
+        ("a 1 2 -1", "line 5: capacities must be >= 0"),
+        ("a 2 1 2", "line 5: source must have no incoming edges"),
+        ("a 3 2 2", "line 5: sink must have no outgoing edges"),
+    ],
+    ids=["self-loop", "negative-capacity", "into-source", "out-of-sink"],
+)
+def test_dimacs_edge_rule_names_its_line(arc, message):
+    with pytest.raises(ParseError) as exc:
+        parse_dimacs(f"p max 3 2\nn 1 s\nn 3 t\na 1 2 1\n{arc}\n")
+    assert str(exc.value) == message
+
+
 @st.composite
 def flow_graphs(draw):
     """Small networks with arbitrary interior wiring: cycles, anti-parallel

@@ -32,6 +32,7 @@ from spikeflow.tnfr import (
     check_feasible,
     format_tnfr,
     reduce_network,
+    simulate_constrained,
     simulate_to_witness,
     verify_reduction,
 )
@@ -174,7 +175,8 @@ def chain_config(middle, accept_threshold, t, e) -> ReductionConfig:
 def reduction_hashes(group: str) -> tuple[str, str, str]:
     layouts, witnesses, verdicts = [], [], []
     for spec in REDUCTION_GROUPS[group]:
-        inst = reduce_network(chain_config(*spec))
+        cfg = chain_config(*spec)
+        inst = reduce_network(cfg, simulate_constrained(cfg))
         layouts.append([format_tnfr(inst), [(a.tag, a.c_min, a.c_max) for a in inst.arcs]])
         witness = simulate_to_witness(chain_config(*spec))
         witnesses.append(None if witness is None else list(witness.items()))
@@ -219,7 +221,8 @@ EXPANSIONS_PINNED = {
     "spec", list(EXPANSIONS_PINNED), ids=lambda s: f"m{'-'.join(map(str, s[0])) or 0}a{s[1]}t{s[2]}e{s[3]}"
 )
 def test_rejecting_search_expansions_are_pinned(spec):
-    inst = reduce_network(chain_config(*spec))
+    cfg = chain_config(*spec)
+    inst = reduce_network(cfg, simulate_constrained(cfg))
     expansions = EXPANSIONS_PINNED[spec]
     assert check_feasible(inst, max_arcs=len(inst.arcs), budget=expansions) == (False, None)
     with pytest.raises(SearchBudgetExceeded):

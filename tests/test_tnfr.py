@@ -1,9 +1,11 @@
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikeflow import tnfr
 from spikeflow.errors import GuardExceeded, ParseError, SearchBudgetExceeded
 from spikeflow.snn import Neuron, SpikingNetwork, Synapse
 from spikeflow.tnfr import (
@@ -11,7 +13,6 @@ from spikeflow.tnfr import (
     ReductionConfig,
     TNFRInstance,
     check_feasible,
-    enumerate_feasible_naive,
     format_tnfr,
     format_witness_csv,
     parse_tnfr,
@@ -22,6 +23,7 @@ from spikeflow.tnfr import (
     verify_reduction,
     witness_value,
 )
+from tnfr_oracles import enumerate_feasible_naive, without_arcs
 
 ONE = Fraction(1)
 
@@ -133,6 +135,19 @@ def test_checker_agrees_with_naive_enumeration():
             assert witness_value(inst, witness) > inst.d
 
 
+def test_rejecting_search_leaves_no_garbage_cycle():
+    # the criterion 8 configuration constant -> accept, t = 3, e = 4: five spikes reject
+    cfg = make_cfg(e=4)
+    inst = reduce_network(cfg, simulate_constrained(cfg))
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_feasible(inst, max_arcs=len(inst.arcs)) == (False, None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_checker_guards():
     inst = single_arc(0, 3, 0)
     with pytest.raises(GuardExceeded):
@@ -196,7 +211,7 @@ def test_assumption_validation():
 def test_structural_snapshot_one_neuron():
     # one accept neuron plus the constant, two steps
     cfg = make_cfg(t=2, e=4)
-    inst = reduce_network(cfg)
+    inst = reduce_network(cfg, simulate_constrained(cfg))
     tags = [arc.tag for arc in inst.arcs]
     assert tags.count("constant:drive") == 1
     drive = next(a for a in inst.arcs if a.tag == "constant:drive")
@@ -215,7 +230,7 @@ def test_structural_snapshot_one_neuron():
 
 def test_node_count_linear_in_neurons_times_steps():
     for cfg in (make_cfg(t=2, e=4), make_cfg(t=3, e=6), chain_cfg(t=4, e=8)):
-        inst = reduce_network(cfg)
+        inst = reduce_network(cfg, simulate_constrained(cfg))
         n, t = len(cfg.net.neurons), cfg.time_bound
         assert len(inst.order) <= 12 * n * t
 
@@ -229,7 +244,7 @@ def test_residue_cases():
     net.add_synapse(Synapse(0, 2, 1, 1))
     net.add_synapse(Synapse(2, 1, 1, 1))
     cfg = ReductionConfig(net, 0, 1, 4, 8)
-    inst = reduce_network(cfg)
+    inst = reduce_network(cfg, simulate_constrained(cfg))
     residue = next(a for a in inst.arcs if a.tag == "gadget:residue:2:1")
     assert (residue.c_min, residue.c_max) == (1, 1)
     assert inst.kinds[residue.head] == "r"  # positive residue: auxiliary sink
@@ -241,7 +256,8 @@ def test_residue_cases():
     net2.add_neuron(Neuron(2, 2, 0, ONE, v0=0))
     net2.add_synapse(Synapse(0, 2, 1, 1))
     net2.add_synapse(Synapse(2, 1, 1, 1))
-    inst2 = reduce_network(ReductionConfig(net2, 0, 1, 4, 8))
+    cfg2 = ReductionConfig(net2, 0, 1, 4, 8)
+    inst2 = reduce_network(cfg2, simulate_constrained(cfg2))
     assert not any(a.tag == "gadget:residue:2:1" for a in inst2.arcs)
 
     # the constant with an outgoing weight needs an auxiliary source
@@ -253,19 +269,20 @@ def test_witness_for_accepting_run():
     cfg = make_cfg()
     witness = simulate_to_witness(cfg)
     assert witness is not None
-    inst = reduce_network(cfg)
+    inst = reduce_network(cfg, simulate_constrained(cfg))
     assert validate_witness(inst, witness) == []
     assert witness_value(inst, witness) == 3
 
 
 def test_witness_none_when_bounds_violated():
-    assert simulate_to_witness(make_cfg(e=4)) is None       # five spikes > 4
-    assert simulate_to_witness(make_cfg(acc_threshold=5)) is None  # never fires
+    for cfg in (make_cfg(e=4), make_cfg(acc_threshold=5)):  # five spikes > 4; never fires
+        assert simulate_to_witness(cfg) is None
+        assert reduce_network(cfg, simulate_constrained(cfg)).witness is None
 
 
 def test_energy_violation_saturates_energy_channel():
     cfg = make_cfg(e=4)
-    inst = reduce_network(cfg)
+    inst = reduce_network(cfg, simulate_constrained(cfg))
     feasible, _ = check_feasible(inst, max_arcs=len(inst.arcs))
     assert not feasible
     # the channel admits no unit even in isolation: with five forced spikes
@@ -275,7 +292,7 @@ def test_energy_violation_saturates_energy_channel():
 
 def test_time_violation_starves_the_gate():
     cfg = make_cfg(acc_threshold=5)
-    inst = reduce_network(cfg)
+    inst = reduce_network(cfg, simulate_constrained(cfg))
     feasible, _ = check_feasible(inst, max_arcs=len(inst.arcs))
     assert not feasible
     # the silence injections exist structurally, but only an actual
@@ -331,6 +348,43 @@ def test_dynamic_range_guard_covers_the_horizon_column():
         simulate_to_witness(cfg)
 
 
+def test_dynamic_range_guard_covers_a_rejecting_run():
+    # constant -> neuron 2 (threshold 2, weight 3) -> accept (threshold 3):
+    # neuron 2 keeps 2 after its second firing, above its chain capacity of
+    # 1, and the accept neuron never fires
+    net = SpikingNetwork(overflow_reset=True)
+    net.add_neuron(Neuron(0, 1, 0, ONE, v0=1))
+    net.add_neuron(Neuron(2, 2, 0, ONE, v0=0))
+    net.add_neuron(Neuron(1, 3, 0, ONE, v0=0))
+    net.add_synapse(Synapse(0, 2, 1, 3))
+    net.add_synapse(Synapse(2, 1, 1, 1))
+    cfg = ReductionConfig(net, constant_id=0, accept_id=1, time_bound=3, energy_bound=8)
+    run = simulate_constrained(cfg)
+    assert not run.accepted and run.potential_after[2][-1] == 2
+    with pytest.raises(GuardExceeded, match="neuron 2 carries potential 2"):
+        verify_reduction(cfg)
+
+
+def test_verify_reduction_runs_and_validates_once(monkeypatch):
+    calls = {"simulate": 0, "validate": 0}
+    simulate, validate = tnfr.simulate_constrained, ReductionConfig.validate
+
+    def counted_simulate(cfg):
+        calls["simulate"] += 1
+        return simulate(cfg)
+
+    def counted_validate(cfg):
+        calls["validate"] += 1
+        validate(cfg)
+
+    monkeypatch.setattr(tnfr, "simulate_constrained", counted_simulate)
+    monkeypatch.setattr(ReductionConfig, "validate", counted_validate)
+    for factory in (make_cfg, lambda: make_cfg(e=4)):  # accepting, then rejecting
+        calls.update(simulate=0, validate=0)
+        verify_reduction(factory())
+        assert calls == {"simulate": 1, "validate": 1}
+
+
 @st.composite
 def small_constrained_configs(draw):
     """Constant 0 (unit threshold, always on), accept neuron 1 and maybe a
@@ -360,9 +414,9 @@ def test_reduction_verifies_or_guards_on_random_networks(cfg):
 
 def test_mutation_dropping_failure_gadget_flips_a_verdict():
     cfg = make_cfg()
-    inst = reduce_network(cfg)
+    inst = reduce_network(cfg, simulate_constrained(cfg))
     healthy, _ = check_feasible(inst, max_arcs=len(inst.arcs))
-    mutated = inst.without_arcs("failure")
+    mutated = without_arcs(inst, "failure")
     broken, _ = check_feasible(mutated, max_arcs=len(mutated.arcs))
     assert healthy and not broken  # the accepting instance loses its third unit
 
@@ -372,7 +426,7 @@ def test_serializer_blocks_fabricated_gadget_flow():
     # the all-or-nothing serializer arc, gadget residue sources could push
     # silence units and fake the acceptance evidence
     cfg = make_cfg(acc_threshold=5)  # accept never reachable
-    inst = reduce_network(cfg)
+    inst = reduce_network(cfg, simulate_constrained(cfg))
     feasible, witness = check_feasible(inst, max_arcs=len(inst.arcs))
     assert not feasible
 
@@ -381,7 +435,8 @@ def test_serializer_blocks_fabricated_gadget_flow():
 
 
 def test_tnfr_text_roundtrip():
-    inst = reduce_network(make_cfg(t=2, e=4))
+    cfg = make_cfg(t=2, e=4)
+    inst = reduce_network(cfg, simulate_constrained(cfg))
     text = format_tnfr(inst)
     parsed = parse_tnfr(text)
     assert len(parsed.order) == len(inst.order)
