@@ -46,6 +46,10 @@ class BenchConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.mode not in (PAPER_FAITHFUL, RESIDUAL, CLASSICAL):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for n in self.sizes:
+            # the edge range generate_random can build on n nodes
+            if not 1 <= n - 1 <= suite_edge_count(self.suite, n) <= max_feasible_edges(n):
+                raise ValueError(f"size {n} is too small for the {self.suite} suite")
 
 
 @dataclass

@@ -163,8 +163,7 @@ def cmd_tnfr_check(args) -> int:
 
 def cmd_verify_reduction(args) -> int:
     cfg = _reduction_config_from_args(args)
-    _validated(ReductionConfig.validate, cfg)
-    verdict = verify_reduction(cfg)
+    verdict = _validated(verify_reduction, cfg)
     _write_out(json.dumps({"passed": verdict.passed, **asdict(verdict)}, indent=2) + "\n", args.out)
     return EXIT_OK if verdict.passed else EXIT_INVARIANT
 

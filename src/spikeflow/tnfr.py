@@ -7,7 +7,8 @@ sources P).  ``reduce_network`` unrolls a constrained spiking network over
 its time bound into such an instance so that a flow of 3 can cross from
 master source to master sink exactly when the network accepts within its
 time and energy budgets; ``check_feasible`` decides instances exactly at
-desk scale; ``verify_reduction`` exercises both directions.
+desk scale; ``verify_reduction`` exercises both directions.  An instance
+is its node-kind table ``kinds`` and its arc list ``arcs``, nothing more.
 
 Every path runs the network once: ``simulate_constrained`` validates and
 simulates the configuration, and ``reduce_network`` lays the instance out
@@ -39,22 +40,22 @@ class TnfrArc:
 
 
 class TNFRInstance:
+    """A TNFR instance holds each fact once: ``kinds`` maps every node name to
+    its kind, in the order the nodes were added, and ``arcs`` lists the arcs
+    by index.  A node's name says which gadget it belongs to."""
+
     def __init__(self, d: int):
         if d < 0:
             raise ValueError("decision threshold must be >= 0")
         self.d = d
         self.kinds: dict[str, str] = {}
-        self.order: list[str] = []
         self.arcs: list[TnfrArc] = []
-        self.out_arcs: dict[str, list[TnfrArc]] = {}
-        self.in_arcs: dict[str, list[TnfrArc]] = {}
-        self.node_tags: dict[str, str] = {}
         self.source: str | None = None
         self.sink: str | None = None
         # a value-3 flow (arc index -> flow), set by reduce_network from an accepting run
         self.witness: dict[int, int] | None = None
 
-    def add_node(self, name: str, kind: str = PLAIN, tag: str = "") -> str:
+    def add_node(self, name: str, kind: str = PLAIN) -> str:
         if name in self.kinds:
             raise ValueError(f"duplicate node {name!r}")
         if kind == SOURCE:
@@ -66,33 +67,25 @@ class TNFRInstance:
                 raise ValueError("a second master sink")
             self.sink = name
         self.kinds[name] = kind
-        self.order.append(name)
-        self.out_arcs[name] = []
-        self.in_arcs[name] = []
-        if tag:
-            self.node_tags[name] = tag
         return name
 
     def add_arc(self, tail: str, head: str, c_min: int, c_max: int, tag: str = "") -> TnfrArc:
-        tail_arcs, head_arcs = self.out_arcs.get(tail), self.in_arcs.get(head)
-        if tail_arcs is None or head_arcs is None:
+        if tail not in self.kinds or head not in self.kinds:
             raise ValueError(f"arc ({tail!r},{head!r}) references unknown node")
         if not (0 <= c_min <= c_max):
             raise ValueError(f"bad capacity interval [{c_min},{c_max}]")
         arc = TnfrArc(len(self.arcs), tail, head, c_min, c_max, tag)
         self.arcs.append(arc)
-        tail_arcs.append(arc)
-        head_arcs.append(arc)
         return arc
 
     def conserving_nodes(self) -> list[str]:
-        return [n for n in self.order if self.kinds[n] == PLAIN]
+        return [n for n, kind in self.kinds.items() if kind == PLAIN]
 
 
 def validate_witness(inst: TNFRInstance, flows: dict[int, int]) -> list[str]:
     """All threshold/conservation violations of a flow assignment (empty = valid)."""
     problems = []
-    inflow, outflow = dict.fromkeys(inst.order, 0), dict.fromkeys(inst.order, 0)
+    inflow, outflow = dict.fromkeys(inst.kinds, 0), dict.fromkeys(inst.kinds, 0)
     for arc in inst.arcs:
         f = flows.get(arc.idx, 0)
         if f != 0 and not (arc.c_min <= f <= arc.c_max):
@@ -103,32 +96,34 @@ def validate_witness(inst: TNFRInstance, flows: dict[int, int]) -> list[str]:
         inflow[arc.head] += f
     for node in inst.conserving_nodes():
         if inflow[node] != outflow[node]:
-            problems.append(f"node {node} ({inst.node_tags.get(node, '')}): {inflow[node]} in != {outflow[node]} out")
+            problems.append(f"node {node}: {inflow[node]} in != {outflow[node]} out")
     return problems
 
 
 def witness_value(inst: TNFRInstance, flows: dict[int, int]) -> int:
-    return sum(flows.get(a.idx, 0) for a in inst.out_arcs[inst.source])
+    return sum(flows.get(a.idx, 0) for a in inst.arcs if a.tail == inst.source)
 
 
 # --- exact feasibility search ------------------------------------------------
 
 
 def _topological_arc_order(inst: TNFRInstance) -> list[TnfrArc]:
-    indegree = {n: 0 for n in inst.order}
+    indegree = dict.fromkeys(inst.kinds, 0)
+    out_arcs: dict[str, list[TnfrArc]] = {n: [] for n in inst.kinds}
     for arc in inst.arcs:
         indegree[arc.head] += 1
-    queue = deque(n for n in inst.order if indegree[n] == 0)
+        out_arcs[arc.tail].append(arc)
+    queue = deque(n for n, deg in indegree.items() if deg == 0)
     node_rank: dict[str, int] = {}
     while queue:
         n = queue.popleft()
         node_rank[n] = len(node_rank)
-        for arc in inst.out_arcs[n]:
+        for arc in out_arcs[n]:
             indegree[arc.head] -= 1
             if indegree[arc.head] == 0:
                 queue.append(arc.head)
-    if len(node_rank) < len(inst.order):  # cyclic: fall back to insertion order
-        node_rank = {n: i for i, n in enumerate(inst.order)}
+    if len(node_rank) < len(inst.kinds):  # cyclic: fall back to insertion order
+        node_rank = {n: i for i, n in enumerate(inst.kinds)}
     return sorted(inst.arcs, key=lambda a: (node_rank[a.tail], node_rank[a.head], a.idx))
 
 
@@ -158,7 +153,7 @@ def check_feasible(
             raise GuardExceeded(f"arc {arc.idx} domain too large")
 
     order = _topological_arc_order(inst)
-    index = {name: i for i, name in enumerate(inst.order)}
+    index = {name: i for i, name in enumerate(inst.kinds)}
     in_lo, out_lo, in_hi, out_hi = ([0] * len(index) for _ in range(4))
     for arc in inst.arcs:
         in_hi[index[arc.head]] += arc.c_max
@@ -340,14 +335,14 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
     accept_fires = run.fires[cfg.accept_id]
     silence_carried = list(itertools.accumulate(int(step_idx in accept_fires) for step_idx in range(t_bound)))
 
-    s = inst.add_node("src", SOURCE, tag="master")
-    t = inst.add_node("sink", SINK, tag="master")
+    s = inst.add_node("src", SOURCE)
+    t = inst.add_node("sink", SINK)
 
     # step 4: energy gadget (unit passes iff total spikes <= e)
-    s_e = inst.add_node("e:in", tag="energy")
-    t_e = inst.add_node("e:out", tag="energy")
-    r_e = inst.add_node("e:res", RES_SINK, tag="energy")
-    j = [inst.add_node(f"e:j{k}", tag=f"energy:{k}") for k in range(1, t_bound + 1)]
+    s_e = inst.add_node("e:in")
+    t_e = inst.add_node("e:out")
+    r_e = inst.add_node("e:res", RES_SINK)
+    j = [inst.add_node(f"e:j{k}") for k in range(1, t_bound + 1)]
     arc(s, s_e, 0, 1, "master:energy:in", 1)
     arc(s_e, j[0], 0, 1, "energy:unit", 1)
     for k in range(t_bound - 1):
@@ -363,11 +358,11 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
     # The rejection stream is therefore represented by the *absence* of its
     # silencing evidence: an idle network leaves the gate starved, which is
     # what "the rejection neuron keeps firing" must mean flow-side.
-    s_t = inst.add_node("t:in", tag="time")
-    t_t = inst.add_node("t:out", tag="time")
-    r_t = inst.add_node("t:res", RES_SINK, tag="time")
-    gate = inst.add_node("t:gate", tag="time:gate")
-    burn = inst.add_node("t:burn", tag="time:gate")
+    s_t = inst.add_node("t:in")
+    t_t = inst.add_node("t:out")
+    r_t = inst.add_node("t:res", RES_SINK)
+    gate = inst.add_node("t:gate")
+    burn = inst.add_node("t:burn")
     arc(s, s_t, 0, 1, "master:time:in", 1)
     arc(s_t, gate, 0, 1, "time:unit", 1)
     arc(gate, burn, 2, 2, "time:pair", 2)
@@ -376,9 +371,9 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
     arc(t_t, t, 0, 1, "master:time:out", 1)
 
     # step 7: failure gadget (unit passes iff no forced fire was dodged)
-    s_f = inst.add_node("f:in", tag="failure")
-    t_f = inst.add_node("f:out", tag="failure")
-    f_nodes = [inst.add_node(f"f:f{k}", tag=f"failure:{k}") for k in range(1, t_bound + 1)]
+    s_f = inst.add_node("f:in")
+    t_f = inst.add_node("f:out")
+    f_nodes = [inst.add_node(f"f:f{k}") for k in range(1, t_bound + 1)]
     arc(s, s_f, 0, 1, "failure:master:in", 1)
     arc(s_f, f_nodes[0], 0, 1, "failure:unit", 1)
     for k in range(t_bound - 1):
@@ -388,12 +383,12 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
     arc(t_f, t, 0, 1, "failure:master:out", 1)
 
     # step 1: the constant input fires all-or-nothing
-    p_con = inst.add_node("p:con", RES_SOURCE, tag="constant")
-    con_src = inst.add_node("con:src", tag="constant")
+    p_con = inst.add_node("p:con", RES_SOURCE)
+    con_src = inst.add_node("con:src")
     arc(p_con, con_src, t_bound, t_bound, "constant:drive", t_bound)
     con_cols = []
     for k in range(1, t_bound + 1):
-        col = inst.add_node(f"n:{cfg.constant_id}:{k}", tag=f"unroll:{cfg.constant_id}:{k}")
+        col = inst.add_node(f"n:{cfg.constant_id}:{k}")
         con_cols.append(col)
         arc(con_src, col, 1, 1, f"constant:token:{k}", 1)
 
@@ -413,19 +408,19 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
                 "outside the reduction's dynamic range"
             )
         for k in range(1, t_bound + 1):
-            unrolled[(nid, k)] = inst.add_node(f"n:{nid}:{k}", tag=f"unroll:{nid}:{k}")
+            unrolled[(nid, k)] = inst.add_node(f"n:{nid}:{k}")
         for k in range(1, t_bound):
             arc(unrolled[(nid, k)], unrolled[(nid, k + 1)], 0, cap, f"chain:{nid}:{k}", carried[k - 1])
         # carried potential at the horizon drains to a reservoir
-        leftover = inst.add_node(f"r:fin:{nid}", RES_SINK, tag=f"leftover:{nid}")
+        leftover = inst.add_node(f"r:fin:{nid}", RES_SINK)
         arc(unrolled[(nid, t_bound)], leftover, 0, cap, f"chain:fin:{nid}", carried[-1])
         for k in range(1, t_bound + 1):
             arc(unrolled[(nid, k)], f_nodes[k - 1], 0, 1, f"failure:escape:{nid}:{k}")
 
     # the silencing stream: one unit per acceptance firing, ferried along a
     # per-timestep chain to the time gate; surplus drains to a reservoir
-    z_nodes = [inst.add_node(f"z:{k}", tag=f"silence:{k}") for k in range(1, t_bound + 1)]
-    r_z = inst.add_node("r:z", RES_SINK, tag="silence")
+    z_nodes = [inst.add_node(f"z:{k}") for k in range(1, t_bound + 1)]
+    r_z = inst.add_node("r:z", RES_SINK)
     for k in range(t_bound - 1):
         arc(z_nodes[k], z_nodes[k + 1], 0, t_bound, f"silence:chain:{k + 1}", silence_carried[k])
     arc(z_nodes[-1], gate, 0, 1, "time:key", 1)
@@ -457,34 +452,25 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
             total = drained + max(res, 0)
             on = 1 if k - 1 in fires else 0
 
-            out_node = inst.add_node(f"g:out:{nid}:{k}", tag=f"gadget:{nid}:{k}")
-            dist = inst.add_node(f"g:dist:{nid}:{k}", tag=f"gadget:{nid}:{k}")
+            out_node = inst.add_node(f"g:out:{nid}:{k}")
+            dist = inst.add_node(f"g:dist:{nid}:{k}")
             arc(unrolled[(nid, k)], out_node, T_i, T_i, f"gadget:fire:{nid}:{k}", on * T_i)
             if res < 0:
-                p_node = inst.add_node(f"p:g:{nid}:{k}", RES_SOURCE, tag=f"gadget:res:{nid}:{k}")
+                p_node = inst.add_node(f"p:g:{nid}:{k}", RES_SOURCE)
                 arc(p_node, out_node, -res, -res, f"gadget:residue:{nid}:{k}", on * -res)
             arc(out_node, dist, total, total, f"gadget:total:{nid}:{k}", on * total)
             arc(dist, j[k - 1], 1, 1, f"energy:tap:{nid}:{k}", on)
             if w_live > 0:
-                ass = inst.add_node(f"g:ass:{nid}:{k}", tag=f"gadget:ass:{nid}:{k}")
+                ass = inst.add_node(f"g:ass:{nid}:{k}")
                 arc(dist, ass, w_live, w_live, f"gadget:spread:{nid}:{k}", on * w_live)
                 for post, arrival, w in live:
                     arc(ass, unrolled[(post, arrival)], w, w, f"gadget:deliver:{nid}:{k}:{post}", on * w)
             if is_accept:
                 arc(dist, z_nodes[k - 1], 1, 1, f"silence:inject:{k}", on)
             if res > 0:
-                r_node = inst.add_node(f"r:g:{nid}:{k}", RES_SINK, tag=f"gadget:res:{nid}:{k}")
+                r_node = inst.add_node(f"r:g:{nid}:{k}", RES_SINK)
                 arc(dist, r_node, res, res, f"gadget:residue:{nid}:{k}", on * res)
     return inst
-
-
-def simulate_to_witness(cfg: ReductionConfig) -> dict[int, int] | None:
-    """Translate an accepting run into a concrete value-3 flow (None if the
-    run rejects or violates its bounds)."""
-    outcome = simulate_constrained(cfg)
-    if not outcome.accepted:
-        return None
-    return reduce_network(cfg, outcome).witness
 
 
 @dataclass
@@ -538,10 +524,9 @@ def verify_reduction(cfg: ReductionConfig) -> ReductionVerdict:
 
 
 def format_tnfr(inst: TNFRInstance) -> str:
-    ids = {name: i + 1 for i, name in enumerate(inst.order)}
-    lines = [f"p tnfr {len(inst.order)} {len(inst.arcs)} {inst.d}"]
-    for name in inst.order:
-        kind = inst.kinds[name]
+    ids = {name: i + 1 for i, name in enumerate(inst.kinds)}
+    lines = [f"p tnfr {len(inst.kinds)} {len(inst.arcs)} {inst.d}"]
+    for name, kind in inst.kinds.items():
         if kind != PLAIN:
             lines.append(f"n {ids[name]} {kind}")
     for arc in inst.arcs:

@@ -7,6 +7,7 @@ import spikeflow
 import spikeflow.bench as bench
 from spikeflow.cli import EXIT_GUARD, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from spikeflow.flow import FlowAssignment, format_dimacs, generate_random
+from spikeflow.tnfr import ReductionConfig
 
 
 def run_cli(capsys, *argv):
@@ -94,7 +95,7 @@ def test_decide_naive_bit_and_report(tmp_path, capsys):
     assert payload["accept_fire_time"] == payload["f_max"] + 5
 
 
-def test_reduce_and_tnfr_check_and_verify(tmp_path, capsys):
+def test_reduce_and_tnfr_check_and_verify(tmp_path, capsys, monkeypatch):
     netlist = tmp_path / "toy.snn"
     netlist.write_text(
         "N 0 1 0 1 1 input\n"
@@ -116,6 +117,9 @@ def test_reduce_and_tnfr_check_and_verify(tmp_path, capsys):
     assert (code, out) == (EXIT_OK, "yes\n")
     assert witness_path.read_text().startswith("arc,flow\n")
 
+    validations = []
+    validate = ReductionConfig.validate
+    monkeypatch.setattr(ReductionConfig, "validate", lambda cfg: validations.append(cfg) or validate(cfg))
     code, out, _ = run_cli(
         capsys, "verify-reduction", str(netlist), "--constant", "0",
         "--accept", "1", "-t", "3", "-e", "6",
@@ -123,6 +127,7 @@ def test_reduce_and_tnfr_check_and_verify(tmp_path, capsys):
     assert code == EXIT_OK
     assert json.loads(out)["passed"] is True
     assert out == ACCEPTING_VERDICT
+    assert len(validations) == 1
 
 
 def test_bench_command_writes_artifacts(tmp_path, capsys):
@@ -180,6 +185,15 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "bench", "--sizes", "5,5", "--samples", "1", "--out-dir", str(tmp_path / "r"))
     assert (code, err) == (EXIT_USAGE, "usage error: sizes must not repeat\n")
     assert not (tmp_path / "r").exists()
+
+    # usage: a size whose suite edge count no instance can have, named as given
+    for suite, size in (("sparse", "1"), ("sparse", "2"), ("sparse", "3"), ("dense", "1")):
+        out_dir = tmp_path / f"small-{suite}-{size}"
+        code, _, err = run_cli(
+            capsys, "bench", "--suite", suite, "--sizes", size, "--samples", "1", "--out-dir", str(out_dir)
+        )
+        assert (code, err) == (EXIT_USAGE, f"usage error: size {size} is too small for the {suite} suite\n")
+        assert not out_dir.exists(), (suite, size)
 
     # guard: naive decider on an oversized instance
     big = tmp_path / "big.max"

@@ -33,7 +33,6 @@ from spikeflow.tnfr import (
     format_tnfr,
     reduce_network,
     simulate_constrained,
-    simulate_to_witness,
     verify_reduction,
 )
 
@@ -178,7 +177,7 @@ def reduction_hashes(group: str) -> tuple[str, str, str]:
         cfg = chain_config(*spec)
         inst = reduce_network(cfg, simulate_constrained(cfg))
         layouts.append([format_tnfr(inst), [(a.tag, a.c_min, a.c_max) for a in inst.arcs]])
-        witness = simulate_to_witness(chain_config(*spec))
+        witness = inst.witness
         witnesses.append(None if witness is None else list(witness.items()))
         verdicts.append(asdict(verify_reduction(chain_config(*spec))))
     return _sha(json.dumps(layouts)), _sha(json.dumps(witnesses)), _sha(json.dumps(verdicts))

@@ -18,7 +18,6 @@ from spikeflow.tnfr import (
     parse_tnfr,
     reduce_network,
     simulate_constrained,
-    simulate_to_witness,
     validate_witness,
     verify_reduction,
     witness_value,
@@ -100,6 +99,11 @@ def test_reservoirs_are_conservation_exempt():
     yes, witness = check_feasible(inst)
     assert yes
     assert validate_witness(inst, witness) == []
+
+
+def test_conservation_break_names_the_node():
+    inst = parse_tnfr("p tnfr 3 2 0\nn 1 s\nn 2 t\na 1 3 0 1\na 3 2 0 1\n")
+    assert validate_witness(inst, {0: 1, 1: 0}) == ["node 3: 1 in != 0 out"]
 
 
 def test_checker_agrees_with_naive_enumeration():
@@ -218,8 +222,8 @@ def test_structural_snapshot_one_neuron():
     assert (drive.c_min, drive.c_max) == (2, 2)  # the [t,t] arc
     assert sum(1 for t_ in tags if t_.startswith("constant:token")) == 2
     # two unrolled vertices per neuron
-    assert sum(1 for n in inst.order if n.startswith("n:0:")) == 2
-    assert sum(1 for n in inst.order if n.startswith("n:1:")) == 2
+    assert sum(1 for n in inst.kinds if n.startswith("n:0:")) == 2
+    assert sum(1 for n in inst.kinds if n.startswith("n:1:")) == 2
     # the three channel gadgets and the master endpoints exist
     assert any(t_.startswith("energy:") for t_ in tags)
     assert any(t_.startswith("time:") for t_ in tags)
@@ -232,7 +236,7 @@ def test_node_count_linear_in_neurons_times_steps():
     for cfg in (make_cfg(t=2, e=4), make_cfg(t=3, e=6), chain_cfg(t=4, e=8)):
         inst = reduce_network(cfg, simulate_constrained(cfg))
         n, t = len(cfg.net.neurons), cfg.time_bound
-        assert len(inst.order) <= 12 * n * t
+        assert len(inst.kinds) <= 12 * n * t
 
 
 def test_residue_cases():
@@ -267,16 +271,15 @@ def test_residue_cases():
 
 def test_witness_for_accepting_run():
     cfg = make_cfg()
-    witness = simulate_to_witness(cfg)
-    assert witness is not None
     inst = reduce_network(cfg, simulate_constrained(cfg))
+    witness = inst.witness
+    assert witness is not None
     assert validate_witness(inst, witness) == []
     assert witness_value(inst, witness) == 3
 
 
 def test_witness_none_when_bounds_violated():
     for cfg in (make_cfg(e=4), make_cfg(acc_threshold=5)):  # five spikes > 4; never fires
-        assert simulate_to_witness(cfg) is None
         assert reduce_network(cfg, simulate_constrained(cfg)).witness is None
 
 
@@ -345,7 +348,7 @@ def test_dynamic_range_guard_covers_the_horizon_column():
     with pytest.raises(GuardExceeded, match="neuron 1 carries potential"):
         verify_reduction(cfg)
     with pytest.raises(GuardExceeded):
-        simulate_to_witness(cfg)
+        reduce_network(cfg, simulate_constrained(cfg))
 
 
 def test_dynamic_range_guard_covers_a_rejecting_run():
@@ -439,7 +442,7 @@ def test_tnfr_text_roundtrip():
     inst = reduce_network(cfg, simulate_constrained(cfg))
     text = format_tnfr(inst)
     parsed = parse_tnfr(text)
-    assert len(parsed.order) == len(inst.order)
+    assert len(parsed.kinds) == len(inst.kinds)
     assert len(parsed.arcs) == len(inst.arcs)
     assert parsed.d == inst.d
     assert sorted(parsed.kinds.values()) == sorted(inst.kinds.values())

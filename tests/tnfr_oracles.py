@@ -23,8 +23,8 @@ def enumerate_feasible_naive(inst: TNFRInstance) -> bool:
 def without_arcs(inst: TNFRInstance, tag_prefix: str) -> TNFRInstance:
     """A copy minus every arc whose tag starts with the prefix."""
     clone = TNFRInstance(inst.d)
-    for name in inst.order:
-        clone.add_node(name, inst.kinds[name], inst.node_tags.get(name, ""))
+    for name, kind in inst.kinds.items():
+        clone.add_node(name, kind)
     for arc in inst.arcs:
         if not arc.tag.startswith(tag_prefix):
             clone.add_arc(arc.tail, arc.head, arc.c_min, arc.c_max, arc.tag)
