@@ -93,6 +93,9 @@ def cmd_simulate(args) -> int:
     stop = None
     if args.stop_on:
         stop = {int(tok) for tok in args.stop_on.split(",")}
+        unknown = stop - net.neurons.keys()
+        if unknown:
+            raise UsageError(f"--stop-on: no neuron {min(unknown)} in the netlist")
     state = run(net, args.steps, stop_on_fire=stop)
     import io
 
@@ -178,9 +181,9 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         mode=args.mode,
     )
+    rows, summary = run_bench(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows, summary = run_bench(config)
     stem = f"bench_{config.suite}_{config.mode}"
     if args.format == "csv":
         write_csv(rows, out_dir / f"{stem}.csv")

@@ -60,8 +60,6 @@ class Arc(NamedTuple):
     tail: int
     head: int
     cap: int      # 0 for reverse companions; their headroom lives in the mirror
-    edge_id: int
-    forward: bool
 
 
 def _companion_edges(net: FlowNetwork) -> list[Edge]:
@@ -84,7 +82,7 @@ class EdgeNeuronMap:
     def __init__(self, net: FlowNetwork, residual: bool):
         self.net = net
         self.residual = residual
-        arcs = [Arc(e.id, e.tail, e.head, e.cap, e.id, True) for e in net.edges]
+        arcs = [Arc(e.id, e.tail, e.head, e.cap) for e in net.edges]
         # mirror[i]: the index of arc i's reverse companion, or of the forward
         # arc a companion reverses; None for an arc without one
         mirror: list[int | None] = [None] * len(arcs)
@@ -92,7 +90,7 @@ class EdgeNeuronMap:
             for e in _companion_edges(net):
                 mirror[e.id] = len(arcs)
                 mirror.append(e.id)
-                arcs.append(Arc(len(arcs), e.head, e.tail, 0, e.id, False))
+                arcs.append(Arc(len(arcs), e.head, e.tail, 0))
         self.arcs = arcs
         self.n_arcs = len(arcs)
         self.mirror = mirror

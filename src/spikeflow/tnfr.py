@@ -8,7 +8,9 @@ its time bound into such an instance so that a flow of 3 can cross from
 master source to master sink exactly when the network accepts within its
 time and energy budgets; ``check_feasible`` decides instances exactly at
 desk scale; ``verify_reduction`` exercises both directions.  An instance
-is its node-kind table ``kinds`` and its arc list ``arcs``, nothing more.
+is its node-kind table ``kinds`` and its arc list ``arcs``, nothing more,
+and an arc is its endpoints and its interval: no arc flows into the master
+source or out of the master sink.
 
 Every path runs the network once: ``simulate_constrained`` validates and
 simulates the configuration, and ``reduce_network`` lays the instance out
@@ -33,10 +35,10 @@ MAX_DOMAIN = 129  # check_feasible bound on c_max - c_min + 2, an arc domain's s
 class TnfrArc:
     """One arc.  Slotted: cheaper to build than a dataclass, as fast to read."""
 
-    __slots__ = ("idx", "tail", "head", "c_min", "c_max", "tag")
+    __slots__ = ("idx", "tail", "head", "c_min", "c_max")
 
-    def __init__(self, idx: int, tail: str, head: str, c_min: int, c_max: int, tag: str = ""):
-        self.idx, self.tail, self.head, self.c_min, self.c_max, self.tag = idx, tail, head, c_min, c_max, tag
+    def __init__(self, idx: int, tail: str, head: str, c_min: int, c_max: int):
+        self.idx, self.tail, self.head, self.c_min, self.c_max = idx, tail, head, c_min, c_max
 
 
 class TNFRInstance:
@@ -69,12 +71,16 @@ class TNFRInstance:
         self.kinds[name] = kind
         return name
 
-    def add_arc(self, tail: str, head: str, c_min: int, c_max: int, tag: str = "") -> TnfrArc:
+    def add_arc(self, tail: str, head: str, c_min: int, c_max: int) -> TnfrArc:
         if tail not in self.kinds or head not in self.kinds:
             raise ValueError(f"arc ({tail!r},{head!r}) references unknown node")
         if not (0 <= c_min <= c_max):
             raise ValueError(f"bad capacity interval [{c_min},{c_max}]")
-        arc = TnfrArc(len(self.arcs), tail, head, c_min, c_max, tag)
+        if head == self.source:
+            raise ValueError("master source must have no incoming arcs")
+        if tail == self.sink:
+            raise ValueError("master sink must have no outgoing arcs")
+        arc = TnfrArc(len(self.arcs), tail, head, c_min, c_max)
         self.arcs.append(arc)
         return arc
 
@@ -89,7 +95,9 @@ def validate_witness(inst: TNFRInstance, flows: dict[int, int]) -> list[str]:
     for arc in inst.arcs:
         f = flows.get(arc.idx, 0)
         if f != 0 and not (arc.c_min <= f <= arc.c_max):
-            problems.append(f"arc {arc.idx} ({arc.tag}): flow {f} outside {{0}} u [{arc.c_min},{arc.c_max}]")
+            problems.append(
+                f"arc {arc.idx} ({arc.tail} -> {arc.head}): flow {f} outside {{0}} u [{arc.c_min},{arc.c_max}]"
+            )
         if f < 0:
             problems.append(f"arc {arc.idx}: negative flow")
         outflow[arc.tail] += f
@@ -237,6 +245,8 @@ class ReductionConfig:
             raise ValueError("assumption 5 violated: network must use overflow resets")
         if n.schedule:
             raise ValueError("assumption 2 violated: the constant input is the only forced firing")
+        if self.constant_id not in n.neurons or self.accept_id not in n.neurons:
+            raise ValueError("assumption 2 violated: constant or accept neuron missing")
         for neuron in n.neurons.values():
             if neuron.leak != 1:
                 raise ValueError(f"assumption 4 violated: neuron {neuron.id} leak {neuron.leak}")
@@ -258,8 +268,6 @@ class ReductionConfig:
                     )
                 if s.post == self.constant_id:
                     raise ValueError("assumption 2 violated: the constant input has an incoming synapse")
-        if self.constant_id not in n.neurons or self.accept_id not in n.neurons:
-            raise ValueError("assumption 2 violated: constant or accept neuron missing")
         if n.neurons[self.constant_id].threshold != 1:
             raise ValueError("assumption 2 violated: the constant input must have unit threshold")
         if not (0 <= self.energy_bound <= len(n.neurons) * self.time_bound):
@@ -322,8 +330,8 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
     if run.accepted:
         inst.witness = witness
 
-    def arc(tail: str, head: str, c_min: int, c_max: int, tag: str, flow: int = 0) -> None:
-        witness[inst.add_arc(tail, head, c_min, c_max, tag).idx] = flow
+    def arc(tail: str, head: str, c_min: int, c_max: int, flow: int = 0) -> None:
+        witness[inst.add_arc(tail, head, c_min, c_max).idx] = flow
 
     # the energy chain carries the channel unit plus every spike so far; the
     # silence chain carries one unit per acceptance firing so far
@@ -343,13 +351,13 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
     t_e = inst.add_node("e:out")
     r_e = inst.add_node("e:res", RES_SINK)
     j = [inst.add_node(f"e:j{k}") for k in range(1, t_bound + 1)]
-    arc(s, s_e, 0, 1, "master:energy:in", 1)
-    arc(s_e, j[0], 0, 1, "energy:unit", 1)
+    arc(s, s_e, 0, 1, 1)
+    arc(s_e, j[0], 0, 1, 1)
     for k in range(t_bound - 1):
-        arc(j[k], j[k + 1], 0, e_bound + 1, f"energy:chain:{k + 1}", energy_carried[k + 1])
-    arc(j[-1], r_e, 0, e_bound, "energy:overflow", run.spikes)
-    arc(j[-1], t_e, 0, 1, "energy:pass", 1)
-    arc(t_e, t, 0, 1, "master:energy:out", 1)
+        arc(j[k], j[k + 1], 0, e_bound + 1, energy_carried[k + 1])
+    arc(j[-1], r_e, 0, e_bound, run.spikes)
+    arc(j[-1], t_e, 0, 1, 1)
+    arc(t_e, t, 0, 1, 1)
 
     # step 5: time gadget.  The channel unit can only cross the pairing gate
     # together with a silencing unit, and silencing units exist exactly when
@@ -363,34 +371,34 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
     r_t = inst.add_node("t:res", RES_SINK)
     gate = inst.add_node("t:gate")
     burn = inst.add_node("t:burn")
-    arc(s, s_t, 0, 1, "master:time:in", 1)
-    arc(s_t, gate, 0, 1, "time:unit", 1)
-    arc(gate, burn, 2, 2, "time:pair", 2)
-    arc(burn, t_t, 0, 1, "time:pass", 1)
-    arc(burn, r_t, 0, 1, "time:spent-key", 1)
-    arc(t_t, t, 0, 1, "master:time:out", 1)
+    arc(s, s_t, 0, 1, 1)
+    arc(s_t, gate, 0, 1, 1)
+    arc(gate, burn, 2, 2, 2)
+    arc(burn, t_t, 0, 1, 1)
+    arc(burn, r_t, 0, 1, 1)
+    arc(t_t, t, 0, 1, 1)
 
     # step 7: failure gadget (unit passes iff no forced fire was dodged)
     s_f = inst.add_node("f:in")
     t_f = inst.add_node("f:out")
     f_nodes = [inst.add_node(f"f:f{k}") for k in range(1, t_bound + 1)]
-    arc(s, s_f, 0, 1, "failure:master:in", 1)
-    arc(s_f, f_nodes[0], 0, 1, "failure:unit", 1)
+    arc(s, s_f, 0, 1, 1)
+    arc(s_f, f_nodes[0], 0, 1, 1)
     for k in range(t_bound - 1):
-        arc(f_nodes[k], f_nodes[k + 1], 0, 1, f"failure:chain:{k + 1}")
+        arc(f_nodes[k], f_nodes[k + 1], 0, 1)
     for k in range(t_bound):
-        arc(f_nodes[k], t_f, 0, 1, f"failure:collect:{k + 1}", int(k == 0))
-    arc(t_f, t, 0, 1, "failure:master:out", 1)
+        arc(f_nodes[k], t_f, 0, 1, int(k == 0))
+    arc(t_f, t, 0, 1, 1)
 
     # step 1: the constant input fires all-or-nothing
     p_con = inst.add_node("p:con", RES_SOURCE)
     con_src = inst.add_node("con:src")
-    arc(p_con, con_src, t_bound, t_bound, "constant:drive", t_bound)
+    arc(p_con, con_src, t_bound, t_bound, t_bound)
     con_cols = []
     for k in range(1, t_bound + 1):
         col = inst.add_node(f"n:{cfg.constant_id}:{k}")
         con_cols.append(col)
-        arc(con_src, col, 1, 1, f"constant:token:{k}", 1)
+        arc(con_src, col, 1, 1, 1)
 
     # step 2: unrolled potential chains for every other neuron; each carries
     # the neuron's end-of-step potential
@@ -410,21 +418,21 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
         for k in range(1, t_bound + 1):
             unrolled[(nid, k)] = inst.add_node(f"n:{nid}:{k}")
         for k in range(1, t_bound):
-            arc(unrolled[(nid, k)], unrolled[(nid, k + 1)], 0, cap, f"chain:{nid}:{k}", carried[k - 1])
+            arc(unrolled[(nid, k)], unrolled[(nid, k + 1)], 0, cap, carried[k - 1])
         # carried potential at the horizon drains to a reservoir
         leftover = inst.add_node(f"r:fin:{nid}", RES_SINK)
-        arc(unrolled[(nid, t_bound)], leftover, 0, cap, f"chain:fin:{nid}", carried[-1])
+        arc(unrolled[(nid, t_bound)], leftover, 0, cap, carried[-1])
         for k in range(1, t_bound + 1):
-            arc(unrolled[(nid, k)], f_nodes[k - 1], 0, 1, f"failure:escape:{nid}:{k}")
+            arc(unrolled[(nid, k)], f_nodes[k - 1], 0, 1)
 
     # the silencing stream: one unit per acceptance firing, ferried along a
     # per-timestep chain to the time gate; surplus drains to a reservoir
     z_nodes = [inst.add_node(f"z:{k}") for k in range(1, t_bound + 1)]
     r_z = inst.add_node("r:z", RES_SINK)
     for k in range(t_bound - 1):
-        arc(z_nodes[k], z_nodes[k + 1], 0, t_bound, f"silence:chain:{k + 1}", silence_carried[k])
-    arc(z_nodes[-1], gate, 0, 1, "time:key", 1)
-    arc(z_nodes[-1], r_z, 0, t_bound, "silence:drain", silence_carried[-1] - 1)  # one unit keys the gate
+        arc(z_nodes[k], z_nodes[k + 1], 0, t_bound, silence_carried[k])
+    arc(z_nodes[-1], gate, 0, 1, 1)
+    arc(z_nodes[-1], r_z, 0, t_bound, silence_carried[-1] - 1)  # one unit keys the gate
 
     # steps 3 and 6: one distribution gadget per (neuron, column).  The merge
     # vertex collects the firing plus any auxiliary-source residue and must
@@ -454,22 +462,22 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
 
             out_node = inst.add_node(f"g:out:{nid}:{k}")
             dist = inst.add_node(f"g:dist:{nid}:{k}")
-            arc(unrolled[(nid, k)], out_node, T_i, T_i, f"gadget:fire:{nid}:{k}", on * T_i)
+            arc(unrolled[(nid, k)], out_node, T_i, T_i, on * T_i)
             if res < 0:
                 p_node = inst.add_node(f"p:g:{nid}:{k}", RES_SOURCE)
-                arc(p_node, out_node, -res, -res, f"gadget:residue:{nid}:{k}", on * -res)
-            arc(out_node, dist, total, total, f"gadget:total:{nid}:{k}", on * total)
-            arc(dist, j[k - 1], 1, 1, f"energy:tap:{nid}:{k}", on)
+                arc(p_node, out_node, -res, -res, on * -res)
+            arc(out_node, dist, total, total, on * total)
+            arc(dist, j[k - 1], 1, 1, on)
             if w_live > 0:
                 ass = inst.add_node(f"g:ass:{nid}:{k}")
-                arc(dist, ass, w_live, w_live, f"gadget:spread:{nid}:{k}", on * w_live)
+                arc(dist, ass, w_live, w_live, on * w_live)
                 for post, arrival, w in live:
-                    arc(ass, unrolled[(post, arrival)], w, w, f"gadget:deliver:{nid}:{k}:{post}", on * w)
+                    arc(ass, unrolled[(post, arrival)], w, w, on * w)
             if is_accept:
-                arc(dist, z_nodes[k - 1], 1, 1, f"silence:inject:{k}", on)
+                arc(dist, z_nodes[k - 1], 1, 1, on)
             if res > 0:
                 r_node = inst.add_node(f"r:g:{nid}:{k}", RES_SINK)
-                arc(dist, r_node, res, res, f"gadget:residue:{nid}:{k}", on * res)
+                arc(dist, r_node, res, res, on * res)
     return inst
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from flow_oracles import brute_force_max_flow, exhaustive_min_cut
-from tnfr_oracles import without_arcs
+from tnfr_oracles import touches_failure, without_arcs
 from spikeflow.bench import DENSE, SPARSE, BenchConfig, least_squares, run_bench, write_divergence_counterexamples
 from spikeflow.flow import FlowNetwork, edmonds_karp, generate_random, max_feasible_edges, validate_flow
 from spikeflow.maxflow import (
@@ -282,7 +282,7 @@ def test_criterion_8_reduction_biconditional():
     cfg = _reduction_suite()[0][1]
     inst = reduce_network(cfg, simulate_constrained(cfg))
     healthy, _ = check_feasible(inst, max_arcs=len(inst.arcs))
-    mutated = without_arcs(inst, "failure")
+    mutated = without_arcs(inst, touches_failure)
     broken, _ = check_feasible(mutated, max_arcs=len(mutated.arcs))
     flipped = healthy and not broken
     report(

@@ -81,6 +81,17 @@ def test_simulate_outputs_trace(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == "time,neuron_id\n0,0\n"
 
+    # --stop-on halts the run at a known neuron's first fire
+    netlist = tmp_path / "two.snn"
+    netlist.write_text("N 0 1 0 1 1 transmitter\nN 1 1 0 1 0 standard\nS 0 1 1 1\n")
+    code, out, _ = run_cli(capsys, "simulate", str(netlist), "--steps", "5")
+    assert (code, out) == (EXIT_OK, "time,neuron_id\n0,0\n1,1\n")
+    code, out, _ = run_cli(capsys, "simulate", str(netlist), "--steps", "5", "--stop-on", "0")
+    assert (code, out) == (EXIT_OK, "time,neuron_id\n0,0\n")
+    # an id the netlist does not have is a usage error that names it
+    code, out, err = run_cli(capsys, "simulate", str(netlist), "--steps", "5", "--stop-on", "99")
+    assert (code, out, err) == (EXIT_USAGE, "", "usage error: --stop-on: no neuron 99 in the netlist\n")
+
 
 def test_decide_naive_bit_and_report(tmp_path, capsys):
     path = tmp_path / "edge.max"
@@ -212,6 +223,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert (code, out) == (EXIT_GUARD, "")
     assert "domain too large" in err
 
+    # input error: an arc back into the master source, where a flow could cycle
+    cycle = tmp_path / "cycle.tnfr"
+    cycle.write_text("p tnfr 3 2 0\nn 1 s\nn 3 t\na 1 2 1 1\na 2 1 1 1\n")
+    code, out, err = run_cli(capsys, "tnfr-check", str(cycle))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("input error: ") and "line 5" in err
+
     # invariant: bench checks each solved flow, here a negative one
     solve = bench.solve
     monkeypatch.setattr(
@@ -220,6 +238,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "bench", "--sizes", "5", "--samples", "1", "--out-dir", str(tmp_path / "b"))
     assert code == EXIT_INVARIANT
     assert err.startswith("invariant violation: ") and err.count("\n") == 1
+    assert not (tmp_path / "b").exists()  # a failed sweep leaves no directory behind
     monkeypatch.undo()
 
     # a rejecting network is not a failed verification

@@ -255,8 +255,8 @@ def flow_graphs(draw):
 def test_solvers_equal_scipy_maximum_flow(graph):
     """edmonds_karp and residual-mode solve against scipy's maximum_flow,
     which shares no code with them; paper-faithful mode must stay feasible."""
-    sparse = pytest.importorskip("scipy.sparse")
-    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    from scipy import sparse
+    from scipy.sparse import csgraph
     n, arcs = graph
     net = FlowNetwork(n, arcs, 0, n - 1)
     tails, heads, caps = zip(*arcs) if arcs else ((), (), ())

@@ -138,21 +138,21 @@ REDUCTION_GROUPS = {
     ),
 }
 
-# group -> (sha256 of the instances' text and arc tags, of the witness flows,
-# of the verdicts)
+# group -> (sha256 of the instances' text and arc endpoints and bounds, of the
+# witness flows, of the verdicts)
 REDUCTION_PINNED = {
     "criterion 8": (
-        "db49781bcffc580112797da641cad9f86f0ae13797078a61e502d8594548e2a0",
+        "9acb90c2922984e31b0d468190c8ed3c2c93716d7c31948cf090d6afcf72624a",
         "68071c477f913e2cc3311ddeb79c32543624460327b15e80f703119390853ac4",
         "89474a60d3b69795ad1bc6afa3b6a4ee4eb8ed88427c791a1020eea24d91c977",
     ),
     "accepting": (
-        "c9ddfcaf4a9fb126e3377c78cb481778a58606359b0409327880e09c61241f05",
+        "853bb0c631446278f8fa69adf801b4d675c80a456c53a060869430bd1724bed9",
         "84af8bcdf08d54bf723f2a80b556242b0ead3b57d91ce8d2be5f9ace4dea6784",
         "fbffb68a96a654b7a01d59116b4b0bae0c904e55ef8b7c14f295e70c4c851f7b",
     ),
     "rejecting": (
-        "3a7631e2db7960325421fa3a7db3872812f33ba680fb8fc99bc08e6648ffe9ca",
+        "228112cf0318b94305ca6811a4cfbb6cf75e89bde0ff4746d28e94ca244fde38",
         "a17291318b46dbd97e13151f681e134e67617c6ee6db95065795e1dd9eb62b25",
         "5d8a86b8453ca91a446fd7b0a1010aa7585de619d8ff65e718ef82400a29cbff",
     ),
@@ -176,7 +176,7 @@ def reduction_hashes(group: str) -> tuple[str, str, str]:
     for spec in REDUCTION_GROUPS[group]:
         cfg = chain_config(*spec)
         inst = reduce_network(cfg, simulate_constrained(cfg))
-        layouts.append([format_tnfr(inst), [(a.tag, a.c_min, a.c_max) for a in inst.arcs]])
+        layouts.append([format_tnfr(inst), [(a.tail, a.head, a.c_min, a.c_max) for a in inst.arcs]])
         witness = inst.witness
         witnesses.append(None if witness is None else list(witness.items()))
         verdicts.append(asdict(verify_reduction(chain_config(*spec))))

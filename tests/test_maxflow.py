@@ -129,7 +129,7 @@ def test_chain_decode_and_min_cap():
     tape, _ = run_search_query(oracle, emap)
     path = decode_path(tape, emap, oracle, wm)
     assert path is not None
-    assert [a.edge_id for a in path.arcs] == [0, 1]
+    assert [a.idx for a in path.arcs] == [0, 1]
     assert path.min_cap == 3
 
 
@@ -152,7 +152,7 @@ def test_diamond_wave_symmetry_and_tie_break():
     assert (1, emap.search_id(3)) in fresh.trace
     assert (record.spikes, record.stop_step) == (len(fresh.trace), fresh.t)
     path = decode_path(tape, emap, oracle, wm)
-    assert [a.edge_id for a in path.arcs] == [0, 2]  # the lower-id branch
+    assert [a.idx for a in path.arcs] == [0, 2]  # the lower-id branch
 
 
 def test_chain_solve_full_loop():
@@ -306,8 +306,8 @@ def test_path_record_invariants():
 
     with pytest.raises(Exception):
         PathRecord([], 1)
-    a = Arc(0, 0, 1, 1, 0, True)
-    b = Arc(1, 2, 3, 1, 1, True)  # does not chain after a
+    a = Arc(0, 0, 1, 1)
+    b = Arc(1, 2, 3, 1)  # does not chain after a
     with pytest.raises(Exception):
         PathRecord([a, b], 1)
     with pytest.raises(Exception):

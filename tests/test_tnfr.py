@@ -22,7 +22,7 @@ from spikeflow.tnfr import (
     verify_reduction,
     witness_value,
 )
-from tnfr_oracles import enumerate_feasible_naive, without_arcs
+from tnfr_oracles import enumerate_feasible_naive, touches_failure, without_arcs
 
 ONE = Fraction(1)
 
@@ -99,6 +99,11 @@ def test_reservoirs_are_conservation_exempt():
     yes, witness = check_feasible(inst)
     assert yes
     assert validate_witness(inst, witness) == []
+
+
+def test_threshold_break_names_the_arc_by_its_endpoints():
+    inst = parse_tnfr("p tnfr 3 2 0\nn 1 s\nn 3 t\na 1 2 1 2\na 2 3 0 5\n")
+    assert validate_witness(inst, {0: 5, 1: 5}) == ["arc 0 (1 -> 2): flow 5 outside {0} u [1,2]"]
 
 
 def test_conservation_break_names_the_node():
@@ -211,23 +216,24 @@ def test_assumption_validation():
     with pytest.raises(ValueError, match="energy"):
         ReductionConfig(make_cfg().net, 0, 1, 3, 99).validate()
 
+    # a missing constant is named, not blamed on the neuron that carries its bias
+    with pytest.raises(ValueError, match="constant or accept neuron missing"):
+        ReductionConfig(make_cfg().net, 5, 1, 2, 1).validate()
+
 
 def test_structural_snapshot_one_neuron():
     # one accept neuron plus the constant, two steps
     cfg = make_cfg(t=2, e=4)
     inst = reduce_network(cfg, simulate_constrained(cfg))
-    tags = [arc.tag for arc in inst.arcs]
-    assert tags.count("constant:drive") == 1
-    drive = next(a for a in inst.arcs if a.tag == "constant:drive")
-    assert (drive.c_min, drive.c_max) == (2, 2)  # the [t,t] arc
-    assert sum(1 for t_ in tags if t_.startswith("constant:token")) == 2
+    drives = [a for a in inst.arcs if a.tail == "p:con"]
+    assert [(a.head, a.c_min, a.c_max) for a in drives] == [("con:src", 2, 2)]  # the [t,t] arc
+    assert [a.head for a in inst.arcs if a.tail == "con:src"] == ["n:0:1", "n:0:2"]  # one token per step
     # two unrolled vertices per neuron
     assert sum(1 for n in inst.kinds if n.startswith("n:0:")) == 2
     assert sum(1 for n in inst.kinds if n.startswith("n:1:")) == 2
     # the three channel gadgets and the master endpoints exist
-    assert any(t_.startswith("energy:") for t_ in tags)
-    assert any(t_.startswith("time:") for t_ in tags)
-    assert any(t_.startswith("failure:") for t_ in tags)
+    for gadget in ("e:", "t:", "f:"):
+        assert any(a.tail.startswith(gadget) or a.head.startswith(gadget) for a in inst.arcs), gadget
     assert inst.source == "src" and inst.sink == "sink"
     assert inst.d == 2
 
@@ -249,8 +255,8 @@ def test_residue_cases():
     net.add_synapse(Synapse(2, 1, 1, 1))
     cfg = ReductionConfig(net, 0, 1, 4, 8)
     inst = reduce_network(cfg, simulate_constrained(cfg))
-    residue = next(a for a in inst.arcs if a.tag == "gadget:residue:2:1")
-    assert (residue.c_min, residue.c_max) == (1, 1)
+    residue = next(a for a in inst.arcs if a.head == "r:g:2:1")
+    assert (residue.tail, residue.c_min, residue.c_max) == ("g:dist:2:1", 1, 1)
     assert inst.kinds[residue.head] == "r"  # positive residue: auxiliary sink
 
     # threshold 2 with one unit outgoing: residue 0, no extra node
@@ -262,10 +268,11 @@ def test_residue_cases():
     net2.add_synapse(Synapse(2, 1, 1, 1))
     cfg2 = ReductionConfig(net2, 0, 1, 4, 8)
     inst2 = reduce_network(cfg2, simulate_constrained(cfg2))
-    assert not any(a.tag == "gadget:residue:2:1" for a in inst2.arcs)
+    assert "r:g:2:1" not in inst2.kinds and "p:g:2:1" not in inst2.kinds
 
     # the constant with an outgoing weight needs an auxiliary source
-    con_res = next(a for a in inst.arcs if a.tag == "gadget:residue:0:1")
+    con_res = next(a for a in inst.arcs if a.tail == "p:g:0:1")
+    assert con_res.head == "g:out:0:1"
     assert inst.kinds[con_res.tail] == "p"
 
 
@@ -300,7 +307,7 @@ def test_time_violation_starves_the_gate():
     assert not feasible
     # the silence injections exist structurally, but only an actual
     # acceptance firing can activate them and feed the gate
-    injects = [a for a in inst.arcs if a.tag.startswith("silence:inject")]
+    injects = [a for a in inst.arcs if a.tail.startswith("g:dist:1:") and a.head.startswith("z:")]
     assert injects
 
 
@@ -419,7 +426,7 @@ def test_mutation_dropping_failure_gadget_flips_a_verdict():
     cfg = make_cfg()
     inst = reduce_network(cfg, simulate_constrained(cfg))
     healthy, _ = check_feasible(inst, max_arcs=len(inst.arcs))
-    mutated = without_arcs(inst, "failure")
+    mutated = without_arcs(inst, touches_failure)
     broken, _ = check_feasible(mutated, max_arcs=len(mutated.arcs))
     assert healthy and not broken  # the accepting instance loses its third unit
 
@@ -484,6 +491,13 @@ def test_tnfr_parse_errors():
     with pytest.raises(ParseError) as exc:
         parse_tnfr("p tnfr 3 1 2\nn 1 s\nn 2 t\na 1 2 0 1\nn 1 t\n")  # second record for node 1
     assert "line 5" in str(exc.value)
+    # a flow that only cycles through the master source never reaches the sink
+    with pytest.raises(ParseError) as exc:
+        parse_tnfr("p tnfr 3 2 0\nn 1 s\nn 3 t\na 1 2 1 1\na 2 1 1 1\n")
+    assert "line 5" in str(exc.value) and "master source" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_tnfr("p tnfr 3 2 0\nn 1 s\nn 2 t\na 1 2 1 1\na 2 3 1 1\n")
+    assert "line 5" in str(exc.value) and "master sink" in str(exc.value)
 
 
 _INT = st.integers(-1, 5).map(str)

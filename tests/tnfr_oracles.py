@@ -2,12 +2,14 @@
 
 `enumerate_feasible_naive` is the exact checker's independent oracle: it
 tries every flow assignment with no pruning.  `without_arcs` is a mutation
-hook that drops a gadget's arcs from an instance.
+hook that drops a gadget's arcs from an instance, and `touches_failure`
+selects the failure gadget's arcs by their endpoints.
 """
 
 import itertools
+from collections.abc import Callable
 
-from spikeflow.tnfr import TNFRInstance, validate_witness, witness_value
+from spikeflow.tnfr import TNFRInstance, TnfrArc, validate_witness, witness_value
 
 
 def enumerate_feasible_naive(inst: TNFRInstance) -> bool:
@@ -20,12 +22,17 @@ def enumerate_feasible_naive(inst: TNFRInstance) -> bool:
     return False
 
 
-def without_arcs(inst: TNFRInstance, tag_prefix: str) -> TNFRInstance:
-    """A copy minus every arc whose tag starts with the prefix."""
+def touches_failure(arc: TnfrArc) -> bool:
+    """Whether the arc belongs to the failure gadget: an endpoint named ``f:*``."""
+    return arc.tail.startswith("f:") or arc.head.startswith("f:")
+
+
+def without_arcs(inst: TNFRInstance, drop: Callable[[TnfrArc], bool]) -> TNFRInstance:
+    """A copy minus every arc that ``drop`` selects."""
     clone = TNFRInstance(inst.d)
     for name, kind in inst.kinds.items():
         clone.add_node(name, kind)
     for arc in inst.arcs:
-        if not arc.tag.startswith(tag_prefix):
-            clone.add_arc(arc.tail, arc.head, arc.c_min, arc.c_max, arc.tag)
+        if not drop(arc):
+            clone.add_arc(arc.tail, arc.head, arc.c_min, arc.c_max)
     return clone
