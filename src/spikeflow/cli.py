@@ -88,11 +88,22 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _int_list(option: str, text: str, role: str) -> list[int]:
+    """The comma-separated integers given to ``option``; a token that is not one is named."""
+    values = []
+    for tok in text.split(","):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise UsageError(f"{option}: {tok!r} is not {role}") from None
+    return values
+
+
 def cmd_simulate(args) -> int:
     net = parse_netlist(_read_in(args.netlist))
     stop = None
     if args.stop_on:
-        stop = {int(tok) for tok in args.stop_on.split(",")}
+        stop = set(_int_list("--stop-on", args.stop_on, "a neuron id"))
         unknown = stop - net.neurons.keys()
         if unknown:
             raise UsageError(f"--stop-on: no neuron {min(unknown)} in the netlist")
@@ -172,7 +183,12 @@ def cmd_verify_reduction(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",")] if args.sizes else []
+    sizes = _int_list("--sizes", args.sizes, "a size") if args.sizes else []
+    out_dir = Path(args.out_dir)
+    # the sweep can run for minutes: refuse an output path under a file first
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"--out-dir: {existing} is not a directory")
     config = BenchConfig(
         suite=args.suite,
         sizes=sizes,
@@ -182,7 +198,6 @@ def cmd_bench(args) -> int:
         mode=args.mode,
     )
     rows, summary = run_bench(config)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"bench_{config.suite}_{config.mode}"
     if args.format == "csv":

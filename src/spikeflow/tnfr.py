@@ -8,9 +8,10 @@ its time bound into such an instance so that a flow of 3 can cross from
 master source to master sink exactly when the network accepts within its
 time and energy budgets; ``check_feasible`` decides instances exactly at
 desk scale; ``verify_reduction`` exercises both directions.  An instance
-is its node-kind table ``kinds`` and its arc list ``arcs``, nothing more,
-and an arc is its endpoints and its interval: no arc flows into the master
-source or out of the master sink.
+is its node-kind table ``kinds`` and its arc list ``arcs``, nothing more.
+An arc is its endpoints and its bounds, the row ``(tail, head, c_min,
+c_max)``, and its index is its position in ``arcs``; no arc flows into the
+master source or out of the master sink.
 
 Every path runs the network once: ``simulate_constrained`` validates and
 simulates the configuration, and ``reduce_network`` lays the instance out
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import GuardExceeded, ParseError, SearchBudgetExceeded
@@ -32,26 +34,18 @@ PLAIN, SOURCE, SINK, RES_SINK, RES_SOURCE = "plain", "s", "t", "r", "p"
 MAX_DOMAIN = 129  # check_feasible bound on c_max - c_min + 2, an arc domain's size
 
 
-class TnfrArc:
-    """One arc.  Slotted: cheaper to build than a dataclass, as fast to read."""
-
-    __slots__ = ("idx", "tail", "head", "c_min", "c_max")
-
-    def __init__(self, idx: int, tail: str, head: str, c_min: int, c_max: int):
-        self.idx, self.tail, self.head, self.c_min, self.c_max = idx, tail, head, c_min, c_max
-
-
 class TNFRInstance:
     """A TNFR instance holds each fact once: ``kinds`` maps every node name to
-    its kind, in the order the nodes were added, and ``arcs`` lists the arcs
-    by index.  A node's name says which gadget it belongs to."""
+    its kind, in the order the nodes were added, and ``arcs`` lists each arc
+    as the row ``(tail, head, c_min, c_max)``; an arc's index is its
+    position in ``arcs``.  A node's name says which gadget it belongs to."""
 
     def __init__(self, d: int):
         if d < 0:
             raise ValueError("decision threshold must be >= 0")
         self.d = d
         self.kinds: dict[str, str] = {}
-        self.arcs: list[TnfrArc] = []
+        self.arcs: list[tuple[str, str, int, int]] = []
         self.source: str | None = None
         self.sink: str | None = None
         # a value-3 flow (arc index -> flow), set by reduce_network from an accepting run
@@ -71,18 +65,24 @@ class TNFRInstance:
         self.kinds[name] = kind
         return name
 
-    def add_arc(self, tail: str, head: str, c_min: int, c_max: int) -> TnfrArc:
-        if tail not in self.kinds or head not in self.kinds:
-            raise ValueError(f"arc ({tail!r},{head!r}) references unknown node")
-        if not (0 <= c_min <= c_max):
-            raise ValueError(f"bad capacity interval [{c_min},{c_max}]")
-        if head == self.source:
-            raise ValueError("master source must have no incoming arcs")
-        if tail == self.sink:
-            raise ValueError("master sink must have no outgoing arcs")
-        arc = TnfrArc(len(self.arcs), tail, head, c_min, c_max)
-        self.arcs.append(arc)
-        return arc
+    def add_arcs(self, rows: Iterable[tuple]) -> None:
+        """Check and append the arcs ``(tail, head, c_min, c_max, ...)`` in
+        order; fields past the fourth are ignored.  A bad row raises
+        ValueError with the rows before it appended, so ``len(self.arcs)``
+        is then the bad row's position in ``rows``."""
+        kinds, source, sink, append = self.kinds, self.source, self.sink, self.arcs.append
+        for row in rows:
+            arc = row[:4]  # the row itself when it has four fields
+            tail, head, c_min, c_max = arc
+            if tail not in kinds or head not in kinds:
+                raise ValueError(f"arc ({tail!r},{head!r}) references unknown node")
+            if not (0 <= c_min <= c_max):
+                raise ValueError(f"bad capacity interval [{c_min},{c_max}]")
+            if head == source:
+                raise ValueError("master source must have no incoming arcs")
+            if tail == sink:
+                raise ValueError("master sink must have no outgoing arcs")
+            append(arc)
 
     def conserving_nodes(self) -> list[str]:
         return [n for n, kind in self.kinds.items() if kind == PLAIN]
@@ -92,16 +92,14 @@ def validate_witness(inst: TNFRInstance, flows: dict[int, int]) -> list[str]:
     """All threshold/conservation violations of a flow assignment (empty = valid)."""
     problems = []
     inflow, outflow = dict.fromkeys(inst.kinds, 0), dict.fromkeys(inst.kinds, 0)
-    for arc in inst.arcs:
-        f = flows.get(arc.idx, 0)
-        if f != 0 and not (arc.c_min <= f <= arc.c_max):
-            problems.append(
-                f"arc {arc.idx} ({arc.tail} -> {arc.head}): flow {f} outside {{0}} u [{arc.c_min},{arc.c_max}]"
-            )
+    for idx, (tail, head, c_min, c_max) in enumerate(inst.arcs):
+        f = flows.get(idx, 0)
+        if f != 0 and not (c_min <= f <= c_max):
+            problems.append(f"arc {idx} ({tail} -> {head}): flow {f} outside {{0}} u [{c_min},{c_max}]")
         if f < 0:
-            problems.append(f"arc {arc.idx}: negative flow")
-        outflow[arc.tail] += f
-        inflow[arc.head] += f
+            problems.append(f"arc {idx}: negative flow")
+        outflow[tail] += f
+        inflow[head] += f
     for node in inst.conserving_nodes():
         if inflow[node] != outflow[node]:
             problems.append(f"node {node}: {inflow[node]} in != {outflow[node]} out")
@@ -109,30 +107,33 @@ def validate_witness(inst: TNFRInstance, flows: dict[int, int]) -> list[str]:
 
 
 def witness_value(inst: TNFRInstance, flows: dict[int, int]) -> int:
-    return sum(flows.get(a.idx, 0) for a in inst.arcs if a.tail == inst.source)
+    source = inst.source
+    return sum(flows.get(idx, 0) for idx, (tail, _, _, _) in enumerate(inst.arcs) if tail == source)
 
 
 # --- exact feasibility search ------------------------------------------------
 
 
-def _topological_arc_order(inst: TNFRInstance) -> list[TnfrArc]:
+def _topological_arc_order(inst: TNFRInstance) -> list[int]:
+    """Arc indices ordered by tail rank, then head rank, then index."""
+    arcs = inst.arcs
     indegree = dict.fromkeys(inst.kinds, 0)
-    out_arcs: dict[str, list[TnfrArc]] = {n: [] for n in inst.kinds}
-    for arc in inst.arcs:
-        indegree[arc.head] += 1
-        out_arcs[arc.tail].append(arc)
+    out_heads: dict[str, list[str]] = {n: [] for n in inst.kinds}
+    for tail, head, _, _ in arcs:
+        indegree[head] += 1
+        out_heads[tail].append(head)
     queue = deque(n for n, deg in indegree.items() if deg == 0)
     node_rank: dict[str, int] = {}
     while queue:
         n = queue.popleft()
         node_rank[n] = len(node_rank)
-        for arc in out_arcs[n]:
-            indegree[arc.head] -= 1
-            if indegree[arc.head] == 0:
-                queue.append(arc.head)
+        for head in out_heads[n]:
+            indegree[head] -= 1
+            if indegree[head] == 0:
+                queue.append(head)
     if len(node_rank) < len(inst.kinds):  # cyclic: fall back to insertion order
         node_rank = {n: i for i, n in enumerate(inst.kinds)}
-    return sorted(inst.arcs, key=lambda a: (node_rank[a.tail], node_rank[a.head], a.idx))
+    return sorted(range(len(arcs)), key=lambda i: (node_rank[arcs[i][0]], node_rank[arcs[i][1]], i))
 
 
 def check_feasible(
@@ -154,28 +155,28 @@ def check_feasible(
     """
     if inst.source is None or inst.sink is None:
         raise ValueError("instance needs a master source and sink")
-    if len(inst.arcs) > max_arcs:
-        raise GuardExceeded(f"{len(inst.arcs)} arcs exceed the limit {max_arcs}")
-    for arc in inst.arcs:
-        if arc.c_max - arc.c_min + 2 > MAX_DOMAIN:
-            raise GuardExceeded(f"arc {arc.idx} domain too large")
+    arcs = inst.arcs
+    if len(arcs) > max_arcs:
+        raise GuardExceeded(f"{len(arcs)} arcs exceed the limit {max_arcs}")
+    for idx, (_, _, c_min, c_max) in enumerate(arcs):
+        if c_max - c_min + 2 > MAX_DOMAIN:
+            raise GuardExceeded(f"arc {idx} domain too large")
 
-    order = _topological_arc_order(inst)
     index = {name: i for i, name in enumerate(inst.kinds)}
     in_lo, out_lo, in_hi, out_hi = ([0] * len(index) for _ in range(4))
-    for arc in inst.arcs:
-        in_hi[index[arc.head]] += arc.c_max
-        out_hi[index[arc.tail]] += arc.c_max
+    for tail, head, _, c_max in arcs:
+        in_hi[index[head]] += c_max
+        out_hi[index[tail]] += c_max
     conserving = set(inst.conserving_nodes())
-    # per position: the arc, its endpoints, whether each conserves flow, and
-    # the arc's domain, largest flow first
-    steps = [
-        (
-            arc, index[arc.tail], index[arc.head], arc.tail in conserving, arc.head in conserving,
-            list(range(arc.c_max, arc.c_min - 1, -1)) + ([0] if arc.c_min else []),
-        )
-        for arc in order
-    ]
+    # per position: the arc's index and c_max, its endpoints, whether each
+    # conserves flow, and the arc's domain, largest flow first
+    steps = []
+    for idx in _topological_arc_order(inst):
+        tail, head, c_min, c_max = arcs[idx]
+        steps.append((
+            idx, c_max, index[tail], index[head], tail in conserving, head in conserving,
+            list(range(c_max, c_min - 1, -1)) + ([0] if c_min else []),
+        ))
     source, d = index[inst.source], inst.d
     flows: dict[int, int] = {}  # filled as a successful search unwinds
     expansions = 0
@@ -184,12 +185,12 @@ def check_feasible(
         nonlocal expansions
         if i == len(steps):
             return out_lo[source] > d
-        arc, tail, head, check_tail, check_head, domain = steps[i]
+        idx, c_max, tail, head, check_tail, check_head, domain = steps[i]
         expansions += 1
         if expansions > budget:
             raise SearchBudgetExceeded(f"exceeded {budget} expansions")
         for f in domain:
-            gap = f - arc.c_max
+            gap = f - c_max
             out_lo[tail] += f
             out_hi[tail] += gap
             in_lo[head] += f
@@ -200,7 +201,7 @@ def check_feasible(
                 and (not check_head or (in_lo[head] <= out_hi[head] and out_lo[head] <= in_hi[head]))
                 and rec(i + 1)
             ):
-                flows[arc.idx] = f
+                flows[idx] = f
                 return True
             out_lo[tail] -= f
             out_hi[tail] -= gap
@@ -210,7 +211,7 @@ def check_feasible(
 
     try:
         if rec(0):
-            return True, {arc.idx: flows[arc.idx] for arc in inst.arcs}
+            return True, {idx: flows[idx] for idx in range(len(arcs))}
         return False, None
     finally:
         del rec  # rec refers to itself: free its tables now, not at the next gc pass
@@ -326,12 +327,9 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
     """
     t_bound, e_bound = cfg.time_bound, cfg.energy_bound
     inst = TNFRInstance(d=2)
-    witness: dict[int, int] = {}
-    if run.accepted:
-        inst.witness = witness
-
-    def arc(tail: str, head: str, c_min: int, c_max: int, flow: int = 0) -> None:
-        witness[inst.add_arc(tail, head, c_min, c_max).idx] = flow
+    # one row per arc, (tail, head, c_min, c_max, the run's flow), in index order
+    rows: list[tuple[str, str, int, int, int]] = []
+    row = rows.append
 
     # the energy chain carries the channel unit plus every spike so far; the
     # silence chain carries one unit per acceptance firing so far
@@ -351,13 +349,13 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
     t_e = inst.add_node("e:out")
     r_e = inst.add_node("e:res", RES_SINK)
     j = [inst.add_node(f"e:j{k}") for k in range(1, t_bound + 1)]
-    arc(s, s_e, 0, 1, 1)
-    arc(s_e, j[0], 0, 1, 1)
+    row((s, s_e, 0, 1, 1))
+    row((s_e, j[0], 0, 1, 1))
     for k in range(t_bound - 1):
-        arc(j[k], j[k + 1], 0, e_bound + 1, energy_carried[k + 1])
-    arc(j[-1], r_e, 0, e_bound, run.spikes)
-    arc(j[-1], t_e, 0, 1, 1)
-    arc(t_e, t, 0, 1, 1)
+        row((j[k], j[k + 1], 0, e_bound + 1, energy_carried[k + 1]))
+    row((j[-1], r_e, 0, e_bound, run.spikes))
+    row((j[-1], t_e, 0, 1, 1))
+    row((t_e, t, 0, 1, 1))
 
     # step 5: time gadget.  The channel unit can only cross the pairing gate
     # together with a silencing unit, and silencing units exist exactly when
@@ -371,34 +369,34 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
     r_t = inst.add_node("t:res", RES_SINK)
     gate = inst.add_node("t:gate")
     burn = inst.add_node("t:burn")
-    arc(s, s_t, 0, 1, 1)
-    arc(s_t, gate, 0, 1, 1)
-    arc(gate, burn, 2, 2, 2)
-    arc(burn, t_t, 0, 1, 1)
-    arc(burn, r_t, 0, 1, 1)
-    arc(t_t, t, 0, 1, 1)
+    row((s, s_t, 0, 1, 1))
+    row((s_t, gate, 0, 1, 1))
+    row((gate, burn, 2, 2, 2))
+    row((burn, t_t, 0, 1, 1))
+    row((burn, r_t, 0, 1, 1))
+    row((t_t, t, 0, 1, 1))
 
     # step 7: failure gadget (unit passes iff no forced fire was dodged)
     s_f = inst.add_node("f:in")
     t_f = inst.add_node("f:out")
     f_nodes = [inst.add_node(f"f:f{k}") for k in range(1, t_bound + 1)]
-    arc(s, s_f, 0, 1, 1)
-    arc(s_f, f_nodes[0], 0, 1, 1)
+    row((s, s_f, 0, 1, 1))
+    row((s_f, f_nodes[0], 0, 1, 1))
     for k in range(t_bound - 1):
-        arc(f_nodes[k], f_nodes[k + 1], 0, 1)
+        row((f_nodes[k], f_nodes[k + 1], 0, 1, 0))
     for k in range(t_bound):
-        arc(f_nodes[k], t_f, 0, 1, int(k == 0))
-    arc(t_f, t, 0, 1, 1)
+        row((f_nodes[k], t_f, 0, 1, int(k == 0)))
+    row((t_f, t, 0, 1, 1))
 
     # step 1: the constant input fires all-or-nothing
     p_con = inst.add_node("p:con", RES_SOURCE)
     con_src = inst.add_node("con:src")
-    arc(p_con, con_src, t_bound, t_bound, t_bound)
+    row((p_con, con_src, t_bound, t_bound, t_bound))
     con_cols = []
     for k in range(1, t_bound + 1):
         col = inst.add_node(f"n:{cfg.constant_id}:{k}")
         con_cols.append(col)
-        arc(con_src, col, 1, 1, 1)
+        row((con_src, col, 1, 1, 1))
 
     # step 2: unrolled potential chains for every other neuron; each carries
     # the neuron's end-of-step potential
@@ -418,21 +416,21 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
         for k in range(1, t_bound + 1):
             unrolled[(nid, k)] = inst.add_node(f"n:{nid}:{k}")
         for k in range(1, t_bound):
-            arc(unrolled[(nid, k)], unrolled[(nid, k + 1)], 0, cap, carried[k - 1])
+            row((unrolled[(nid, k)], unrolled[(nid, k + 1)], 0, cap, carried[k - 1]))
         # carried potential at the horizon drains to a reservoir
         leftover = inst.add_node(f"r:fin:{nid}", RES_SINK)
-        arc(unrolled[(nid, t_bound)], leftover, 0, cap, carried[-1])
+        row((unrolled[(nid, t_bound)], leftover, 0, cap, carried[-1]))
         for k in range(1, t_bound + 1):
-            arc(unrolled[(nid, k)], f_nodes[k - 1], 0, 1)
+            row((unrolled[(nid, k)], f_nodes[k - 1], 0, 1, 0))
 
     # the silencing stream: one unit per acceptance firing, ferried along a
     # per-timestep chain to the time gate; surplus drains to a reservoir
     z_nodes = [inst.add_node(f"z:{k}") for k in range(1, t_bound + 1)]
     r_z = inst.add_node("r:z", RES_SINK)
     for k in range(t_bound - 1):
-        arc(z_nodes[k], z_nodes[k + 1], 0, t_bound, silence_carried[k])
-    arc(z_nodes[-1], gate, 0, 1, 1)
-    arc(z_nodes[-1], r_z, 0, t_bound, silence_carried[-1] - 1)  # one unit keys the gate
+        row((z_nodes[k], z_nodes[k + 1], 0, t_bound, silence_carried[k]))
+    row((z_nodes[-1], gate, 0, 1, 1))
+    row((z_nodes[-1], r_z, 0, t_bound, silence_carried[-1] - 1))  # one unit keys the gate
 
     # steps 3 and 6: one distribution gadget per (neuron, column).  The merge
     # vertex collects the firing plus any auxiliary-source residue and must
@@ -462,22 +460,25 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
 
             out_node = inst.add_node(f"g:out:{nid}:{k}")
             dist = inst.add_node(f"g:dist:{nid}:{k}")
-            arc(unrolled[(nid, k)], out_node, T_i, T_i, on * T_i)
+            row((unrolled[(nid, k)], out_node, T_i, T_i, on * T_i))
             if res < 0:
                 p_node = inst.add_node(f"p:g:{nid}:{k}", RES_SOURCE)
-                arc(p_node, out_node, -res, -res, on * -res)
-            arc(out_node, dist, total, total, on * total)
-            arc(dist, j[k - 1], 1, 1, on)
+                row((p_node, out_node, -res, -res, on * -res))
+            row((out_node, dist, total, total, on * total))
+            row((dist, j[k - 1], 1, 1, on))
             if w_live > 0:
                 ass = inst.add_node(f"g:ass:{nid}:{k}")
-                arc(dist, ass, w_live, w_live, on * w_live)
+                row((dist, ass, w_live, w_live, on * w_live))
                 for post, arrival, w in live:
-                    arc(ass, unrolled[(post, arrival)], w, w, on * w)
+                    row((ass, unrolled[(post, arrival)], w, w, on * w))
             if is_accept:
-                arc(dist, z_nodes[k - 1], 1, 1, on)
+                row((dist, z_nodes[k - 1], 1, 1, on))
             if res > 0:
                 r_node = inst.add_node(f"r:g:{nid}:{k}", RES_SINK)
-                arc(dist, r_node, res, res, on * res)
+                row((dist, r_node, res, res, on * res))
+    inst.add_arcs(rows)
+    if run.accepted:
+        inst.witness = {idx: r[4] for idx, r in enumerate(rows)}
     return inst
 
 
@@ -537,8 +538,8 @@ def format_tnfr(inst: TNFRInstance) -> str:
     for name, kind in inst.kinds.items():
         if kind != PLAIN:
             lines.append(f"n {ids[name]} {kind}")
-    for arc in inst.arcs:
-        lines.append(f"a {ids[arc.tail]} {ids[arc.head]} {arc.c_min} {arc.c_max}")
+    for tail, head, c_min, c_max in inst.arcs:
+        lines.append(f"a {ids[tail]} {ids[head]} {c_min} {c_max}")
     return "\n".join(lines) + "\n"
 
 
@@ -546,7 +547,7 @@ def parse_tnfr(text: str) -> TNFRInstance:
     inst: TNFRInstance | None = None
     n_nodes = n_arcs = None
     kinds: dict[int, tuple[str, int]] = {}  # node id -> (kind, line number)
-    arcs: list[tuple[int, int, int, int, int]] = []  # (u, v, cmin, cmax, line number)
+    arcs: list[tuple[str, str, int, int, int]] = []  # (u, v, cmin, cmax, line number)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("#"):
@@ -570,7 +571,7 @@ def parse_tnfr(text: str) -> TNFRInstance:
             elif fields[0] == "a":
                 if len(fields) != 5:
                     raise ValueError("expected: a <u> <v> <cmin> <cmax>")
-                arcs.append((int(fields[1]), int(fields[2]), int(fields[3]), int(fields[4]), line_no))
+                arcs.append((str(int(fields[1])), str(int(fields[2])), int(fields[3]), int(fields[4]), line_no))
             else:
                 raise ValueError(f"unknown record kind {fields[0]!r}")
         except ValueError as exc:
@@ -586,11 +587,10 @@ def parse_tnfr(text: str) -> TNFRInstance:
             inst.add_node(str(i), kind)
         except ValueError as exc:  # a second master source or sink: blame the second such record
             raise ParseError(str(exc), sorted(ln for k, ln in kinds.values() if k == kind)[1]) from exc
-    for u, v, lo, hi, line_no in arcs:
-        try:
-            inst.add_arc(str(u), str(v), lo, hi)
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from exc
+    try:
+        inst.add_arcs(arcs)
+    except ValueError as exc:  # the arcs before the bad one were added
+        raise ParseError(str(exc), arcs[len(inst.arcs)][4]) from exc
     if n_arcs is not None and n_arcs != len(inst.arcs):
         raise ParseError(f"problem line promises {n_arcs} arcs, file has {len(inst.arcs)}")
     if inst.source is None or inst.sink is None:

@@ -5,6 +5,7 @@ import pytest
 
 import spikeflow
 import spikeflow.bench as bench
+import spikeflow.cli as cli
 from spikeflow.cli import EXIT_GUARD, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from spikeflow.flow import FlowAssignment, format_dimacs, generate_random
 from spikeflow.tnfr import ReductionConfig
@@ -91,6 +92,27 @@ def test_simulate_outputs_trace(tmp_path, capsys):
     # an id the netlist does not have is a usage error that names it
     code, out, err = run_cli(capsys, "simulate", str(netlist), "--steps", "5", "--stop-on", "99")
     assert (code, out, err) == (EXIT_USAGE, "", "usage error: --stop-on: no neuron 99 in the netlist\n")
+    # so is a token that is not an id at all
+    code, out, err = run_cli(capsys, "simulate", str(netlist), "--steps", "5", "--stop-on", "0,x")
+    assert (code, out, err) == (EXIT_USAGE, "", "usage error: --stop-on: 'x' is not a neuron id\n")
+
+
+def test_bench_usage_errors_come_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(config):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "run_bench", no_sweep)
+    code, out, err = run_cli(capsys, "bench", "--sizes", "5,x", "--out-dir", str(tmp_path / "s"))
+    assert (code, out, err) == (EXIT_USAGE, "", "usage error: --sizes: 'x' is not a size\n")
+    assert not (tmp_path / "s").exists()
+
+    # an output path that is, or lies under, an existing file
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out_dir in (taken, taken / "sub"):
+        code, out, err = run_cli(capsys, "bench", "--sizes", "5", "--samples", "1", "--out-dir", str(out_dir))
+        assert (code, out, err) == (EXIT_USAGE, "", f"usage error: --out-dir: {taken} is not a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no directory was made
 
 
 def test_decide_naive_bit_and_report(tmp_path, capsys):

@@ -176,7 +176,7 @@ def reduction_hashes(group: str) -> tuple[str, str, str]:
     for spec in REDUCTION_GROUPS[group]:
         cfg = chain_config(*spec)
         inst = reduce_network(cfg, simulate_constrained(cfg))
-        layouts.append([format_tnfr(inst), [(a.tail, a.head, a.c_min, a.c_max) for a in inst.arcs]])
+        layouts.append([format_tnfr(inst), inst.arcs])
         witness = inst.witness
         witnesses.append(None if witness is None else list(witness.items()))
         verdicts.append(asdict(verify_reduction(chain_config(*spec))))

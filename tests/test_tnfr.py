@@ -31,7 +31,7 @@ def single_arc(c_min, c_max, d):
     inst = TNFRInstance(d=d)
     inst.add_node("s", "s")
     inst.add_node("t", "t")
-    inst.add_arc("s", "t", c_min, c_max)
+    inst.add_arcs([("s", "t", c_min, c_max)])
     return inst
 
 
@@ -76,13 +76,32 @@ def test_single_arc_threshold_semantics():
     assert not no
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        (("s", "y", 0, 1), "arc ('s','y') references unknown node"),
+        (("s", "x", 2, 1), "bad capacity interval [2,1]"),
+        (("s", "x", -1, 1), "bad capacity interval [-1,1]"),
+        (("x", "s", 0, 1), "master source must have no incoming arcs"),
+        (("t", "x", 0, 1), "master sink must have no outgoing arcs"),
+    ],
+)
+def test_add_arcs_rejects_a_bad_row_after_adding_the_rows_before_it(row, message):
+    inst = TNFRInstance(d=0)
+    for name, kind in (("s", "s"), ("x", "plain"), ("t", "t")):
+        inst.add_node(name, kind)
+    with pytest.raises(ValueError) as exc:
+        inst.add_arcs([("s", "x", 0, 1), row, ("x", "t", 0, 1)])
+    assert str(exc.value) == message
+    assert inst.arcs == [("s", "x", 0, 1)]  # the bad row's index is len(inst.arcs)
+
+
 def test_chain_with_incompatible_thresholds():
     inst = TNFRInstance(d=2)
     inst.add_node("s", "s")
     inst.add_node("x")
     inst.add_node("t", "t")
-    inst.add_arc("s", "x", 2, 2)
-    inst.add_arc("x", "t", 3, 3)
+    inst.add_arcs([("s", "x", 2, 2), ("x", "t", 3, 3)])
     feasible, _ = check_feasible(inst)
     assert not feasible  # conservation at x forces both to zero
 
@@ -93,9 +112,7 @@ def test_reservoirs_are_conservation_exempt():
     inst.add_node("x")
     inst.add_node("t", "t")
     inst.add_node("r", "r")
-    inst.add_arc("s", "x", 0, 2)
-    inst.add_arc("x", "t", 0, 1)
-    inst.add_arc("x", "r", 0, 5)
+    inst.add_arcs([("s", "x", 0, 2), ("x", "t", 0, 1), ("x", "r", 0, 5)])
     yes, witness = check_feasible(inst)
     assert yes
     assert validate_witness(inst, witness) == []
@@ -135,7 +152,7 @@ def test_checker_agrees_with_naive_enumeration():
                 continue
             lo = rng.randint(0, 2)
             hi = rng.randint(lo, 3)
-            inst.add_arc(u, v, lo, hi)
+            inst.add_arcs([(u, v, lo, hi)])
         want = enumerate_feasible_naive(inst)
         got, witness = check_feasible(inst)
         assert got == want, format_tnfr(inst)
@@ -167,8 +184,7 @@ def test_checker_guards():
     hard.add_node("s", "s")
     hard.add_node("t", "t")
     hard.add_node("x")
-    hard.add_arc("s", "x", 0, 3)
-    hard.add_arc("x", "t", 0, 3)
+    hard.add_arcs([("s", "x", 0, 3), ("x", "t", 0, 3)])
     with pytest.raises(SearchBudgetExceeded):
         check_feasible(hard, budget=1)
     with pytest.raises(GuardExceeded, match="arc 0 domain too large"):
@@ -225,15 +241,14 @@ def test_structural_snapshot_one_neuron():
     # one accept neuron plus the constant, two steps
     cfg = make_cfg(t=2, e=4)
     inst = reduce_network(cfg, simulate_constrained(cfg))
-    drives = [a for a in inst.arcs if a.tail == "p:con"]
-    assert [(a.head, a.c_min, a.c_max) for a in drives] == [("con:src", 2, 2)]  # the [t,t] arc
-    assert [a.head for a in inst.arcs if a.tail == "con:src"] == ["n:0:1", "n:0:2"]  # one token per step
+    assert [a for a in inst.arcs if a[0] == "p:con"] == [("p:con", "con:src", 2, 2)]  # the [t,t] arc
+    assert [head for tail, head, _, _ in inst.arcs if tail == "con:src"] == ["n:0:1", "n:0:2"]  # one token per step
     # two unrolled vertices per neuron
     assert sum(1 for n in inst.kinds if n.startswith("n:0:")) == 2
     assert sum(1 for n in inst.kinds if n.startswith("n:1:")) == 2
     # the three channel gadgets and the master endpoints exist
     for gadget in ("e:", "t:", "f:"):
-        assert any(a.tail.startswith(gadget) or a.head.startswith(gadget) for a in inst.arcs), gadget
+        assert any(tail.startswith(gadget) or head.startswith(gadget) for tail, head, _, _ in inst.arcs), gadget
     assert inst.source == "src" and inst.sink == "sink"
     assert inst.d == 2
 
@@ -255,9 +270,8 @@ def test_residue_cases():
     net.add_synapse(Synapse(2, 1, 1, 1))
     cfg = ReductionConfig(net, 0, 1, 4, 8)
     inst = reduce_network(cfg, simulate_constrained(cfg))
-    residue = next(a for a in inst.arcs if a.head == "r:g:2:1")
-    assert (residue.tail, residue.c_min, residue.c_max) == ("g:dist:2:1", 1, 1)
-    assert inst.kinds[residue.head] == "r"  # positive residue: auxiliary sink
+    assert [a for a in inst.arcs if a[1] == "r:g:2:1"] == [("g:dist:2:1", "r:g:2:1", 1, 1)]
+    assert inst.kinds["r:g:2:1"] == "r"  # positive residue: auxiliary sink
 
     # threshold 2 with one unit outgoing: residue 0, no extra node
     net2 = SpikingNetwork(overflow_reset=True)
@@ -271,9 +285,8 @@ def test_residue_cases():
     assert "r:g:2:1" not in inst2.kinds and "p:g:2:1" not in inst2.kinds
 
     # the constant with an outgoing weight needs an auxiliary source
-    con_res = next(a for a in inst.arcs if a.tail == "p:g:0:1")
-    assert con_res.head == "g:out:0:1"
-    assert inst.kinds[con_res.tail] == "p"
+    assert [head for tail, head, _, _ in inst.arcs if tail == "p:g:0:1"] == ["g:out:0:1"]
+    assert inst.kinds["p:g:0:1"] == "p"
 
 
 def test_witness_for_accepting_run():
@@ -281,6 +294,7 @@ def test_witness_for_accepting_run():
     inst = reduce_network(cfg, simulate_constrained(cfg))
     witness = inst.witness
     assert witness is not None
+    assert list(witness) == list(range(len(inst.arcs)))  # every arc, keyed by its position
     assert validate_witness(inst, witness) == []
     assert witness_value(inst, witness) == 3
 
@@ -307,7 +321,7 @@ def test_time_violation_starves_the_gate():
     assert not feasible
     # the silence injections exist structurally, but only an actual
     # acceptance firing can activate them and feed the gate
-    injects = [a for a in inst.arcs if a.tail.startswith("g:dist:1:") and a.head.startswith("z:")]
+    injects = [a for a in inst.arcs if a[0].startswith("g:dist:1:") and a[1].startswith("z:")]
     assert injects
 
 

@@ -9,12 +9,14 @@ selects the failure gadget's arcs by their endpoints.
 import itertools
 from collections.abc import Callable
 
-from spikeflow.tnfr import TNFRInstance, TnfrArc, validate_witness, witness_value
+from spikeflow.tnfr import TNFRInstance, validate_witness, witness_value
+
+Arc = tuple[str, str, int, int]
 
 
 def enumerate_feasible_naive(inst: TNFRInstance) -> bool:
     """Unpruned full enumeration: is there a valid flow of value > ``inst.d``?"""
-    domains = [sorted({0, *range(arc.c_min, arc.c_max + 1)}) for arc in inst.arcs]
+    domains = [sorted({0, *range(c_min, c_max + 1)}) for _, _, c_min, c_max in inst.arcs]
     for combo in itertools.product(*domains):
         flows = dict(enumerate(combo))
         if not validate_witness(inst, flows) and witness_value(inst, flows) > inst.d:
@@ -22,17 +24,16 @@ def enumerate_feasible_naive(inst: TNFRInstance) -> bool:
     return False
 
 
-def touches_failure(arc: TnfrArc) -> bool:
+def touches_failure(arc: Arc) -> bool:
     """Whether the arc belongs to the failure gadget: an endpoint named ``f:*``."""
-    return arc.tail.startswith("f:") or arc.head.startswith("f:")
+    tail, head, _, _ = arc
+    return tail.startswith("f:") or head.startswith("f:")
 
 
-def without_arcs(inst: TNFRInstance, drop: Callable[[TnfrArc], bool]) -> TNFRInstance:
+def without_arcs(inst: TNFRInstance, drop: Callable[[Arc], bool]) -> TNFRInstance:
     """A copy minus every arc that ``drop`` selects."""
     clone = TNFRInstance(inst.d)
     for name, kind in inst.kinds.items():
         clone.add_node(name, kind)
-    for arc in inst.arcs:
-        if not drop(arc):
-            clone.add_arc(arc.tail, arc.head, arc.c_min, arc.c_max)
+    clone.add_arcs(arc for arc in inst.arcs if not drop(arc))
     return clone
