@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -208,10 +209,8 @@ def run_bench(config: BenchConfig) -> tuple[list[BenchRow], dict]:
 
 
 def write_csv(rows: list[BenchRow], path: Path) -> None:
-    import csv as csv_mod
-
     with open(path, "w", newline="") as fh:
-        writer = csv_mod.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow(row.as_csv_values())

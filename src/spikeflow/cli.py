@@ -33,7 +33,7 @@ from .errors import (
 from .flow import format_dimacs, generate_random, parse_dimacs
 from .maxflow import PAPER_FAITHFUL, RESIDUAL, solve
 from .naive import decide_naive
-from .snn import parse_netlist, run, write_trace_csv
+from .snn import format_trace_csv, parse_netlist, run
 from .tnfr import (
     ReductionConfig,
     check_feasible,
@@ -107,12 +107,7 @@ def cmd_simulate(args) -> int:
         unknown = stop - net.neurons.keys()
         if unknown:
             raise UsageError(f"--stop-on: no neuron {min(unknown)} in the netlist")
-    state = run(net, args.steps, stop_on_fire=stop)
-    import io
-
-    buf = io.StringIO()
-    write_trace_csv(state, buf)
-    _write_out(buf.getvalue(), args.out)
+    _write_out(format_trace_csv(run(net, args.steps, stop_on_fire=stop)), args.out)
     return EXIT_OK
 
 
@@ -165,6 +160,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_tnfr_check(args) -> int:
+    for option, value in (("--max-arcs", args.max_arcs), ("--budget", args.budget)):
+        if value < 0:
+            raise UsageError(f"{option}: {value} is negative")
     inst = parse_tnfr(_read_in(args.input))
     feasible, witness = check_feasible(
         inst, max_arcs=args.max_arcs, budget=args.budget

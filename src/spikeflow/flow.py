@@ -5,12 +5,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     tail: int
     head: int

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import ConstructionBugError
 from .flow import Edge, FlowAssignment, FlowNetwork
@@ -55,13 +54,6 @@ class DecodeJamError(ConstructionBugError):
     """Greedy tape decoding started a path but could not complete it."""
 
 
-class Arc(NamedTuple):
-    idx: int
-    tail: int
-    head: int
-    cap: int      # 0 for reverse companions; their headroom lives in the mirror
-
-
 def _companion_edges(net: FlowNetwork) -> list[Edge]:
     """The edges that get a reverse companion in residual mode: an arc into
     the source or out of the sink can never lie on an augmenting path."""
@@ -71,28 +63,39 @@ def _companion_edges(net: FlowNetwork) -> list[Edge]:
 class EdgeNeuronMap:
     """Arc table plus the arithmetic neuron-id layout for one oracle network.
 
+    The arc table is a :class:`FlowNetwork`: an arc is one of its edges, the
+    arc's index is the edge id, and ``arcs_by_tail``/``arcs_by_head`` are its
+    per-node edge lists.  In forward-decode mode it is the instance itself.
+    In residual mode it is the instance's edges followed by one reverse
+    companion (capacity 0; its headroom lives in the mirror) per edge that
+    neither leaves the source nor enters the sink, in edge order.
+
     Ids: transmitter 0, capacity family ``1..U``, search family ``U+1..2U``,
     readout family ``2U+1..3U`` (forward-decode mode only), where U is the
     arc count, then the hubs from ``first_hub_id()`` (``3U+1``, or ``2U+1``
     in residual mode): search hubs in node order, then readout hubs.
     Readout/search ids ascend with arc index, so the oracle's (time, id)
-    tape order breaks same-step ties by arc index.
+    tape order breaks same-step ties by arc index.  ``sink_readout_ids`` is
+    the stop set of a forward-decode query: the readouts of the sink's in-arcs.
     """
 
     def __init__(self, net: FlowNetwork, residual: bool):
         self.net = net
         self.residual = residual
-        arcs = [Arc(e.id, e.tail, e.head, e.cap) for e in net.edges]
+        arc_net = net
         # mirror[i]: the index of arc i's reverse companion, or of the forward
         # arc a companion reverses; None for an arc without one
-        mirror: list[int | None] = [None] * len(arcs)
+        mirror: list[int | None] = [None] * net.n_edges
         if residual:
+            forward = [(e.tail, e.head, e.cap) for e in net.edges]
+            arc_net = FlowNetwork(net.n_nodes, forward, net.source, net.sink)
             for e in _companion_edges(net):
-                mirror[e.id] = len(arcs)
+                mirror[e.id] = arc_net.add_edge(e.head, e.tail, 0).id
                 mirror.append(e.id)
-                arcs.append(Arc(len(arcs), e.head, e.tail, 0))
-        self.arcs = arcs
-        self.n_arcs = len(arcs)
+        self.arcs = arc_net.edges
+        self.arcs_by_tail = arc_net.out_edges
+        self.arcs_by_head = arc_net.in_edges
+        self.n_arcs = arc_net.n_edges
         self.mirror = mirror
         # offset: |E|+1 in forward-decode mode.  In residual mode the fixed
         # arc-universe bound 2|E|+1, so capacity thresholds survive flow
@@ -102,11 +105,7 @@ class EdgeNeuronMap:
             self.K = max([2 * net.n_edges + 1] + [e.cap for e in net.edges])
         else:
             self.K = net.n_edges + 1
-        self.arcs_by_tail: dict[int, list[Arc]] = {}
-        self.arcs_by_head: dict[int, list[Arc]] = {}
-        for a in arcs:
-            self.arcs_by_tail.setdefault(a.tail, []).append(a)
-            self.arcs_by_head.setdefault(a.head, []).append(a)
+        self.sink_readout_ids = frozenset(self.readout_id(a.id) for a in self.arcs_by_head[net.sink])
 
     # --- id layout ---
 
@@ -124,17 +123,11 @@ class EdgeNeuronMap:
     def first_hub_id(self) -> int:
         return 1 + (2 if self.residual else 3) * self.n_arcs
 
-    def arc_of_readout(self, neuron_id: int) -> Arc:
+    def arc_of_readout(self, neuron_id: int) -> Edge:
         return self.arcs[neuron_id - 1 - 2 * self.n_arcs]
 
-    def arc_of_search(self, neuron_id: int) -> Arc:
+    def arc_of_search(self, neuron_id: int) -> Edge:
         return self.arcs[neuron_id - 1 - self.n_arcs]
-
-    def sink_arc_idxs(self) -> list[int]:
-        return [a.idx for a in self.arcs_by_head.get(self.net.sink, [])]
-
-    def source_arc_idxs(self) -> list[int]:
-        return [a.idx for a in self.arcs_by_tail.get(self.net.source, [])]
 
     def query_time_limit(self) -> int:
         return 2 * self.n_arcs + 1
@@ -142,7 +135,7 @@ class EdgeNeuronMap:
 
 @dataclass
 class PathRecord:
-    arcs: list[Arc]
+    arcs: list[Edge]
     min_cap: int
 
     def __post_init__(self):
@@ -160,7 +153,7 @@ def build_capacity_neurons(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> N
     K, C = emap.K, emap.cap_id(0)
     # a fresh reverse companion has no headroom until flow is pushed,
     # so it starts exactly at threshold and silences its wave neuron
-    oracle.write_neurons([(C + a.idx, a.cap + K, 0, 1, K, Role.CAPACITY) for a in emap.arcs])
+    oracle.write_neurons([(C + a.id, a.cap + K, 0, 1, K, Role.CAPACITY) for a in emap.arcs])
 
 
 def build_search_network(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> None:
@@ -175,14 +168,14 @@ def build_search_network(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> Non
     with_readout = not emap.residual
     search_role = Role.READOUT if emap.residual else Role.STANDARD
     neurons = [(emap.transmitter_id, 1, 0, 1, 1, Role.TRANSMITTER)]
-    neurons += [(S + a.idx, 1 + K, 0, 1, K, search_role) for a in arcs]
-    synapses = [(C + a.idx, S + a.idx, 0, -K) for a in arcs]
+    neurons += [(S + a.id, 1 + K, 0, 1, K, search_role) for a in arcs]
+    synapses = [(C + a.id, S + a.id, 0, -K) for a in arcs]
     if with_readout:
-        neurons += [(R + a.idx, 1 + K, 0, 1, K, Role.READOUT) for a in arcs]
-        synapses += [(C + a.idx, R + a.idx, 0, -K) for a in arcs]
-    synapses += [(emap.transmitter_id, S + idx, 1, 1) for idx in emap.sink_arc_idxs()]
+        neurons += [(R + a.id, 1 + K, 0, 1, K, Role.READOUT) for a in arcs]
+        synapses += [(C + a.id, R + a.id, 0, -K) for a in arcs]
+    synapses += [(emap.transmitter_id, S + a.id, 1, 1) for a in by_head[emap.net.sink]]
     if with_readout:
-        synapses += [(S + idx, R + idx, 1, 1) for idx in emap.source_arc_idxs()]
+        synapses += [(S + a.id, R + a.id, 1, 1) for a in by_tail[emap.net.source]]
     # (family base, the arcs at a node that fire first, the arcs they excite)
     waves = [(S, by_tail, by_head)]
     if with_readout:
@@ -190,14 +183,14 @@ def build_search_network(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> Non
     hub = emap.first_hub_id()
     for base, senders_at, receivers_at in waves:
         for v in range(emap.net.n_nodes):
-            senders, receivers = senders_at.get(v, ()), receivers_at.get(v, ())
+            senders, receivers = senders_at[v], receivers_at[v]
             if len(senders) * len(receivers) > len(senders) + len(receivers) + 1:
                 neurons.append((hub, 1 + K, 0, 1, K, Role.STANDARD))
-                synapses += [(base + a.idx, hub, 0, 1) for a in senders]
-                synapses += [(hub, base + a.idx, 1, 1) for a in receivers]
+                synapses += [(base + a.id, hub, 0, 1) for a in senders]
+                synapses += [(hub, base + a.id, 1, 1) for a in receivers]
                 hub += 1
             else:
-                synapses += [(base + a.idx, base + b.idx, 1, 1) for a in senders for b in receivers]
+                synapses += [(base + a.id, base + b.id, 1, 1) for a in senders for b in receivers]
     oracle.write_neurons(neurons)
     oracle.write_synapses(synapses)
 
@@ -205,16 +198,15 @@ def build_search_network(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> Non
 def run_search_query(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> tuple[OutputTape, ConsultRecord]:
     """One episode's query: run until a sink-edge readout spikes, or for the
     full 2*arcs+1 steps when no augmenting path remains."""
-    stop = {emap.readout_id(i) for i in emap.sink_arc_idxs()}
     return oracle.consult(
         ConsultMode.TRANSDUCER,
         time_limit=emap.query_time_limit(),
-        stop_on_fire=stop or None,
+        stop_on_fire=emap.sink_readout_ids,
     )
 
 
-def _remaining_capacity(oracle: NeuromorphicOracle, emap: EdgeNeuronMap, arc: Arc) -> int:
-    cid = emap.cap_id(arc.idx)
+def _remaining_capacity(oracle: NeuromorphicOracle, emap: EdgeNeuronMap, arc: Edge) -> int:
+    cid = emap.cap_id(arc.id)
     return oracle.threshold_of(cid) - oracle.read_voltage(cid)
 
 
@@ -254,7 +246,7 @@ def decode_path(
             wm.write("min_cap", wm.read("tmp"))
         wm.write("started", 1)
         wm.write("head", arc.head)
-        oracle.write_path(arc.idx)
+        oracle.write_path(arc.id)
         if arc.head == sink:
             return _path_from_store(oracle, emap, wm.read("min_cap"))
     if not wm.read("started"):
@@ -290,16 +282,15 @@ def recover_path_backward(
     """
     oracle.clear_path()
     source = emap.net.source
-    sink_ids = {emap.readout_id(i) for i in emap.sink_arc_idxs()}
     tape, _ = run_search_query(oracle, emap)
     wm.write("started", 0)
     for t, nid in tape:
-        if nid in sink_ids:
+        if nid in emap.sink_readout_ids:
             arc = emap.arc_of_readout(nid)
             wm.write("tmp", t)
             wm.write("min_cap", _remaining_capacity(oracle, emap, arc))
             wm.write("head", arc.tail)
-            oracle.write_path(arc.idx)
+            oracle.write_path(arc.id)
             wm.write("started", 1)
             break
     if not wm.read("started"):
@@ -313,7 +304,7 @@ def recover_path_backward(
             if t == wm.read("tmp") - 1 and arc.head == wm.read("head"):
                 if _remaining_capacity(oracle, emap, arc) < wm.read("min_cap"):
                     wm.write("min_cap", _remaining_capacity(oracle, emap, arc))
-                oracle.write_path(arc.idx)
+                oracle.write_path(arc.id)
                 wm.write("head", arc.tail)
                 wm.write("tmp", wm.read("tmp") - 1)
                 break
@@ -341,8 +332,7 @@ def descend_path(
     wm.write("min_cap", 0)
     wm.write("started", 0)
     while True:
-        out_arcs = emap.arcs_by_tail.get(wm.read("head"), [])
-        stop = {emap.search_id(a.idx) for a in out_arcs}
+        stop = {emap.search_id(a.id) for a in emap.arcs_by_tail[wm.read("head")]}
         if not stop:
             if not wm.read("started"):
                 return None
@@ -366,7 +356,7 @@ def descend_path(
         wm.write("started", wm.read("started") + 1)
         if wm.read("started") > emap.n_arcs:
             raise ConstructionBugError("descent exceeded the arc count")
-        oracle.write_path(accepted.idx)
+        oracle.write_path(accepted.id)
         wm.write("head", accepted.head)
         if accepted.head == sink:
             return _path_from_store(oracle, emap, wm.read("min_cap"))
@@ -383,11 +373,11 @@ def apply_flow_update(
     wm.write("delta", path.min_cap)
     for idx in oracle.read_path():
         arc = emap.arcs[idx]
-        cid = emap.cap_id(arc.idx)
+        cid = emap.cap_id(arc.id)
         oracle.write_voltage(cid, wm.read("delta"))
         if oracle.read_voltage(cid) > oracle.threshold_of(cid):
             raise ConstructionBugError("flow pushed past an arc's capacity")
-        mirror = emap.mirror[arc.idx]
+        mirror = emap.mirror[arc.id]
         if mirror is not None:
             oracle.write_voltage(emap.cap_id(mirror), -wm.read("delta"))
     oracle.clear_path()

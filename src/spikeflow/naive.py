@@ -189,15 +189,13 @@ def decide_naive(net: FlowNetwork, d: int) -> NaiveDecision:
     report = ResourceReport()
     oracle = NeuromorphicOracle(report)
     layout = build_decider(net, d, oracle)
-    tape, record = oracle.consult(ConsultMode.DECIDER, time_limit=layout.accept_time + 2)
-    accept_fire_time = None
-    for t, nid in tape.events:
-        if nid == layout.accept_id:
-            accept_fire_time = t
-            break
+    # the run halts at its first accept or reject spike, so an accepting
+    # run's stop step is the accept neuron's firing time
+    _, record = oracle.consult(ConsultMode.DECIDER, time_limit=layout.accept_time + 2)
+    accepted = record.bit == 1
     return NaiveDecision(
-        accepted=(record.bit == 1),
-        accept_fire_time=accept_fire_time,
+        accepted=accepted,
+        accept_fire_time=record.stop_step if accepted else None,
         layout=layout,
         report=report,
     )

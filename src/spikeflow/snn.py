@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError, UnknownNeuronError
 
@@ -514,7 +514,8 @@ def parse_netlist(text: str) -> SpikingNetwork:
     return net
 
 
-def write_trace_csv(state: SimulationState, out: TextIO) -> None:
-    out.write("time,neuron_id\n")
+def format_trace_csv(state: SimulationState) -> str:
+    lines = ["time,neuron_id"]
     for time, nid in state.trace:
-        out.write(f"{time},{nid}\n")
+        lines.append(f"{time},{nid}")
+    return "\n".join(lines) + "\n"

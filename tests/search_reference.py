@@ -21,22 +21,22 @@ def build_direct_search_network(oracle: NeuromorphicOracle, emap: EdgeNeuronMap)
     neurons = [(emap.transmitter_id, 1, 0, 1, 1, Role.TRANSMITTER)]
     synapses = []
     for a in emap.arcs:
-        neurons.append((emap.search_id(a.idx), 1 + K, 0, 1, K, search_role))
-        synapses.append((emap.cap_id(a.idx), emap.search_id(a.idx), 0, -K))
+        neurons.append((emap.search_id(a.id), 1 + K, 0, 1, K, search_role))
+        synapses.append((emap.cap_id(a.id), emap.search_id(a.id), 0, -K))
         if with_readout:
-            neurons.append((emap.readout_id(a.idx), 1 + K, 0, 1, K, Role.READOUT))
-            synapses.append((emap.cap_id(a.idx), emap.readout_id(a.idx), 0, -K))
-    for idx in emap.sink_arc_idxs():
-        synapses.append((emap.transmitter_id, emap.search_id(idx), 1, 1))
+            neurons.append((emap.readout_id(a.id), 1 + K, 0, 1, K, Role.READOUT))
+            synapses.append((emap.cap_id(a.id), emap.readout_id(a.id), 0, -K))
+    for a in emap.arcs_by_head[emap.net.sink]:
+        synapses.append((emap.transmitter_id, emap.search_id(a.id), 1, 1))
     for a in emap.arcs:
-        for down in emap.arcs_by_tail.get(a.head, ()):
+        for down in emap.arcs_by_tail[a.head]:
             # the search wave runs backward: the downstream arc excites this one
-            synapses.append((emap.search_id(down.idx), emap.search_id(a.idx), 1, 1))
+            synapses.append((emap.search_id(down.id), emap.search_id(a.id), 1, 1))
     if with_readout:
-        for idx in emap.source_arc_idxs():
-            synapses.append((emap.search_id(idx), emap.readout_id(idx), 1, 1))
+        for a in emap.arcs_by_tail[emap.net.source]:
+            synapses.append((emap.search_id(a.id), emap.readout_id(a.id), 1, 1))
         for a in emap.arcs:
-            for down in emap.arcs_by_tail.get(a.head, ()):
-                synapses.append((emap.readout_id(a.idx), emap.readout_id(down.idx), 1, 1))
+            for down in emap.arcs_by_tail[a.head]:
+                synapses.append((emap.readout_id(a.id), emap.readout_id(down.id), 1, 1))
     oracle.write_neurons(neurons)
     oracle.write_synapses(synapses)

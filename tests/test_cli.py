@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -176,6 +177,19 @@ def test_bench_command_writes_artifacts(tmp_path, capsys):
     assert summary["total_instances"] == 4
 
 
+def test_bench_json_rows_match_the_csv(tmp_path, capsys):
+    sweep = ("bench", "--suite", "sparse", "--sizes", "5,8", "--samples", "2", "--seed", "3")
+    for fmt in ("csv", "json"):
+        code, _, _ = run_cli(capsys, *sweep, "--format", fmt, "--out-dir", str(tmp_path / fmt))
+        assert code == EXIT_OK, fmt
+    with open(tmp_path / "csv" / "bench_sparse_paper-faithful.csv", newline="") as fh:
+        header, *csv_rows = csv.reader(fh)
+    json_rows = json.loads((tmp_path / "json" / "bench_sparse_paper-faithful.rows.json").read_text())
+    assert header == bench.CSV_COLUMNS
+    assert [list(row) for row in json_rows] == [bench.CSV_COLUMNS] * 4
+    assert [[str(v) for v in row.values()] for row in json_rows] == csv_rows
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     # usage: unknown flag
     code, _, err = run_cli(capsys, "generate", "--bogus")
@@ -244,6 +258,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "tnfr-check", str(wide))
     assert (code, out) == (EXIT_GUARD, "")
     assert "domain too large" in err
+
+    # usage: a negative search limit is named, not reported as a limit exceeded
+    for option in ("--max-arcs", "--budget"):
+        code, out, err = run_cli(capsys, "tnfr-check", str(toy), option, "-1")
+        assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {option}: -1 is negative\n"), option
 
     # input error: an arc back into the master source, where a flow could cycle
     cycle = tmp_path / "cycle.tnfr"

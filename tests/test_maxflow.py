@@ -8,7 +8,15 @@ import spikeflow.oracle
 from flow_oracles import brute_force_max_flow
 from search_reference import build_direct_search_network
 from spikeflow.errors import WorkingMemoryExceeded
-from spikeflow.flow import FlowAssignment, FlowNetwork, edmonds_karp, generate_random, max_feasible_edges, validate_flow
+from spikeflow.flow import (
+    Edge,
+    FlowAssignment,
+    FlowNetwork,
+    edmonds_karp,
+    generate_random,
+    max_feasible_edges,
+    validate_flow,
+)
 from spikeflow.maxflow import (
     PAPER_FAITHFUL,
     RESIDUAL,
@@ -129,7 +137,7 @@ def test_chain_decode_and_min_cap():
     tape, _ = run_search_query(oracle, emap)
     path = decode_path(tape, emap, oracle, wm)
     assert path is not None
-    assert [a.idx for a in path.arcs] == [0, 1]
+    assert [a.id for a in path.arcs] == [0, 1]
     assert path.min_cap == 3
 
 
@@ -146,13 +154,12 @@ def test_diamond_wave_symmetry_and_tie_break():
     wm = WorkingMemory(maxflow._WM_WORDS, oracle.report)
     tape, record = run_search_query(oracle, emap)
     # both sink-edge search neurons fire together at t=1
-    stop = {emap.readout_id(i) for i in emap.sink_arc_idxs()}
-    fresh = run(oracle.net, emap.query_time_limit(), stop_on_fire=stop)
+    fresh = run(oracle.net, emap.query_time_limit(), stop_on_fire=emap.sink_readout_ids)
     assert (1, emap.search_id(2)) in fresh.trace
     assert (1, emap.search_id(3)) in fresh.trace
     assert (record.spikes, record.stop_step) == (len(fresh.trace), fresh.t)
     path = decode_path(tape, emap, oracle, wm)
-    assert [a.idx for a in path.arcs] == [0, 2]  # the lower-id branch
+    assert [a.id for a in path.arcs] == [0, 2]  # the lower-id branch
 
 
 def test_chain_solve_full_loop():
@@ -301,13 +308,39 @@ def test_hub_wiring_fires_like_direct_wiring(mode, monkeypatch):
     assert hubs_used > len(nets) // 2
 
 
-def test_path_record_invariants():
-    from spikeflow.maxflow import Arc
+def test_arc_table_is_a_flow_network():
+    net = generate_random(8, 16, c_max=5, seed=4)
+    reversible = [e for e in net.edges if e.tail != net.source and e.head != net.sink]
+    assert 0 < len(reversible) < net.n_edges
 
+    # paper-faithful: the instance's own edges and edge lists
+    emap = EdgeNeuronMap(net, residual=False)
+    assert emap.arcs is net.edges
+    assert (emap.arcs_by_tail, emap.arcs_by_head) == (net.out_edges, net.in_edges)
+    assert emap.n_arcs == net.n_edges
+    assert emap.mirror == [None] * net.n_edges
+
+    # residual: the edges, then one capacity-0 companion per edge that neither
+    # leaves the source nor enters the sink, numbered on in edge order
+    emap = EdgeNeuronMap(net, residual=True)
+    m = net.n_edges
+    assert emap.arcs[:m] == net.edges
+    companions = emap.arcs[m:]
+    assert companions == [Edge(m + k, e.head, e.tail, 0) for k, e in enumerate(reversible)]
+    assert emap.n_arcs == m + len(reversible)
+    assert [e.id for e in net.edges if emap.mirror[e.id] is not None] == [e.id for e in reversible]
+    for a, e in zip(companions, reversible):
+        assert (emap.mirror[e.id], emap.mirror[a.id]) == (a.id, e.id)
+    for v in range(net.n_nodes):
+        assert emap.arcs_by_tail[v] == [a for a in emap.arcs if a.tail == v]
+        assert emap.arcs_by_head[v] == [a for a in emap.arcs if a.head == v]
+
+
+def test_path_record_invariants():
     with pytest.raises(Exception):
         PathRecord([], 1)
-    a = Arc(0, 0, 1, 1)
-    b = Arc(1, 2, 3, 1)  # does not chain after a
+    a = Edge(0, 0, 1, 1)
+    b = Edge(1, 2, 3, 1)  # does not chain after a
     with pytest.raises(Exception):
         PathRecord([a, b], 1)
     with pytest.raises(Exception):

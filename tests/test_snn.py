@@ -1,4 +1,3 @@
-import io
 from copy import deepcopy
 from fractions import Fraction
 
@@ -17,10 +16,10 @@ from spikeflow.snn import (
     SpikingNetwork,
     Synapse,
     format_netlist,
+    format_trace_csv,
     parse_netlist,
     run,
     step,
-    write_trace_csv,
 )
 
 ONE = Fraction(1)
@@ -555,9 +554,7 @@ def test_trace_csv():
     net = make_net()
     net.add_neuron(Neuron(3, 1, 0, ONE, v0=1))
     state = run(net, 2)
-    buf = io.StringIO()
-    write_trace_csv(state, buf)
-    assert buf.getvalue() == "time,neuron_id\n0,3\n"
+    assert format_trace_csv(state) == "time,neuron_id\n0,3\n"
 
 
 @pytest.mark.parametrize(
