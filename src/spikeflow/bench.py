@@ -9,7 +9,15 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConstructionBugError
-from .flow import FlowNetwork, edmonds_karp, format_dimacs, generate_random, max_feasible_edges, validate_flow
+from .flow import (
+    FlowNetwork,
+    check_pool_guard,
+    edmonds_karp,
+    format_dimacs,
+    generate_random,
+    max_feasible_edges,
+    validate_flow,
+)
 from .maxflow import PAPER_FAITHFUL, RESIDUAL, solve, verify_episode_properties
 
 SPARSE, DENSE = "sparse", "dense"
@@ -51,6 +59,7 @@ class BenchConfig:
             # the edge range generate_random can build on n nodes
             if not 1 <= n - 1 <= suite_edge_count(self.suite, n) <= max_feasible_edges(n):
                 raise ValueError(f"size {n} is too small for the {self.suite} suite")
+            check_pool_guard(n)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from .errors import (
     UndecidedError,
     WorkingMemoryExceeded,
 )
-from .flow import format_dimacs, generate_random, parse_dimacs
+from .flow import POOL_GUARD, format_dimacs, generate_random, parse_dimacs
 from .maxflow import PAPER_FAITHFUL, RESIDUAL, solve
 from .naive import decide_naive
 from .snn import format_trace_csv, parse_netlist, run
@@ -100,6 +100,8 @@ def _int_list(option: str, text: str, role: str) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise UsageError(f"--steps: {args.steps} is negative")
     net = parse_netlist(_read_in(args.netlist))
     stop = None
     if args.stop_on:
@@ -217,7 +219,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="spikeflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="emit a random DIMACS instance")
+    p = sub.add_parser(
+        "generate",
+        help="emit a random DIMACS instance",
+        description="Emit a random connected DAG instance. The generator holds all"
+        f" n(n-1)/2 candidate pairs, at most {POOL_GUARD:,}; a larger --nodes exits 3.",
+    )
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--cmax", type=int, default=10)

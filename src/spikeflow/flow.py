@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import GuardExceeded, ParseError
 
 
 class Edge(NamedTuple):
@@ -152,12 +152,33 @@ def max_feasible_edges(n_nodes: int) -> int:
     return n_nodes * (n_nodes - 1) // 2
 
 
+# The most candidate pairs, n(n-1)/2, that generate_random will hold.  At the
+# bound (n = 1414) the pool and its adjacency sets peak at about 290 MiB of
+# RSS and a complete DAG instance at about 510 MiB (CPython 3.11, x86-64);
+# the bench suites stop at 4,950 pairs (n = 100).
+POOL_GUARD = 10**6
+
+
+def check_pool_guard(n_nodes: int) -> None:
+    """Raise ``GuardExceeded`` when generate_random's pool on ``n_nodes``
+    would hold more than ``POOL_GUARD`` pairs."""
+    if max_feasible_edges(n_nodes) > POOL_GUARD:
+        raise GuardExceeded(
+            f"{n_nodes} nodes need {max_feasible_edges(n_nodes)} candidate pairs,"
+            f" over the pool guard {POOL_GUARD}"
+        )
+
+
 def _undirected_reachable(adjacency: dict[int, set[int]], start: int, goal: int) -> bool:
+    """Whether ``goal`` lies in ``start``'s component.  The breadth-first
+    search stops as soon as a dequeued node has ``goal`` as a neighbour."""
+    if start == goal:
+        return True
     seen = {start}
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        if v == goal:
+        if goal in adjacency[v]:
             return True
         for w in adjacency[v]:
             if w not in seen:
@@ -173,6 +194,11 @@ def generate_random(n_nodes: int, n_edges: int, c_max: int, seed: int) -> FlowNe
 
     Node 0 is the source, node ``n_nodes - 1`` the sink; edges run from lower
     to higher node id, so every instance is acyclic.  Deterministic per seed.
+
+    Cost: the pool holds all n(n-1)/2 candidate pairs, and every attempted
+    deletion runs one breadth-first search, which stops when it discovers the
+    deleted pair's other end.  ``GuardExceeded`` is raised, before the pool
+    is built, when the pool would exceed ``POOL_GUARD`` pairs.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
@@ -182,6 +208,7 @@ def generate_random(n_nodes: int, n_edges: int, c_max: int, seed: int) -> FlowNe
         raise ValueError(
             f"n_edges must lie in [{n_nodes - 1}, {max_feasible_edges(n_nodes)}]"
         )
+    check_pool_guard(n_nodes)
     rng = random.Random(seed)
     pool = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
     adjacency: dict[int, set[int]] = {v: set() for v in range(n_nodes)}

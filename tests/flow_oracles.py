@@ -5,7 +5,8 @@ Deliberately dumb: `brute_force_max_flow` enumerates every integer assignment
 partition.  By weak duality, a feasible flow whose value equals any cut
 capacity is provably optimal, so these certify optimality without trusting
 any augmenting-path search.  `min_cut_capacity` reads the cut a given flow
-leaves reachable from the source.
+leaves reachable from the source.  `component_labels` joins undirected pairs
+by union-find, with no search at all.
 """
 
 from collections import deque
@@ -98,3 +99,19 @@ def weakly_connected(n_nodes: int, pairs: list[tuple[int, int]]) -> bool:
                 seen.add(w)
                 queue.append(w)
     return len(seen) == n_nodes
+
+
+def component_labels(n_nodes: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """Each node's component representative, by union-find over the pairs
+    taken as undirected; two nodes share a component iff their labels match."""
+    parent = list(range(n_nodes))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in pairs:
+        parent[find(u)] = find(v)
+    return [find(v) for v in range(n_nodes)]

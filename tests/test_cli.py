@@ -1,6 +1,11 @@
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +101,31 @@ def test_simulate_outputs_trace(tmp_path, capsys):
     # so is a token that is not an id at all
     code, out, err = run_cli(capsys, "simulate", str(netlist), "--steps", "5", "--stop-on", "0,x")
     assert (code, out, err) == (EXIT_USAGE, "", "usage error: --stop-on: 'x' is not a neuron id\n")
+    # and a negative step count
+    code, out, err = run_cli(capsys, "simulate", str(netlist), "--steps", "-1")
+    assert (code, out, err) == (EXIT_USAGE, "", "usage error: --steps: -1 is negative\n")
+
+
+def test_generate_refuses_a_pool_over_the_guard():
+    """The child runs with its address space capped at 1 GiB, so without the
+    guard it would end in a MemoryError, not take the host's memory."""
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(spikeflow.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spikeflow.cli", "generate", "--nodes", "100000", "--edges", "100000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=cap_address_space,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_GUARD, "")
+    assert proc.stderr == (
+        "guard/budget: 100000 nodes need 4999950000 candidate pairs, over the pool guard 1000000\n"
+    )
 
 
 def test_bench_usage_errors_come_before_the_sweep(tmp_path, capsys, monkeypatch):
@@ -106,6 +136,12 @@ def test_bench_usage_errors_come_before_the_sweep(tmp_path, capsys, monkeypatch)
     code, out, err = run_cli(capsys, "bench", "--sizes", "5,x", "--out-dir", str(tmp_path / "s"))
     assert (code, out, err) == (EXIT_USAGE, "", "usage error: --sizes: 'x' is not a size\n")
     assert not (tmp_path / "s").exists()
+
+    # so is a size whose candidate pairs exceed the generator's pool guard (exit 3)
+    code, out, err = run_cli(capsys, "bench", "--sizes", "5,1500", "--out-dir", str(tmp_path / "g"))
+    assert (code, out) == (EXIT_GUARD, "")
+    assert err == "guard/budget: 1500 nodes need 1124250 candidate pairs, over the pool guard 1000000\n"
+    assert not (tmp_path / "g").exists()
 
     # an output path that is, or lies under, an existing file
     taken = tmp_path / "taken"

@@ -4,11 +4,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flow_oracles import brute_force_max_flow, exhaustive_min_cut, min_cut_capacity, weakly_connected
-from spikeflow.errors import ParseError
+import spikeflow.flow as flow
+from flow_oracles import (
+    brute_force_max_flow,
+    component_labels,
+    exhaustive_min_cut,
+    min_cut_capacity,
+    weakly_connected,
+)
+from spikeflow.bench import DENSE_SIZES, SPARSE_SIZES
+from spikeflow.errors import GuardExceeded, ParseError
 from spikeflow.flow import (
+    POOL_GUARD,
     FlowAssignment,
     FlowNetwork,
+    _undirected_reachable,
     bfs_shortest_augmenting_path,
     edmonds_karp,
     format_dimacs,
@@ -138,6 +148,40 @@ def test_generator_rejects_infeasible_edge_counts():
     with pytest.raises(ValueError):
         generate_random(5, 11, c_max=1, seed=0)
     assert max_feasible_edges(5) == 10
+
+
+def test_generator_pool_guard(monkeypatch):
+    # the bench suites' largest pool is far below the guard
+    assert max_feasible_edges(max(SPARSE_SIZES + DENSE_SIZES)) * 100 < POOL_GUARD
+    monkeypatch.setattr(flow, "POOL_GUARD", 10)
+    assert generate_random(5, 4, c_max=3, seed=0).n_edges == 4  # 10 pairs, at the guard
+    with pytest.raises(GuardExceeded) as exc:
+        generate_random(6, 5, c_max=3, seed=0)
+    assert str(exc.value) == "6 nodes need 15 candidate pairs, over the pool guard 10"
+
+
+@st.composite
+def undirected_graphs(draw):
+    """(n, pairs, start, goal): up to 16 undirected pairs on 1..9 nodes."""
+    n = draw(st.integers(1, 9))
+    node = st.integers(0, n - 1)
+    pairs = [(u, v) for u, v in draw(st.lists(st.tuples(node, node), max_size=16)) if u != v]
+    return n, pairs, draw(node), draw(node)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=undirected_graphs())
+@example(graph=(4, [(0, 1), (1, 2), (2, 3)], 2, 3))  # the goal one hop away
+@example(graph=(5, [(0, 1), (1, 2), (3, 4)], 0, 4))  # an unreachable goal
+@example(graph=(4, [(1, 2), (2, 3)], 0, 3))  # an isolated start
+def test_undirected_reachable_agrees_with_union_find(graph):
+    n, pairs, start, goal = graph
+    adjacency: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in pairs:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    labels = component_labels(n, pairs)
+    assert _undirected_reachable(adjacency, start, goal) == (labels[start] == labels[goal])
 
 
 @settings(max_examples=40, deadline=None)

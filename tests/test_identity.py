@@ -2,8 +2,10 @@
 TNFR reduction and the oracle networks the solvers write.
 
 A refactor or an optimisation must leave these outputs byte-identical
-(ROADMAP aim 2).  The grid covers sparse n <= 40 and dense n <= 20 in all
-three bench modes, plus a chain whose only augmenting path uses every arc.
+(ROADMAP aim 2).  The bench grid covers sparse n <= 40 and dense n <= 20 in
+all three bench modes, plus a chain whose only augmenting path uses every
+arc.  The random instances themselves are pinned as DIMACS text over an
+(n, m, seed) grid that reaches the largest bench sizes.
 The construction pins cover ``decide_naive``'s decisions, layouts and
 reports, and the netlists and write counts of the naive decider and of the
 max-flow search network in both modes.
@@ -20,9 +22,18 @@ from fractions import Fraction
 import pytest
 
 import spikeflow.bench as bench
-from spikeflow.bench import CLASSICAL, DENSE, SPARSE, BenchConfig, run_bench
+from spikeflow.bench import (
+    CLASSICAL,
+    DENSE,
+    DENSE_SIZES,
+    SPARSE,
+    SPARSE_SIZES,
+    BenchConfig,
+    run_bench,
+    suite_edge_count,
+)
 from spikeflow.errors import SearchBudgetExceeded
-from spikeflow.flow import FlowNetwork, generate_random, max_feasible_edges
+from spikeflow.flow import FlowNetwork, format_dimacs, generate_random, max_feasible_edges
 from spikeflow.maxflow import PAPER_FAITHFUL, RESIDUAL, EdgeNeuronMap, build_capacity_neurons, build_search_network
 from spikeflow.naive import build_decider, decide_naive
 from spikeflow.oracle import NeuromorphicOracle
@@ -113,6 +124,34 @@ def test_all_arcs_chain_is_byte_identical(mode, monkeypatch):
     monkeypatch.setattr(bench, "generate_random", lambda *args: chain_net())
     config = BenchConfig(suite=SPARSE, sizes=[5], samples=1, seed=7, mode=mode)
     assert _hashes(config, monkeypatch) == PINNED[("chain", mode)]
+
+
+# --- the random instances ----------------------------------------------------
+
+# (n, m, c_max, seed) per group: every edge count for n <= 8, the sparse and
+# dense bench sizes, and half the complete DAG's pairs at n = 20, 40 and 60
+INSTANCE_GRID = {
+    "every m": [
+        (n, m, 10, s) for n in range(2, 9) for m in range(n - 1, max_feasible_edges(n) + 1) for s in (0, 1)
+    ],
+    SPARSE: [(n, suite_edge_count(SPARSE, n), 10, s) for n in SPARSE_SIZES for s in (0, 1)],
+    DENSE: [(n, suite_edge_count(DENSE, n), 10, s) for n in DENSE_SIZES for s in (0, 1)],
+    "half": [(n, max_feasible_edges(n) // 2, 10, 3) for n in (20, 40, 60)],
+}
+
+# group -> sha256 of the JSON list of every instance's DIMACS text
+INSTANCES_PINNED = {
+    "every m": "f4e9b4f55c7723368d321b855c1997809e4e7c84dae6ac2ad6aa541e73d7492e",
+    SPARSE: "9869c3ac3c95aa28878562adf3a33a5228ee47aaa3546d4523a3e95f2243d339",
+    DENSE: "f50f2698d3cda5b561a65fdc8cae0cf3e66af0ea681e0f6e81ff254afd1a9af4",
+    "half": "ba370d33c027451271f997b7ac4a39ffb6bb064bcd2b9726f2fca7b034ae1343",
+}
+
+
+@pytest.mark.parametrize("group", INSTANCE_GRID)
+def test_random_instances_are_byte_identical(group):
+    texts = [format_dimacs(generate_random(*case)) for case in INSTANCE_GRID[group]]
+    assert _sha(json.dumps(texts)) == INSTANCES_PINNED[group]
 
 
 # --- the TNFR reduction ------------------------------------------------------
