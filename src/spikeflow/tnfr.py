@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import GuardExceeded, ParseError, SearchBudgetExceeded
+from .flow import check_node_guard
 from .snn import SimulationState, SpikingNetwork
 from .snn import step as snn_step
 
@@ -136,11 +137,7 @@ def _topological_arc_order(inst: TNFRInstance) -> list[int]:
     return sorted(range(len(arcs)), key=lambda i: (node_rank[arcs[i][0]], node_rank[arcs[i][1]], i))
 
 
-def check_feasible(
-    inst: TNFRInstance,
-    max_arcs: int = 64,
-    budget: int = 10**8,
-) -> tuple[bool, dict[int, int] | None]:
+def check_feasible(inst: TNFRInstance, budget: int = 10**8) -> tuple[bool, dict[int, int] | None]:
     """Exact backtracking search for a feasible flow with source outflow > ``inst.d``.
 
     Arcs are assigned one at a time (in topological order on an acyclic
@@ -151,13 +148,14 @@ def check_feasible(
     tail's and head's entries and backtracking undoes them.  A partial
     assignment is pruned when the source's outflow can no longer exceed d or
     when a conserving endpoint's in- and outflow intervals no longer meet.
-    Raises on oversized instances or when the expansion budget runs out.
+    One loop walks the positions with an explicit stack, and two bounds stop
+    it: an arc domain of more than ``MAX_DOMAIN`` values raises
+    ``GuardExceeded``, and more than ``budget`` node expansions (positions
+    entered) raise ``SearchBudgetExceeded``.
     """
     if inst.source is None or inst.sink is None:
         raise ValueError("instance needs a master source and sink")
     arcs = inst.arcs
-    if len(arcs) > max_arcs:
-        raise GuardExceeded(f"{len(arcs)} arcs exceed the limit {max_arcs}")
     for idx, (_, _, c_min, c_max) in enumerate(arcs):
         if c_max - c_min + 2 > MAX_DOMAIN:
             raise GuardExceeded(f"arc {idx} domain too large")
@@ -178,43 +176,49 @@ def check_feasible(
             list(range(c_max, c_min - 1, -1)) + ([0] if c_min else []),
         ))
     source, d = index[inst.source], inst.d
-    flows: dict[int, int] = {}  # filled as a successful search unwinds
     expansions = 0
-
-    def rec(i: int) -> bool:
-        nonlocal expansions
-        if i == len(steps):
-            return out_lo[source] > d
-        idx, c_max, tail, head, check_tail, check_head, domain = steps[i]
+    # per assigned position, in order: its values not yet tried and its flow
+    stack: list[tuple[Iterator[int], int]] = []
+    while len(stack) < len(steps):  # enter the next position
+        _, c_max, tail, head, check_tail, check_head, domain = steps[len(stack)]
         expansions += 1
         if expansions > budget:
             raise SearchBudgetExceeded(f"exceeded {budget} expansions")
-        for f in domain:
-            gap = f - c_max
-            out_lo[tail] += f
-            out_hi[tail] += gap
-            in_lo[head] += f
-            in_hi[head] += gap
-            if (
-                out_hi[source] > d
-                and (not check_tail or (in_lo[tail] <= out_hi[tail] and out_lo[tail] <= in_hi[tail]))
-                and (not check_head or (in_lo[head] <= out_hi[head] and out_lo[head] <= in_hi[head]))
-                and rec(i + 1)
-            ):
-                flows[idx] = f
-                return True
-            out_lo[tail] -= f
-            out_hi[tail] -= gap
-            in_lo[head] -= f
-            in_hi[head] -= gap
-        return False
-
-    try:
-        if rec(0):
-            return True, {idx: flows[idx] for idx in range(len(arcs))}
-        return False, None
-    finally:
-        del rec  # rec refers to itself: free its tables now, not at the next gc pass
+        values = iter(domain)
+        while True:  # try the position's values left; back up a position while none passes
+            for f in values:
+                gap = f - c_max
+                out_lo[tail] += f
+                out_hi[tail] += gap
+                in_lo[head] += f
+                in_hi[head] += gap
+                if (
+                    out_hi[source] > d
+                    and (not check_tail or (in_lo[tail] <= out_hi[tail] and out_lo[tail] <= in_hi[tail]))
+                    and (not check_head or (in_lo[head] <= out_hi[head] and out_lo[head] <= in_hi[head]))
+                ):
+                    break
+                out_lo[tail] -= f
+                out_hi[tail] -= gap
+                in_lo[head] -= f
+                in_hi[head] -= gap
+            else:
+                if not stack:
+                    return False, None
+                values, f = stack.pop()
+                _, c_max, tail, head, check_tail, check_head, _ = steps[len(stack)]
+                gap = f - c_max
+                out_lo[tail] -= f
+                out_hi[tail] -= gap
+                in_lo[head] -= f
+                in_hi[head] -= gap
+                continue
+            break
+        stack.append((values, f))
+    # the prune held at the last arc, where the source's outflow is out_lo; with no arcs it is 0
+    if out_lo[source] > d:
+        return True, dict(sorted((step[0], f) for step, (_, f) in zip(steps, stack)))
+    return False, None
 
 
 # --- the reduction -----------------------------------------------------------
@@ -513,7 +517,7 @@ def verify_reduction(cfg: ReductionConfig) -> ReductionVerdict:
             details.append(f"witness value {value} != 3")
     feasible = bool(witness_ok)  # a valid witness is itself the certificate
     if not feasible:
-        feasible, found = check_feasible(inst, max_arcs=len(inst.arcs))
+        feasible, found = check_feasible(inst)
         if feasible and not outcome.accepted:
             details.append(f"rejecting network but flow of value > 2 exists: {found}")
     passed = (outcome.accepted == feasible) and (witness_ok is not False)
@@ -560,6 +564,7 @@ def parse_tnfr(text: str) -> TNFRInstance:
                 if len(fields) != 5 or fields[1] != "tnfr":
                     raise ValueError("expected: p tnfr <nodes> <arcs> <d>")
                 n_nodes, n_arcs = int(fields[2]), int(fields[3])
+                check_node_guard(n_nodes)
                 inst = TNFRInstance(d=int(fields[4]))
             elif fields[0] == "n":
                 if len(fields) != 3 or fields[2] not in (SOURCE, SINK, RES_SINK, RES_SOURCE):

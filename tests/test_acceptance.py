@@ -281,9 +281,9 @@ def test_criterion_8_reduction_biconditional():
     # mutation: deleting the failure gadget flips an accepting verdict
     cfg = _reduction_suite()[0][1]
     inst = reduce_network(cfg, simulate_constrained(cfg))
-    healthy, _ = check_feasible(inst, max_arcs=len(inst.arcs))
+    healthy, _ = check_feasible(inst)
     mutated = without_arcs(inst, touches_failure)
-    broken, _ = check_feasible(mutated, max_arcs=len(mutated.arcs))
+    broken, _ = check_feasible(mutated)
     flipped = healthy and not broken
     report(
         8,

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import resource
@@ -8,13 +10,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spikeflow
 import spikeflow.bench as bench
 import spikeflow.cli as cli
 from spikeflow.cli import EXIT_GUARD, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from spikeflow.flow import FlowAssignment, format_dimacs, generate_random
-from spikeflow.tnfr import ReductionConfig
+from spikeflow.tnfr import ReductionConfig, check_feasible, parse_tnfr
 
 
 def run_cli(capsys, *argv):
@@ -106,26 +110,53 @@ def test_simulate_outputs_trace(tmp_path, capsys):
     assert (code, out, err) == (EXIT_USAGE, "", "usage error: --steps: -1 is negative\n")
 
 
-def test_generate_refuses_a_pool_over_the_guard():
-    """The child runs with its address space capped at 1 GiB, so without the
-    guard it would end in a MemoryError, not take the host's memory."""
+def run_capped(*argv, cwd=None):
+    """``spikeflow argv`` in a child whose address space is capped at 1 GiB,
+    so a missing memory guard ends in a MemoryError, not in the host's memory."""
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
     src = str(Path(spikeflow.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", "spikeflow.cli", "generate", "--nodes", "100000", "--edges", "100000"],
+    return subprocess.run(
+        [sys.executable, "-m", "spikeflow.cli", *argv],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": src},
         preexec_fn=cap_address_space,
         timeout=60,
     )
+
+
+def test_generate_refuses_a_pool_over_the_guard():
+    proc = run_capped("generate", "--nodes", "100000", "--edges", "100000")
     assert (proc.returncode, proc.stdout) == (EXIT_GUARD, "")
     assert proc.stderr == (
         "guard/budget: 100000 nodes need 4999950000 candidate pairs, over the pool guard 1000000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv", [("solve", "huge.max"), ("decide-naive", "huge.max", "-d", "0"), ("tnfr-check", "huge.tnfr")]
+)
+def test_parsers_refuse_a_node_count_over_the_guard(tmp_path, argv):
+    (tmp_path / "huge.max").write_text("p max 100000000 1\nn 1 s\nn 2 t\na 1 2 1\n")
+    (tmp_path / "huge.tnfr").write_text("p tnfr 100000000 1 0\nn 1 s\nn 2 t\na 1 2 1 1\n")
+    proc = run_capped(*argv, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (EXIT_GUARD, "")
+    assert proc.stderr == "guard/budget: 100000000 nodes exceed the node guard 1000000\n"
+
+
+def test_a_path_longer_than_the_recursion_limit_is_searched(tmp_path, capsys):
+    n_arcs = 5000
+    assert n_arcs > sys.getrecursionlimit()
+    lines = [f"p tnfr {n_arcs + 1} {n_arcs} 0", "n 1 s", f"n {n_arcs + 1} t"]
+    lines += [f"a {i} {i + 1} 0 1" for i in range(1, n_arcs + 1)]
+    path = tmp_path / "path.tnfr"
+    path.write_text("\n".join(lines) + "\n")
+    assert check_feasible(parse_tnfr(path.read_text())) == (True, dict.fromkeys(range(n_arcs), 1))
+    assert run_cli(capsys, "tnfr-check", str(path)) == (EXIT_OK, "yes\n", "")
 
 
 def test_bench_usage_errors_come_before_the_sweep(tmp_path, capsys, monkeypatch):
@@ -296,9 +327,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert "domain too large" in err
 
     # usage: a negative search limit is named, not reported as a limit exceeded
-    for option in ("--max-arcs", "--budget"):
-        code, out, err = run_cli(capsys, "tnfr-check", str(toy), option, "-1")
-        assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {option}: -1 is negative\n"), option
+    code, out, err = run_cli(capsys, "tnfr-check", str(toy), "--budget", "-1")
+    assert (code, out, err) == (EXIT_USAGE, "", "usage error: --budget: -1 is negative\n")
 
     # input error: an arc back into the master source, where a flow could cycle
     cycle = tmp_path / "cycle.tnfr"
@@ -360,3 +390,59 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
 def test_usage_error_for_missing_subcommand(capsys):
     assert main([]) == EXIT_USAGE
+
+
+# --- fuzzing the command line ------------------------------------------------
+
+NUMBER = st.sampled_from(["-1", "0", "1", "2", "3", "x", "1.5"])
+LARGE = st.sampled_from(["-1", "0", "1", "2", "3", "x", "1.5", "100000"])  # bounded by a guard or a skip
+REDUCTION_OPTIONS = [("--constant", NUMBER), ("--accept", NUMBER), ("-t", NUMBER), ("-e", NUMBER)]
+# command -> (whether it reads a file, required options, optional options); None marks a flag
+COMMANDS = {
+    "simulate": (True, [("--steps", LARGE)], [("--stop-on", NUMBER)]),
+    "solve": (True, [], [("--mode", st.sampled_from(["paper-faithful", "residual"]))]),
+    "decide-naive": (True, [("-d", NUMBER)], [("--report", None)]),
+    "reduce": (True, REDUCTION_OPTIONS, []),
+    "verify-reduction": (True, REDUCTION_OPTIONS, []),
+    "tnfr-check": (True, [], [("--budget", NUMBER)]),
+    "generate": (False, [("--nodes", LARGE), ("--edges", LARGE)], [("--cmax", NUMBER), ("--seed", NUMBER)]),
+}
+FUZZ_FILES = {
+    "chain.max": "p max 3 2\nn 1 s\nn 3 t\na 1 2 3\na 2 3 5\n",
+    "toy.snn": "N 0 1 0 1 1 input\nN 1 1 0 1 0 accept\nS 0 1 1 1\n",
+    "toy.tnfr": "p tnfr 3 2 0\nn 1 s\nn 3 t\na 1 2 1 2\na 2 3 0 2\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+@st.composite
+def command_lines(draw, root):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    reads_file, required, optional = COMMANDS[command]
+    argv = [command]
+    if reads_file:
+        argv.append(str(root / draw(st.sampled_from([*FUZZ_FILES, "missing.max"]))))
+    for option, values in required + [opt for opt in optional if draw(st.booleans())]:
+        argv += [option] if values is None else [option, draw(values)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_command_line_ends_in_an_exit_code_and_one_line(fuzz_dir, data):
+    argv = data.draw(command_lines(fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_GUARD, EXIT_INVARIANT), argv
+    if code == EXIT_OK:
+        assert err.getvalue() == "", argv
+    else:
+        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1, (argv, err.getvalue())

@@ -8,7 +8,9 @@ arc.  The random instances themselves are pinned as DIMACS text over an
 (n, m, seed) grid that reaches the largest bench sizes.
 The construction pins cover ``decide_naive``'s decisions, layouts and
 reports, and the netlists and write counts of the naive decider and of the
-max-flow search network in both modes.
+max-flow search network in both modes.  The exact TNFR search is pinned by
+its expansion counts and by its answers and witnesses on small random
+instances.
 A change that alters an output on purpose re-pins its hash and says why in
 CHANGES.md.
 """
@@ -16,6 +18,7 @@ CHANGES.md.
 import hashlib
 import itertools
 import json
+import random
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -40,6 +43,7 @@ from spikeflow.oracle import NeuromorphicOracle
 from spikeflow.snn import Neuron, SpikingNetwork, Synapse, format_netlist
 from spikeflow.tnfr import (
     ReductionConfig,
+    TNFRInstance,
     check_feasible,
     format_tnfr,
     reduce_network,
@@ -262,9 +266,46 @@ def test_rejecting_search_expansions_are_pinned(spec):
     cfg = chain_config(*spec)
     inst = reduce_network(cfg, simulate_constrained(cfg))
     expansions = EXPANSIONS_PINNED[spec]
-    assert check_feasible(inst, max_arcs=len(inst.arcs), budget=expansions) == (False, None)
+    assert check_feasible(inst, budget=expansions) == (False, None)
     with pytest.raises(SearchBudgetExceeded):
-        check_feasible(inst, max_arcs=len(inst.arcs), budget=expansions - 1)
+        check_feasible(inst, budget=expansions - 1)
+
+
+def search_grid():
+    """Seeded small random TNFR instances, cyclic ones among them; about half
+    get a budget of 0..30 expansions, small enough that some searches raise."""
+    rng = random.Random(22)
+    kinds = {"s": "s", "t": "t", "a": "plain", "b": "plain", "c": "plain", "r": "r", "p": "p"}
+    for _ in range(1000):
+        inst = TNFRInstance(d=rng.randint(0, 3))
+        for name, kind in kinds.items():
+            inst.add_node(name, kind)
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            tail, head = rng.choice("sabcp"), rng.choice("abctr")
+            if tail != head:
+                c_min = rng.randint(0, 2)
+                rows.append((tail, head, c_min, rng.randint(c_min, 3)))
+        inst.add_arcs(rows)
+        budget = rng.randint(0, 30)
+        yield inst, (10**8 if rng.random() < 0.5 else budget)
+
+
+# sha256 of every grid instance's text, its budget and what check_feasible
+# returned on it: the answer and the witness, or that the budget ran out
+SEARCH_PINNED = "2124c716eef617d37bbfb1aa7cde28187bae6adc2da89bcd30647b7325376427"
+
+
+def test_search_answers_and_witnesses_are_pinned():
+    results = []
+    for inst, budget in search_grid():
+        try:
+            feasible, witness = check_feasible(inst, budget=budget)
+            outcome = [feasible, None if witness is None else list(witness.items())]
+        except SearchBudgetExceeded:
+            outcome = "budget"
+        results.append([format_tnfr(inst), budget, outcome])
+    assert _sha(json.dumps(results)) == SEARCH_PINNED
 
 
 # --- oracle network construction ---------------------------------------------

@@ -168,16 +168,13 @@ def test_rejecting_search_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
     try:
-        assert check_feasible(inst, max_arcs=len(inst.arcs)) == (False, None)
+        assert check_feasible(inst) == (False, None)
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_checker_guards():
-    inst = single_arc(0, 3, 0)
-    with pytest.raises(GuardExceeded):
-        check_feasible(inst, max_arcs=0)
     with pytest.raises(GuardExceeded):
         check_feasible(single_arc(0, 1000, 0))
     hard = TNFRInstance(d=0)
@@ -307,7 +304,7 @@ def test_witness_none_when_bounds_violated():
 def test_energy_violation_saturates_energy_channel():
     cfg = make_cfg(e=4)
     inst = reduce_network(cfg, simulate_constrained(cfg))
-    feasible, _ = check_feasible(inst, max_arcs=len(inst.arcs))
+    feasible, _ = check_feasible(inst)
     assert not feasible
     # the channel admits no unit even in isolation: with five forced spikes
     # the final column must push a spike unit through the pass arc
@@ -317,7 +314,7 @@ def test_energy_violation_saturates_energy_channel():
 def test_time_violation_starves_the_gate():
     cfg = make_cfg(acc_threshold=5)
     inst = reduce_network(cfg, simulate_constrained(cfg))
-    feasible, _ = check_feasible(inst, max_arcs=len(inst.arcs))
+    feasible, _ = check_feasible(inst)
     assert not feasible
     # the silence injections exist structurally, but only an actual
     # acceptance firing can activate them and feed the gate
@@ -439,9 +436,9 @@ def test_reduction_verifies_or_guards_on_random_networks(cfg):
 def test_mutation_dropping_failure_gadget_flips_a_verdict():
     cfg = make_cfg()
     inst = reduce_network(cfg, simulate_constrained(cfg))
-    healthy, _ = check_feasible(inst, max_arcs=len(inst.arcs))
+    healthy, _ = check_feasible(inst)
     mutated = without_arcs(inst, touches_failure)
-    broken, _ = check_feasible(mutated, max_arcs=len(mutated.arcs))
+    broken, _ = check_feasible(mutated)
     assert healthy and not broken  # the accepting instance loses its third unit
 
 
@@ -451,7 +448,7 @@ def test_serializer_blocks_fabricated_gadget_flow():
     # silence units and fake the acceptance evidence
     cfg = make_cfg(acc_threshold=5)  # accept never reachable
     inst = reduce_network(cfg, simulate_constrained(cfg))
-    feasible, witness = check_feasible(inst, max_arcs=len(inst.arcs))
+    feasible, witness = check_feasible(inst)
     assert not feasible
 
 
@@ -468,8 +465,8 @@ def test_tnfr_text_roundtrip():
     assert parsed.d == inst.d
     assert sorted(parsed.kinds.values()) == sorted(inst.kinds.values())
     # feasibility is representation-independent
-    a, _ = check_feasible(inst, max_arcs=len(inst.arcs))
-    b, _ = check_feasible(parsed, max_arcs=len(parsed.arcs))
+    a, _ = check_feasible(inst)
+    b, _ = check_feasible(parsed)
     assert a == b
 
 
