@@ -30,7 +30,7 @@ from .errors import (
     UndecidedError,
     WorkingMemoryExceeded,
 )
-from .flow import POOL_GUARD, format_dimacs, generate_random, parse_dimacs
+from .flow import POOL_GUARD, format_dimacs, generate_random, max_feasible_edges, parse_dimacs
 from .maxflow import PAPER_FAITHFUL, RESIDUAL, solve
 from .naive import decide_naive
 from .snn import format_trace_csv, parse_netlist, run
@@ -75,7 +75,18 @@ def _read_in(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _check_range(option: str, value: int, low: int, high: int | None = None) -> None:
+    """Raise a usage error naming ``option`` when ``value`` lies outside [low, high]."""
+    if high is None and value < low:
+        raise UsageError(f"{option}: {value} is below {low}")
+    if high is not None and not low <= value <= high:
+        raise UsageError(f"{option}: {value} is outside [{low}, {high}]")
+
+
 def cmd_generate(args) -> int:
+    _check_range("--nodes", args.nodes, 2)
+    _check_range("--edges", args.edges, args.nodes - 1, max_feasible_edges(args.nodes))
+    _check_range("--cmax", args.cmax, 1)
     net = generate_random(args.nodes, args.edges, args.cmax, args.seed)
     _write_out(format_dimacs(net, comment=f"seed {args.seed}"), args.out)
     return EXIT_OK
@@ -179,6 +190,8 @@ def cmd_verify_reduction(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_range("--samples", args.samples, 1)
+    _check_range("--cmax", args.cmax, 1)
     sizes = _int_list("--sizes", args.sizes, "a size") if args.sizes else []
     out_dir = Path(args.out_dir)
     # the sweep can run for minutes: refuse an output path under a file first

@@ -30,8 +30,8 @@ class FlowNetwork:
         self.source = source
         self.sink = sink
         self.edges: list[Edge] = []
-        self.out_edges: dict[int, list[Edge]] = {v: [] for v in range(n_nodes)}
-        self.in_edges: dict[int, list[Edge]] = {v: [] for v in range(n_nodes)}
+        self.out_edges: list[list[Edge]] = [[] for _ in range(n_nodes)]
+        self.in_edges: list[list[Edge]] = [[] for _ in range(n_nodes)]
         for tail, head, cap in edges:
             self.add_edge(tail, head, cap)
 
@@ -171,9 +171,9 @@ def check_pool_guard(n_nodes: int) -> None:
 
 # The most nodes a DIMACS or TNFR file may declare: both parsers build
 # per-node tables from the problem line alone, before any arc is read.  At the
-# bound a file with one arc peaks at about 320 MiB of RSS in parse_dimacs and
-# 110 MiB in parse_tnfr, and at about 450 MiB through tnfr-check (CPython
-# 3.11, x86-64).
+# bound a file with one arc peaks at about 155 MiB of RSS in parse_dimacs and
+# through solve, 110 MiB in parse_tnfr, and 450 MiB through tnfr-check
+# (CPython 3.11, x86-64).
 NODE_GUARD = 10**6
 
 
@@ -184,20 +184,27 @@ def check_node_guard(n_nodes: int) -> None:
 
 
 def _undirected_reachable(adjacency: dict[int, set[int]], start: int, goal: int) -> bool:
-    """Whether ``goal`` lies in ``start``'s component.  The breadth-first
-    search stops as soon as a dequeued node has ``goal`` as a neighbour."""
+    """Whether ``goal`` lies in ``start``'s component.  A bidirectional
+    breadth-first search: each round grows the smaller frontier by one level
+    and stops as soon as a newly seen node is one the other side has seen.
+    A side that runs out of frontier has seen its whole component."""
     if start == goal:
         return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        if goal in adjacency[v]:
-            return True
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+    near, far = {start}, {goal}
+    near_frontier, far_frontier = [start], [goal]
+    while near_frontier and far_frontier:
+        if len(near_frontier) > len(far_frontier):
+            near, far = far, near
+            near_frontier, far_frontier = far_frontier, near_frontier
+        grown: list[int] = []
+        for v in near_frontier:
+            for w in adjacency[v]:
+                if w not in near:
+                    if w in far:
+                        return True
+                    near.add(w)
+                    grown.append(w)
+        near_frontier = grown
     return False
 
 
@@ -210,9 +217,12 @@ def generate_random(n_nodes: int, n_edges: int, c_max: int, seed: int) -> FlowNe
     to higher node id, so every instance is acyclic.  Deterministic per seed.
 
     Cost: the pool holds all n(n-1)/2 candidate pairs, and every attempted
-    deletion runs one breadth-first search, which stops when it discovers the
-    deleted pair's other end.  ``GuardExceeded`` is raised, before the pool
-    is built, when the pool would exceed ``POOL_GUARD`` pairs.
+    deletion runs one bidirectional breadth-first search between the deleted
+    pair's ends.  It grows the smaller side first and stops when the sides
+    meet or one runs out, so a deletion that would split the graph costs
+    about the smaller part, not the whole component.  ``GuardExceeded`` is
+    raised, before the pool is built, when the pool would exceed
+    ``POOL_GUARD`` pairs.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")

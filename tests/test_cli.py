@@ -330,6 +330,18 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "tnfr-check", str(toy), "--budget", "-1")
     assert (code, out, err) == (EXIT_USAGE, "", "usage error: --budget: -1 is negative\n")
 
+    # usage: an out-of-range number is named by its option, before any work
+    for argv, message in (
+        (("generate", "--nodes", "1", "--edges", "1"), "--nodes: 1 is below 2"),
+        (("generate", "--nodes", "5", "--edges", "3"), "--edges: 3 is outside [4, 10]"),
+        (("generate", "--nodes", "5", "--edges", "4", "--cmax", "0"), "--cmax: 0 is below 1"),
+        (("bench", "--sizes", "5", "--samples", "0", "--out-dir", str(tmp_path / "s")), "--samples: 0 is below 1"),
+        (("bench", "--sizes", "5", "--cmax", "0", "--out-dir", str(tmp_path / "c")), "--cmax: 0 is below 1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n"), argv
+    assert not (tmp_path / "s").exists() and not (tmp_path / "c").exists()
+
     # input error: an arc back into the master source, where a flow could cycle
     cycle = tmp_path / "cycle.tnfr"
     cycle.write_text("p tnfr 3 2 0\nn 1 s\nn 3 t\na 1 2 1 1\na 2 1 1 1\n")

@@ -174,6 +174,18 @@ def undirected_graphs(draw):
 @example(graph=(4, [(0, 1), (1, 2), (2, 3)], 2, 3))  # the goal one hop away
 @example(graph=(5, [(0, 1), (1, 2), (3, 4)], 0, 4))  # an unreachable goal
 @example(graph=(4, [(1, 2), (2, 3)], 0, 3))  # an isolated start
+@example(graph=(4, [(0, 1), (1, 2)], 2, 2))  # start == goal
+@example(graph=(5, [(0, 1), (1, 2), (2, 3)], 0, 4))  # an isolated goal
+# a goal side smaller than the start side: it runs out first, or its path
+# reaches the start side's first level
+@example(graph=(8, [(0, 1), (0, 2), (0, 3), (1, 4), (6, 7)], 0, 6))
+@example(graph=(8, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (5, 6)], 0, 6))
+# a path of even length 4: the start side grows one level, the goal side two,
+# and the start side's next level meets the goal side at the middle node
+@example(graph=(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (0, 6), (3, 7), (3, 8), (3, 9)], 0, 4))
+# a path of odd length 3: each side grows one level, and the start side's
+# next level meets the goal side's first across the middle edge (1, 2)
+@example(graph=(7, [(0, 1), (1, 2), (2, 3), (0, 4), (3, 5), (3, 6)], 0, 3))
 def test_undirected_reachable_agrees_with_union_find(graph):
     n, pairs, start, goal = graph
     adjacency: dict[int, set[int]] = {v: set() for v in range(n)}
@@ -182,6 +194,24 @@ def test_undirected_reachable_agrees_with_union_find(graph):
         adjacency[v].add(u)
     labels = component_labels(n, pairs)
     assert _undirected_reachable(adjacency, start, goal) == (labels[start] == labels[goal])
+
+
+def test_undirected_reachable_grows_the_smaller_side():
+    class Logged(dict):
+        def __getitem__(self, v):
+            expanded.append(v)
+            return super().__getitem__(v)
+
+    # start 0 has 50 leaves; goal 51 shares a two-node component with 52
+    pairs = [(0, leaf) for leaf in range(1, 51)] + [(51, 52)]
+    adjacency: dict[int, set[int]] = {v: set() for v in range(53)}
+    for u, v in pairs:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    expanded: list[int] = []
+    assert not _undirected_reachable(Logged(adjacency), 0, 51)
+    # one level from each end, then the goal side runs out; no leaf is expanded
+    assert expanded == [0, 51, 52]
 
 
 @settings(max_examples=40, deadline=None)
