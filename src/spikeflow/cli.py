@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error (including an output path that cannot
 be written), 2 malformed input, 3 guard, search budget or working-memory
-capacity exceeded, 4 internal invariant violation.
+capacity exceeded, 4 internal invariant violation (including a neuron id
+that a constructed network lacks).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     ParseError,
     SearchBudgetExceeded,
     UndecidedError,
+    UnknownNeuronError,
     WorkingMemoryExceeded,
 )
 from .flow import POOL_GUARD, format_dimacs, generate_random, max_feasible_edges, parse_dimacs
@@ -310,7 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GuardExceeded, SearchBudgetExceeded, UndecidedError, WorkingMemoryExceeded) as exc:
         sys.stderr.write(f"guard/budget: {exc}\n")
         return EXIT_GUARD
-    except ConstructionBugError as exc:
+    except (ConstructionBugError, UnknownNeuronError) as exc:
+        # the parsers turn an unknown neuron id into a ParseError, so one that
+        # reaches here came from a construction
         sys.stderr.write(f"invariant violation: {exc}\n")
         return EXIT_INVARIANT
     except ValueError as exc:

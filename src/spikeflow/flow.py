@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -52,6 +53,16 @@ class FlowNetwork:
         self.out_edges[tail].append(edge)
         self.in_edges[head].append(edge)
         return edge
+
+    def copy(self) -> FlowNetwork:
+        """A network with the same ``Edge`` tuples in its own lists, so an
+        edge added to the copy leaves this network unchanged; nothing is
+        checked again."""
+        other = copy.copy(self)
+        other.edges = self.edges.copy()
+        other.out_edges = [edges.copy() for edges in self.out_edges]
+        other.in_edges = [edges.copy() for edges in self.in_edges]
+        return other
 
     @property
     def n_edges(self) -> int:
@@ -185,25 +196,25 @@ def check_node_guard(n_nodes: int) -> None:
 
 def _undirected_reachable(adjacency: dict[int, set[int]], start: int, goal: int) -> bool:
     """Whether ``goal`` lies in ``start``'s component.  A bidirectional
-    breadth-first search: each round grows the smaller frontier by one level
-    and stops as soon as a newly seen node is one the other side has seen.
-    A side that runs out of frontier has seen its whole component."""
+    breadth-first search: each round grows the smaller frontier by one level,
+    the union of its nodes' neighbour sets less the nodes its side has seen,
+    and stops as soon as that level meets the other side's seen set.  A side
+    that runs out of frontier has seen its whole component."""
     if start == goal:
         return True
     near, far = {start}, {goal}
-    near_frontier, far_frontier = [start], [goal]
+    near_frontier, far_frontier = {start}, {goal}
     while near_frontier and far_frontier:
         if len(near_frontier) > len(far_frontier):
             near, far = far, near
             near_frontier, far_frontier = far_frontier, near_frontier
-        grown: list[int] = []
+        grown: set[int] = set()
         for v in near_frontier:
-            for w in adjacency[v]:
-                if w not in near:
-                    if w in far:
-                        return True
-                    near.add(w)
-                    grown.append(w)
+            grown |= adjacency[v]
+        grown -= near
+        if not far.isdisjoint(grown):
+            return True
+        near |= grown
         near_frontier = grown
     return False
 
@@ -218,11 +229,11 @@ def generate_random(n_nodes: int, n_edges: int, c_max: int, seed: int) -> FlowNe
 
     Cost: the pool holds all n(n-1)/2 candidate pairs, and every attempted
     deletion runs one bidirectional breadth-first search between the deleted
-    pair's ends.  It grows the smaller side first and stops when the sides
-    meet or one runs out, so a deletion that would split the graph costs
-    about the smaller part, not the whole component.  ``GuardExceeded`` is
-    raised, before the pool is built, when the pool would exceed
-    ``POOL_GUARD`` pairs.
+    pair's ends.  It grows the smaller side first, a whole level at a time
+    with set operations, and stops when the sides meet or one runs out, so a
+    deletion that would split the graph costs about the smaller part, not
+    the whole component.  ``GuardExceeded`` is raised, before the pool is
+    built, when the pool would exceed ``POOL_GUARD`` pairs.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")

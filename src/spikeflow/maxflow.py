@@ -66,9 +66,10 @@ class EdgeNeuronMap:
     The arc table is a :class:`FlowNetwork`: an arc is one of its edges, the
     arc's index is the edge id, and ``arcs_by_tail``/``arcs_by_head`` are its
     per-node edge lists.  In forward-decode mode it is the instance itself.
-    In residual mode it is the instance's edges followed by one reverse
-    companion (capacity 0; its headroom lives in the mirror) per edge that
-    neither leaves the source nor enters the sink, in edge order.
+    In residual mode it is a copy of the instance (the same ``Edge`` tuples,
+    not checked again) with one reverse companion (capacity 0; its headroom
+    lives in the mirror) added per edge that neither leaves the source nor
+    enters the sink, in edge order.
 
     Ids: transmitter 0, capacity family ``1..U``, search family ``U+1..2U``,
     readout family ``2U+1..3U`` (forward-decode mode only), where U is the
@@ -87,8 +88,7 @@ class EdgeNeuronMap:
         # arc a companion reverses; None for an arc without one
         mirror: list[int | None] = [None] * net.n_edges
         if residual:
-            forward = [(e.tail, e.head, e.cap) for e in net.edges]
-            arc_net = FlowNetwork(net.n_nodes, forward, net.source, net.sink)
+            arc_net = net.copy()
             for e in _companion_edges(net):
                 mirror[e.id] = arc_net.add_edge(e.head, e.tail, 0).id
                 mirror.append(e.id)

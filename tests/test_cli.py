@@ -17,6 +17,7 @@ import spikeflow
 import spikeflow.bench as bench
 import spikeflow.cli as cli
 from spikeflow.cli import EXIT_GUARD, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
+from spikeflow.errors import UnknownNeuronError
 from spikeflow.flow import FlowAssignment, format_dimacs, generate_random
 from spikeflow.tnfr import ReductionConfig, check_feasible, parse_tnfr
 
@@ -348,6 +349,15 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "tnfr-check", str(cycle))
     assert (code, out) == (EXIT_INPUT, "")
     assert err.startswith("input error: ") and "line 5" in err
+
+    # invariant: a neuron id that a constructed network lacks is a bug, not an
+    # input error (the parsers report their own unknown ids as ParseError)
+    def missing_neuron(net, mode):
+        raise UnknownNeuronError("no neuron 7")
+
+    monkeypatch.setattr(cli, "solve", missing_neuron)
+    code, out, err = run_cli(capsys, "solve", str(chain))
+    assert (code, out, err) == (EXIT_INVARIANT, "", "invariant violation: no neuron 7\n")
 
     # invariant: bench checks each solved flow, here a negative one
     solve = bench.solve

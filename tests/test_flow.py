@@ -57,6 +57,16 @@ def test_network_invariants_enforced():
         FlowNetwork(3, [(0, 1, -2)], 0, 2)  # negative capacity
 
 
+def test_copy_shares_edges_and_owns_its_lists():
+    net = diamond_graph()
+    twin = net.copy()
+    assert (twin.n_nodes, twin.source, twin.sink) == (4, 0, 3)
+    assert all(a is b for a, b in zip(twin.edges, net.edges, strict=True))
+    assert twin.add_edge(2, 1, 0) == (4, 2, 1, 0)
+    assert net.n_edges == 4 and net.out_edges[2] == [net.edges[3]] and net.in_edges[1] == [net.edges[0]]
+    assert twin.out_edges[2][-1] is twin.in_edges[1][-1] is twin.edges[4]
+
+
 def test_single_edge_max_flow():
     net = FlowNetwork(2, [(0, 1, 7)], 0, 1)
     result = edmonds_karp(net)
@@ -160,6 +170,24 @@ def test_generator_pool_guard(monkeypatch):
     assert str(exc.value) == "6 nodes need 15 candidate pairs, over the pool guard 10"
 
 
+class ReadOnce(dict):
+    """Undirected adjacency sets on nodes 0..n-1 that log each node whose set
+    is read and fail on a second read of one node: a search that expands an
+    already seen node again would otherwise never run out of frontier."""
+
+    def __init__(self, n: int, pairs: list[tuple[int, int]]):
+        super().__init__((v, set()) for v in range(n))
+        for u, v in pairs:
+            super().__getitem__(u).add(v)
+            super().__getitem__(v).add(u)
+        self.expanded: list[int] = []
+
+    def __getitem__(self, v):
+        assert v not in self.expanded, f"node {v} expanded twice"
+        self.expanded.append(v)
+        return super().__getitem__(v)
+
+
 @st.composite
 def undirected_graphs(draw):
     """(n, pairs, start, goal): up to 16 undirected pairs on 1..9 nodes."""
@@ -188,30 +216,17 @@ def undirected_graphs(draw):
 @example(graph=(7, [(0, 1), (1, 2), (2, 3), (0, 4), (3, 5), (3, 6)], 0, 3))
 def test_undirected_reachable_agrees_with_union_find(graph):
     n, pairs, start, goal = graph
-    adjacency: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in pairs:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
     labels = component_labels(n, pairs)
+    adjacency = ReadOnce(n, pairs)
     assert _undirected_reachable(adjacency, start, goal) == (labels[start] == labels[goal])
 
 
 def test_undirected_reachable_grows_the_smaller_side():
-    class Logged(dict):
-        def __getitem__(self, v):
-            expanded.append(v)
-            return super().__getitem__(v)
-
     # start 0 has 50 leaves; goal 51 shares a two-node component with 52
-    pairs = [(0, leaf) for leaf in range(1, 51)] + [(51, 52)]
-    adjacency: dict[int, set[int]] = {v: set() for v in range(53)}
-    for u, v in pairs:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    expanded: list[int] = []
-    assert not _undirected_reachable(Logged(adjacency), 0, 51)
+    adjacency = ReadOnce(53, [(0, leaf) for leaf in range(1, 51)] + [(51, 52)])
+    assert not _undirected_reachable(adjacency, 0, 51)
     # one level from each end, then the goal side runs out; no leaf is expanded
-    assert expanded == [0, 51, 52]
+    assert adjacency.expanded == [0, 51, 52]
 
 
 @settings(max_examples=40, deadline=None)
