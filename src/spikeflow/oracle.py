@@ -12,14 +12,12 @@ its fixed frame is allocated and one per read or write.  Oracle resources
 A consultation is deterministic in the network and its resting potentials,
 and a stop set only truncates the run.  So the oracle keeps one simulation
 per network version and answers each consultation from it; the metering is
-that of a fresh run all the same.  The consultation that runs a version is
-answered by the whole run: its spike count, its tape events and its repeats
-(spikes less distinct neurons).  A later consultation, which replays the
-run, indexes it once: each neuron's first spike time, also sorted.  A replay
-finds its cut as the earliest first spike of its stop set and counts its
-spikes, tape events and first spikes by bisection (every other spike in the
-cut repeats a neuron), so it costs its stop set and its tape, not the trace.
-A version consulted once, such as the naive decider's, builds no index.
+that of a fresh run all the same.  The run is indexed once, by step, in one
+pass over its record of the steps that fired: each such step's time, and
+the spikes, repeats (spikes of a neuron that had already spiked) and tape
+events up to and including it.  A consultation's cut is the first recorded
+step in which its stop set fired, or else its limit; it bisects the step
+times there, so it costs the steps it walks and its tape, not the spikes.
 The controller sees only the output tape, and no record keeps a
 consultation's spikes.
 
@@ -35,7 +33,6 @@ import json
 from bisect import bisect_left
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .errors import UndecidedError, UnknownNeuronError, WorkingMemoryExceeded
 from .snn import SimulationState, SpikingNetwork, run
@@ -168,7 +165,7 @@ class NeuromorphicOracle:
 
     Every network write (neuron, synapse, schedule, voltage) starts a new
     network version.  The first consultation of a version runs the
-    simulator and keeps the run; later ones index it and cut it at their
+    simulator and keeps the run, indexed by step; later ones cut it at their
     own stop spike or limit, and run the version afresh, keeping the new
     run, only when the saved run ends before either.  Metering does not
     change: every consultation is recorded as the fresh run it replays.
@@ -250,8 +247,8 @@ class NeuromorphicOracle:
     def _replay(self, time_limit: int, stop: frozenset[int]) -> tuple[_IndexedRun, int, int | None]:
         """A run of the current version that answers a fresh run to
         ``time_limit`` halting at the first spike in ``stop``: the saved run
-        when its trace decides that, else a new one.  Also the answer's step
-        count and halting step (None when it runs to the limit)."""
+        when its fired steps decide that, else a new one.  Also the answer's
+        step count and halting step (None when it runs to the limit)."""
         saved = self._saved
         cut = None if saved is None else saved.first_spike(stop, time_limit)
         if cut is None and (saved is None or saved.steps < time_limit):
@@ -298,36 +295,42 @@ class NeuromorphicOracle:
 
 
 class _IndexedRun:
-    """One simulation of a network version.  Its first-spike index, which
-    cuts it for later consultations, is built on the first replay."""
+    """One simulation of a network version, indexed by step in one pass
+    over its ``fired_steps``: the times of the steps that fired, the tape,
+    and the counts of spikes, repeated spikes and tape events before each
+    of those steps and at the end."""
 
-    __slots__ = ("steps", "trace", "tape", "repeats", "first", "first_times")
+    __slots__ = ("steps", "fired_steps", "times", "counts", "tape")
 
     def __init__(self, state: SimulationState, tape_ids: set[int]):
         self.steps = state.steps_used
-        trace = self.trace = state.trace
-        self.tape = [event for event in trace if event[1] in tape_ids]
-        self.repeats = len(trace) - len(set(map(itemgetter(1), trace)))
-        self.first: dict[int, int] | None = None
+        fired_steps = self.fired_steps = state.fired_steps
+        self.times = [t for t, _ in fired_steps]
+        counts = self.counts = [(0, 0, 0)]  # (spikes, repeats, tape events)
+        tape = self.tape = []
+        seen: set[int] = set()
+        spikes = repeats = 0
+        for t, fired in fired_steps:
+            spikes += len(fired)
+            repeats += len(fired & seen)
+            seen |= fired
+            taped = fired & tape_ids
+            if taped:
+                tape += [(t, nid) for nid in sorted(taped)]
+            counts.append((spikes, repeats, len(tape)))
 
     def first_spike(self, stop: frozenset[int], time_limit: int) -> int | None:
-        """Time of the first spike in ``stop`` before ``time_limit``, if any.
-        Every replay starts here, so this indexes the run for :meth:`cut`."""
-        first = self.first
-        if first is None:
-            # neuron id -> time of its first spike: read backwards, the earliest is stored last
-            first = self.first = {nid: t for t, nid in reversed(self.trace)}
-            self.first_times = sorted(first.values())
-        t = min((first[nid] for nid in stop if nid in first), default=None)
-        return t if t is not None and t < time_limit else None
+        """The first step before ``time_limit`` in which a neuron in ``stop``
+        fired, if any."""
+        for t, fired in self.fired_steps:
+            if t >= time_limit:
+                break
+            if not stop.isdisjoint(fired):
+                return t
+        return None
 
     def cut(self, steps: int) -> tuple[list[SpikeEvent], int, int]:
         """The tape events, spike count and repeated-spike count of the
-        trace's first ``steps`` timesteps: every spike there that is not its
-        neuron's first repeats one."""
-        trace = self.trace
-        if steps >= self.steps:  # the whole run: no index needed
-            return self.tape, len(trace), self.repeats
-        end = bisect_left(trace, (steps,))
-        tape = self.tape
-        return tape[: bisect_left(tape, (steps,))], end, end - bisect_left(self.first_times, steps)
+        run's first ``steps`` timesteps."""
+        spikes, repeats, taped = self.counts[bisect_left(self.times, steps)]
+        return self.tape[:taped], spikes, repeats

@@ -21,8 +21,10 @@ in the first round of step ``t+1``.
 Every neuron a delivery reaches is checked in that round, so delay-0
 propagation has no depth limit: in a chain 0 -> 1 -> 2 -> 3 of delay-0
 synapses where neuron 0 fires at ``t``, all four fire at ``t``.  A neuron
-fires at most once per step, so a step runs at most one round per neuron,
-and the trace lists each step's spikes by neuron id.
+fires at most once per step, so a step runs at most one round per neuron.
+A run records its spikes once, as the set of neurons fired in each step
+that fired any; the trace derived from that record lists each step's
+spikes by neuron id.
 
 Neurons with leak 1 keep a current potential and never decay.  Leak-0
 neurons are memoryless: those a step touched (at step 1 also those with a
@@ -241,13 +243,18 @@ class SimulationState:
     ``potentials`` holds every neuron's V.  A leak-1 potential is always
     current, a fractional-leak one as of ``last_update``; the leak-0 ones
     in ``_zero`` read 0 from step ``_zero_at`` on, when :func:`step` zeroes them.
+
+    ``fired_steps`` is the run's one record of its spikes: ``(t, ids)`` for
+    each step ``t`` in which anything fired, in step order, holding the
+    spike set :func:`step` returned.  ``trace`` derives the per-spike list
+    ``(t, id)`` from it, by time and then id.
     """
 
     t: int = 0
     potentials: dict[int, int] = field(default_factory=dict)
     last_update: dict[int, int] = field(default_factory=dict)
     pending: dict[int, _Rows] = field(default_factory=dict)  # step -> synapse rows due
-    trace: list[tuple[int, int]] = field(default_factory=list)
+    fired_steps: list[tuple[int, frozenset[int]]] = field(default_factory=list)
     halted: bool = False
     _recheck: set[int] = field(default_factory=set)
     _zero: set[int] = field(default_factory=set)
@@ -282,6 +289,11 @@ class SimulationState:
     def steps_used(self) -> int:
         """Timesteps consumed: t+1 when halted mid-run, t when run to the limit."""
         return self.t + 1 if self.halted else self.t
+
+    @property
+    def trace(self) -> list[tuple[int, int]]:
+        """Every spike as ``(t, id)``, by time and then id, built on each read."""
+        return [(t, nid) for t, fired in self.fired_steps for nid in sorted(fired)]
 
 
 def _materialize(net: SpikingNetwork, state: SimulationState, nid: int, t: int) -> int:
@@ -348,7 +360,8 @@ def _deliver(net: SpikingNetwork, state: SimulationState, rows: _Rows, t: int) -
 
 
 def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, frozenset[int]]:
-    """Execute timestep ``state.t`` and advance.  Returns the spike set of the step.
+    """Execute timestep ``state.t`` and advance.  Returns the spike set of the
+    step, which is also appended to ``state.fired_steps`` when it is not empty.
 
     The leak-0 zeroing, scheduled fires, then deliver-check-fire rounds
     until a round queues no delay-0 output, then the clamp (see the module
@@ -404,10 +417,11 @@ def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, 
     if net._leak0:  # zeroed as step t+1 begins; after step 0 with the nonzero starts
         state._zero, state._zero_at = net._leak0 & touched | state._zero, t + 1
 
-    if fired:
-        state.trace.extend([(t, nid) for nid in sorted(fired)])
+    spikes = frozenset(fired)
+    if spikes:
+        state.fired_steps.append((t, spikes))
     state.t = t + 1
-    return state, frozenset(fired)
+    return state, spikes
 
 
 def run(
@@ -424,8 +438,8 @@ def run(
 
     A run that falls quiescent, with no spike pending, no neuron due a
     re-check and none scheduled at or after ``t``, can fire no more: it jumps
-    to ``t = max_steps`` and returns the trace, ``steps_used`` and potentials
-    that stepping on would give.
+    to ``t = max_steps`` and returns the spike record, ``steps_used`` and
+    potentials that stepping on would give.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")

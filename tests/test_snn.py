@@ -551,10 +551,16 @@ def test_netlist_forward_references_allowed():
 
 
 def test_trace_csv():
+    # 9 and 2 both fire at step 0 (a set of the two iterates 9 first), and 9
+    # again at its scheduled step 2: the trace lists a step's spikes by id
     net = make_net()
-    net.add_neuron(Neuron(3, 1, 0, ONE, v0=1))
-    state = run(net, 2)
-    assert format_trace_csv(state) == "time,neuron_id\n0,3\n"
+    net.add_neuron(Neuron(9, 1, 0, ONE, v0=1))
+    net.add_neuron(Neuron(2, 1, 0, ONE, v0=1))
+    net.add_schedule(9, 2)
+    state = run(net, 4)
+    assert state.fired_steps == [(0, frozenset({2, 9})), (2, frozenset({9}))]
+    assert state.trace == [(0, 2), (0, 9), (2, 9)]
+    assert format_trace_csv(state) == "time,neuron_id\n0,2\n0,9\n2,9\n"
 
 
 @pytest.mark.parametrize(
