@@ -49,11 +49,12 @@ class OutputTape:
     """Time-ordered spike events of readout/accept/reject neurons.
 
     Iterating the tape reads it, at one controller op on ``report`` per event
-    yielded; ``events`` is the tape as the oracle wrote it, unmetered.
+    yielded; ``events`` is the tape as the oracle wrote it, unmetered.  The
+    events arrive in ``(t, id)`` order and are stored as given.
     """
 
     def __init__(self, events: list[SpikeEvent], report: ResourceReport):
-        self.events = sorted(events)
+        self.events = events
         self.report = report
 
     def __iter__(self) -> Iterator[SpikeEvent]:

@@ -26,14 +26,14 @@ A run records its spikes once, as the set of neurons fired in each step
 that fired any; the trace derived from that record lists each step's
 spikes by neuron id.
 
-Neurons with leak 1 keep a current potential and never decay.  Leak-0
-neurons are memoryless: those a step touched (at step 1 also those with a
-nonzero start) are zeroed as the next step begins.  A run that halts or ends
-leaves their last step's values, and :func:`_materialize` reads them as 0
-once ``t`` reaches the next step.  A fractional leak is applied lazily when
-the neuron is next read.  An empty step therefore changes nothing but ``t``,
-and :func:`run` skips to its limit once a run is quiescent: no spike in
-flight, no neuron at threshold and no scheduled fire still to come.
+Every leak is 0 or 1, so every potential is an integer.  A leak-1 neuron
+holds its potential between inputs.  A leak-0 neuron forgets it: those a
+step touched (at step 1 also those with a nonzero start) are zeroed as the
+next step begins.  A run that halts or ends leaves their last step's
+values, and :func:`_materialize` reads them as 0 once ``t`` reaches the
+next step.  An empty step therefore changes nothing but ``t``, and
+:func:`run` skips to its limit once a run is quiescent: no spike in flight,
+no neuron at threshold and no scheduled fire still to come.
 
 A network is written through one path, as rows of plain tuples that are
 checked, stored as given and copied into the simulator's flat tables in one
@@ -46,7 +46,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -78,7 +77,7 @@ class Neuron(NamedTuple):
     id: int
     threshold: int
     reset: int
-    leak: Fraction | int
+    leak: int
     v0: int = 0
     role: Role = Role.STANDARD
 
@@ -119,12 +118,13 @@ class SpikingNetwork:
     leak, v0, role)``) and ``add_synapses`` (rows ``(pre, post, delay,
     weight)``); ``add_neuron``/``add_synapse`` write one row, such as a
     :class:`Neuron` or :class:`Synapse` record.  Each row is checked
-    (duplicate id, threshold >= 1, v0 >= 0, leak in [0, 1], delay >= 0,
+    (duplicate id, threshold >= 1, v0 >= 0, leak 0 or 1, delay >= 0,
     unknown endpoint), stored as given, and copied into the flat tables
     :func:`step` reads: threshold, reset, initial potential, the set of
-    leak-0 neurons, the fractional leaks, the set of neurons whose initial
-    potential is at threshold, the tape-role set, the decider bits (accept
-    1, reject 0) and the synapse count.
+    leak-0 neurons, the set of neurons whose initial potential is at
+    threshold, the tape-role set, the decider bits (accept 1, reject 0)
+    and the synapse count.  A leak-1 neuron holds its potential, a leak-0
+    one forgets it after each step, and no other leak is accepted.
     ``neurons`` and ``out_synapses`` rebuild records from the rows.
 
     A spike delivers the synapse rows themselves: a firing neuron queues
@@ -144,7 +144,6 @@ class SpikingNetwork:
         self._v0: dict[int, int] = {}
         self._at_threshold: set[int] = set()  # v0 >= threshold: fires at t=0
         self._leak0: set[int] = set()
-        self._leaky: dict[int, Fraction] = {}  # fractional leaks only
         self.tape_ids: set[int] = set()  # neurons whose spikes an oracle's output tape shows
         self.decider_bits: dict[int, int] = {}  # accept id -> 1, reject id -> 0
         self._n_synapses = 0
@@ -159,7 +158,7 @@ class SpikingNetwork:
 
     def add_neurons(self, rows: Iterable[tuple]) -> None:
         known, out = self._rows, self._syn
-        threshold, reset, v0, leaky, tape = self._threshold, self._reset, self._v0, self._leaky, self.tape_ids
+        threshold, reset, v0, tape = self._threshold, self._reset, self._v0, self.tape_ids
         at_threshold, leak0, decider = self._at_threshold, self._leak0, self.decider_bits
         for row in rows:
             nid, th, r, leak, v, role = row
@@ -167,8 +166,8 @@ class SpikingNetwork:
                 raise ValueError(f"neuron {nid}: threshold must be >= 1")
             if v < 0:
                 raise ValueError(f"neuron {nid}: initial potential must be >= 0")
-            if not 0 <= leak <= 1:
-                raise ValueError(f"neuron {nid}: leak must be in [0, 1]")
+            if leak not in (0, 1):
+                raise ValueError(f"neuron {nid}: leak must be 0 or 1")
             if nid in known:
                 raise ValueError(f"duplicate neuron id {nid}")
             known[nid] = row
@@ -180,8 +179,6 @@ class SpikingNetwork:
                 at_threshold.add(nid)
             if not leak:
                 leak0.add(nid)
-            elif leak != 1:
-                leaky[nid] = leak
             if role in TAPE_ROLES:
                 tape.add(nid)
                 if role is not Role.READOUT:
@@ -240,9 +237,10 @@ class SimulationState:
     """Mutable run state; ``t`` is the next step to execute (or the halting
     step once a stop condition has triggered inside :func:`run`).
 
-    ``potentials`` holds every neuron's V.  A leak-1 potential is always
-    current, a fractional-leak one as of ``last_update``; the leak-0 ones
-    in ``_zero`` read 0 from step ``_zero_at`` on, when :func:`step` zeroes them.
+    ``potentials`` holds every neuron's V, an integer.  A leak-1 neuron's
+    is always current: it holds its value between inputs.  A leak-0 neuron
+    forgets its value: those in ``_zero`` read 0 from step ``_zero_at`` on,
+    when :func:`step` zeroes them.
 
     ``fired_steps`` is the run's one record of its spikes: ``(t, ids)`` for
     each step ``t`` in which anything fired, in step order, holding the
@@ -252,7 +250,6 @@ class SimulationState:
 
     t: int = 0
     potentials: dict[int, int] = field(default_factory=dict)
-    last_update: dict[int, int] = field(default_factory=dict)
     pending: dict[int, _Rows] = field(default_factory=dict)  # step -> synapse rows due
     fired_steps: list[tuple[int, frozenset[int]]] = field(default_factory=list)
     halted: bool = False
@@ -280,7 +277,6 @@ class SimulationState:
                 else:
                     recheck.discard(nid)
         state.potentials = values
-        state.last_update = dict.fromkeys(net._leaky, 0)
         state._zero = {nid for nid in net._leak0 if values[nid]}
         state._recheck = recheck
         return state
@@ -296,21 +292,10 @@ class SimulationState:
         return [(t, nid) for t, fired in self.fired_steps for nid in sorted(fired)]
 
 
-def _materialize(net: SpikingNetwork, state: SimulationState, nid: int, t: int) -> int:
-    """V at time ``t``: a fractional leak is applied lazily, and a leak-0
-    neuron still due to be zeroed reads 0 from its zeroing step on."""
-    leak = net._leaky.get(nid)
-    if leak is None:
-        return 0 if t >= state._zero_at and nid in state._zero else state.potentials[nid]
-    if state.last_update[nid] == t:
-        return state.potentials[nid]
-    v = state.potentials[nid]
-    if v:
-        scaled = v * leak ** (t - state.last_update[nid])
-        v = int(scaled) if scaled.denominator == 1 else scaled
-        state.potentials[nid] = v
-    state.last_update[nid] = t
-    return v
+def _materialize(state: SimulationState, nid: int, t: int) -> int:
+    """V at time ``t``: a leak-0 neuron still due to be zeroed reads 0 from
+    its zeroing step on."""
+    return 0 if t >= state._zero_at and nid in state._zero else state.potentials[nid]
 
 
 def _fire(
@@ -321,9 +306,6 @@ def _fire(
     delayed one on ``state.pending[t + delay]``.  A firing changes no other
     neuron's potential."""
     potentials = state.potentials
-    if net._leaky:
-        for nid in net._leaky.keys() & nids:
-            _materialize(net, state, nid, t)
     if net.overflow_reset:
         threshold = net._threshold
         for nid in nids:
@@ -350,9 +332,6 @@ def _fire(
 def _deliver(net: SpikingNetwork, state: SimulationState, rows: _Rows, t: int) -> set[int]:
     """Add the weights of synapse rows now; returns the neurons reached."""
     posts = set(map(_post, rows))
-    if net._leaky:
-        for nid in net._leaky.keys() & posts:
-            _materialize(net, state, nid, t)
     potentials = state.potentials
     for _, post, _, weight in rows:
         potentials[post] += weight
@@ -387,9 +366,6 @@ def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, 
     # threshold, and delivers their delay-0 output as the next batch.
     check = state._recheck
     state._recheck = set()
-    if net._leaky:
-        for nid in net._leaky.keys() & check:
-            _materialize(net, state, nid, t)
     arrivals = state.pending.pop(t, None)
     if arrivals:
         check |= _deliver(net, state, arrivals, t)
@@ -494,7 +470,9 @@ def parse_netlist(text: str) -> SpikingNetwork:
                 role = _ROLES_BY_NAME.get(fields[6])
                 if role is None:
                     raise ValueError(f"unknown role {fields[6]!r}")
-                values = (int(fields[1]), int(fields[2]), int(fields[3]), Fraction(fields[4]), int(fields[5]))
+                if fields[4] not in ("0", "1"):
+                    raise ValueError(f"leak {fields[4]!r} must be 0 or 1")
+                values = (int(fields[1]), int(fields[2]), int(fields[3]), int(fields[4]), int(fields[5]))
                 net.add_neuron(Neuron(*values, role))
             elif kind == "S":
                 if len(fields) != 5:
@@ -512,8 +490,6 @@ def parse_netlist(text: str) -> SpikingNetwork:
             raise
         except (ValueError, UnknownNeuronError) as exc:
             raise ParseError(str(exc), line_no) from exc
-        except ZeroDivisionError as exc:  # only the leak is a fraction
-            raise ParseError(f"leak {fields[4]} has a zero denominator", line_no) from exc
     # Synapses may reference neurons declared later in the file.
     for line_no, syn in pending_synapses:
         try:

@@ -1,8 +1,8 @@
 """Reference simulator: a direct, dict-based reading of the LIF step rule.
 
 It reads every neuron and synapse through the public ``SpikingNetwork``
-records (``neurons``, ``out_synapses``, ``schedule``) and compares leaks
-as ``Fraction``s, one neuron at a time, with no precomputed tables.
+records (``neurons``, ``out_synapses``, ``schedule``) and reads each
+neuron's leak one neuron at a time, with no precomputed tables.
 It exists only to check ``spikeflow.snn`` against; it shares no code with it.
 """
 
@@ -42,18 +42,13 @@ class RefState:
 
 
 def materialize(net: SpikingNetwork, state: RefState, nid: int, t: int) -> int:
-    """Apply the multiplicative leak lazily up to time ``t`` and return V."""
-    last = state.last_update[nid]
-    if last == t:
+    """Bring V up to time ``t`` and return it: a leak-0 neuron last updated
+    before ``t`` has forgotten its potential; a leak-1 neuron holds it."""
+    if state.last_update[nid] == t:
         return state.potentials[nid]
     v = state.potentials[nid]
-    if v:
-        leak = net.neurons[nid].leak
-        if leak == 0:
-            v = 0
-        elif leak != 1:
-            scaled = v * leak ** (t - last)
-            v = int(scaled) if scaled.denominator == 1 else scaled
+    if v and net.neurons[nid].leak == 0:
+        v = 0
     state.potentials[nid] = v
     state.last_update[nid] = t
     return v

@@ -274,8 +274,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "solve", str(tmp_path / "nope.max"))
     assert code == EXIT_INPUT
 
-    # input error: a neuron leak outside [0, 1]
-    for leak in ("-1", "2"):
+    # input error: a neuron leak other than 0 or 1
+    for leak in ("-1", "2", "1/2", "1.5"):
         netlist = tmp_path / "leak.snn"
         netlist.write_text(f"N 1 5 0 {leak} 0 standard\n")
         code, _, err = run_cli(capsys, "simulate", str(netlist), "--steps", "3")

@@ -35,11 +35,6 @@ def test_consulted_tape_charges_one_op_per_event_read():
     assert report.controller_time == before + 3
 
 
-def test_tape_orders_by_time_then_id():
-    tape = OutputTape([(2, 1), (1, 9), (1, 3)], ResourceReport())
-    assert tape.events == [(1, 3), (1, 9), (2, 1)]
-
-
 def test_transducer_tape_contains_only_tape_roles():
     oracle = NeuromorphicOracle()
     oracle.write_neurons([Neuron(0, 1, 0, ONE, v0=1, role=Role.READOUT)])
@@ -250,7 +245,7 @@ def test_replayed_consultations_equal_fresh_runs(data):
             nid,
             threshold=data.draw(st.integers(1, 4)),
             reset=data.draw(st.integers(0, 2)),
-            leak=data.draw(st.sampled_from([Fraction(0), ONE, Fraction(1, 2)])),
+            leak=data.draw(st.sampled_from([Fraction(0), ONE])),
             v0=data.draw(st.integers(0, 4)),
             role=data.draw(st.sampled_from(roles)),
         )

@@ -40,3 +40,26 @@ def test_no_function_in_the_package_recurses():
     assert len(SOURCES) > 5
     found = {path.name: self_calls(ast.parse(path.read_text())) for path in SOURCES}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """The top-level name of every module an ``import`` or ``from`` imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_reads_import_and_from_forms():
+    source = "import os.path, sys\nfrom fractions import Fraction\nfrom .errors import ParseError\n"
+    assert imported_modules(ast.parse(source)) == {"os", "sys", "fractions"}
+
+
+def test_no_module_in_the_package_imports_fractions():
+    """The simulator is integer-only: every leak is 0 or 1, so no potential
+    is ever a ``Fraction``."""
+    found = [path.name for path in SOURCES if "fractions" in imported_modules(ast.parse(path.read_text()))]
+    assert found == []
