@@ -427,7 +427,8 @@ def test_run_waits_out_a_quiet_gap_for_a_late_schedule(monkeypatch):
     assert steps == list(range(33))
 
 
-@pytest.mark.parametrize("leak", [ONE, Fraction(0)])
+# The ids skip leak1, the leak-1/2 case that fractional leaks took with them.
+@pytest.mark.parametrize("leak", [ONE, Fraction(0)], ids=["leak0", "leak2"])
 def test_run_checks_a_leaky_neuron_left_at_threshold(leak):
     # Neurons 1 and 2 fire in the round that delivers 0's output.  Neuron
     # 1's output reaches 2 in the next round; 2 has fired this step, so it
