@@ -183,8 +183,8 @@ def check_pool_guard(n_nodes: int) -> None:
 # The most nodes a DIMACS or TNFR file may declare: both parsers build
 # per-node tables from the problem line alone, before any arc is read.  At the
 # bound a file with one arc peaks at about 155 MiB of RSS in parse_dimacs and
-# through solve, 110 MiB in parse_tnfr, and 450 MiB through tnfr-check
-# (CPython 3.11, x86-64).
+# through solve, and 110 MiB in parse_tnfr and through tnfr-check, whose
+# search tables cover only the nodes arcs name (CPython 3.11, x86-64).
 NODE_GUARD = 10**6
 
 

@@ -34,7 +34,8 @@ per consultation, which makes it exactly Edmonds-Karp.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .errors import ConstructionBugError
 from .flow import Edge, FlowAssignment, FlowNetwork
@@ -441,12 +442,18 @@ class SolveResult:
     report: ResourceReport
     mode: str
     episodes: int                 # augmenting episodes (each saturates an arc)
-    total_consults: int
     decode_jams: int
     voltage_sum: int              # literal sum of capacity-neuron potentials
-    query_records: list[ConsultRecord] = field(default_factory=list)
     wm_peak_bits: int = 0         # widest working-memory word written; not in the JSON
     path_arcs: int = 0            # arcs summed over the augmenting paths; not in the JSON
+
+    @property
+    def query_records(self) -> Sequence[ConsultRecord]:
+        return self.report.consultations
+
+    @property
+    def total_consults(self) -> int:
+        return len(self.report.consultations)
 
     def to_dict(self) -> dict:
         return {
@@ -510,10 +517,8 @@ def solve(net: FlowNetwork, mode: str = PAPER_FAITHFUL) -> SolveResult:
         report=report,
         mode=mode,
         episodes=wm.read("episodes"),
-        total_consults=len(report.consultations),
         decode_jams=wm.read("jams"),
         voltage_sum=voltage_sum,
-        query_records=list(report.consultations),
         wm_peak_bits=wm.peak_bits,
         path_arcs=path_arcs,
     )

@@ -30,10 +30,10 @@ Every leak is 0 or 1, so every potential is an integer.  A leak-1 neuron
 holds its potential between inputs.  A leak-0 neuron forgets it: those a
 step touched (at step 1 also those with a nonzero start) are zeroed as the
 next step begins.  A run that halts or ends leaves their last step's
-values, and :func:`_materialize` reads them as 0 once ``t`` reaches the
-next step.  An empty step therefore changes nothing but ``t``, and
-:func:`run` skips to its limit once a run is quiescent: no spike in flight,
-no neuron at threshold and no scheduled fire still to come.
+values stored, and they read as 0 once ``t`` reaches the next step.  An
+empty step therefore changes nothing but ``t``, and :func:`run` skips to
+its limit once a run is quiescent: no spike in flight, no neuron at
+threshold and no scheduled fire still to come.
 
 A network is written through one path, as rows of plain tuples that are
 checked, stored as given and copied into the simulator's flat tables in one
@@ -292,12 +292,6 @@ class SimulationState:
         return [(t, nid) for t, fired in self.fired_steps for nid in sorted(fired)]
 
 
-def _materialize(state: SimulationState, nid: int, t: int) -> int:
-    """V at time ``t``: a leak-0 neuron still due to be zeroed reads 0 from
-    its zeroing step on."""
-    return 0 if t >= state._zero_at and nid in state._zero else state.potentials[nid]
-
-
 def _fire(
     net: SpikingNetwork, state: SimulationState, nids: Collection[int], t: int, zero_queue: _Rows
 ) -> None:
@@ -329,7 +323,7 @@ def _fire(
                 zero_queue.append(row)
 
 
-def _deliver(net: SpikingNetwork, state: SimulationState, rows: _Rows, t: int) -> set[int]:
+def _deliver(state: SimulationState, rows: _Rows) -> set[int]:
     """Add the weights of synapse rows now; returns the neurons reached."""
     posts = set(map(_post, rows))
     potentials = state.potentials
@@ -338,9 +332,10 @@ def _deliver(net: SpikingNetwork, state: SimulationState, rows: _Rows, t: int) -
     return posts
 
 
-def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, frozenset[int]]:
-    """Execute timestep ``state.t`` and advance.  Returns the spike set of the
-    step, which is also appended to ``state.fired_steps`` when it is not empty.
+def step(net: SpikingNetwork, state: SimulationState) -> frozenset[int]:
+    """Execute timestep ``state.t`` and advance.  Returns the step's spike set,
+    the frozenset of the neurons it fired; a nonempty one is also appended
+    to ``state.fired_steps``.
 
     The leak-0 zeroing, scheduled fires, then deliver-check-fire rounds
     until a round queues no delay-0 output, then the clamp (see the module
@@ -368,7 +363,7 @@ def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, 
     state._recheck = set()
     arrivals = state.pending.pop(t, None)
     if arrivals:
-        check |= _deliver(net, state, arrivals, t)
+        check |= _deliver(state, arrivals)
     while True:
         touched |= check
         check -= fired
@@ -378,7 +373,7 @@ def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, 
             fired.update(firing)
         if not zero_queue:
             break
-        check = _deliver(net, state, zero_queue, t)
+        check = _deliver(state, zero_queue)
         zero_queue = []
 
     # Clamp after all same-step arrivals, never per synapse.
@@ -397,7 +392,7 @@ def step(net: SpikingNetwork, state: SimulationState) -> tuple[SimulationState, 
     if spikes:
         state.fired_steps.append((t, spikes))
     state.t = t + 1
-    return state, spikes
+    return spikes
 
 
 def run(
@@ -426,7 +421,7 @@ def run(
         if state.t > last_scheduled and not state.pending and not state._recheck:
             state.t = max_steps
             break
-        _, fired = step(net, state)
+        fired = step(net, state)
         if stop_set is not None and not stop_set.isdisjoint(fired):
             state.t -= 1
             state.halted = True

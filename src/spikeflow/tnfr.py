@@ -16,6 +16,8 @@ master source or out of the master sink.
 Every path runs the network once: ``simulate_constrained`` validates and
 simulates the configuration, and ``reduce_network`` lays the instance out
 from that run, checks its dynamic range and keeps an accepting run's flow.
+A run is ``fired``, the spike set of each step, and ``potential_after``, each
+neuron's potential after each step (see ``SimulationOutcome``).
 """
 
 from __future__ import annotations
@@ -85,9 +87,6 @@ class TNFRInstance:
                 raise ValueError("master sink must have no outgoing arcs")
             append(arc)
 
-    def conserving_nodes(self) -> list[str]:
-        return [n for n, kind in self.kinds.items() if kind == PLAIN]
-
 
 def validate_witness(inst: TNFRInstance, flows: dict[int, int]) -> list[str]:
     """All threshold/conservation violations of a flow assignment (empty = valid)."""
@@ -101,8 +100,8 @@ def validate_witness(inst: TNFRInstance, flows: dict[int, int]) -> list[str]:
             problems.append(f"arc {idx}: negative flow")
         outflow[tail] += f
         inflow[head] += f
-    for node in inst.conserving_nodes():
-        if inflow[node] != outflow[node]:
+    for node, kind in inst.kinds.items():
+        if kind == PLAIN and inflow[node] != outflow[node]:
             problems.append(f"node {node}: {inflow[node]} in != {outflow[node]} out")
     return problems
 
@@ -116,10 +115,13 @@ def witness_value(inst: TNFRInstance, flows: dict[int, int]) -> int:
 
 
 def _topological_arc_order(inst: TNFRInstance) -> list[int]:
-    """Arc indices ordered by tail rank, then head rank, then index."""
+    """Arc indices ordered by tail rank, then head rank, then index.  Only
+    the nodes some arc names are ranked, ties in ``kinds`` order."""
     arcs = inst.arcs
-    indegree = dict.fromkeys(inst.kinds, 0)
-    out_heads: dict[str, list[str]] = {n: [] for n in inst.kinds}
+    named = {node for arc in arcs for node in arc[:2]}
+    nodes = [n for n in inst.kinds if n in named]
+    indegree = dict.fromkeys(nodes, 0)
+    out_heads: dict[str, list[str]] = {n: [] for n in nodes}
     for tail, head, _, _ in arcs:
         indegree[head] += 1
         out_heads[tail].append(head)
@@ -132,8 +134,8 @@ def _topological_arc_order(inst: TNFRInstance) -> list[int]:
             indegree[head] -= 1
             if indegree[head] == 0:
                 queue.append(head)
-    if len(node_rank) < len(inst.kinds):  # cyclic: fall back to insertion order
-        node_rank = {n: i for i, n in enumerate(inst.kinds)}
+    if len(node_rank) < len(nodes):  # cyclic: fall back to insertion order
+        node_rank = {n: i for i, n in enumerate(nodes)}
     return sorted(range(len(arcs)), key=lambda i: (node_rank[arcs[i][0]], node_rank[arcs[i][1]], i))
 
 
@@ -160,19 +162,21 @@ def check_feasible(inst: TNFRInstance, budget: int = 10**8) -> tuple[bool, dict[
         if c_max - c_min + 2 > MAX_DOMAIN:
             raise GuardExceeded(f"arc {idx} domain too large")
 
-    index = {name: i for i, name in enumerate(inst.kinds)}
+    # table rows for the source and the nodes arcs name; no other node moves flow
+    named = dict.fromkeys([inst.source, *(n for arc in arcs for n in arc[:2])])
+    index = {name: i for i, name in enumerate(named)}
     in_lo, out_lo, in_hi, out_hi = ([0] * len(index) for _ in range(4))
     for tail, head, _, c_max in arcs:
         in_hi[index[head]] += c_max
         out_hi[index[tail]] += c_max
-    conserving = set(inst.conserving_nodes())
+    kinds = inst.kinds
     # per position: the arc's index and c_max, its endpoints, whether each
     # conserves flow, and the arc's domain, largest flow first
     steps = []
     for idx in _topological_arc_order(inst):
         tail, head, c_min, c_max = arcs[idx]
         steps.append((
-            idx, c_max, index[tail], index[head], tail in conserving, head in conserving,
+            idx, c_max, index[tail], index[head], kinds[tail] == PLAIN, kinds[head] == PLAIN,
             list(range(c_max, c_min - 1, -1)) + ([0] if c_min else []),
         ))
     source, d = index[inst.source], inst.d
@@ -281,11 +285,16 @@ class ReductionConfig:
 
 @dataclass
 class SimulationOutcome:
+    """One run over the time bound: ``fired[k]`` is the frozenset of neurons
+    that fired at step ``k``, as ``snn.step`` returned it, and
+    ``potential_after[nid][k]`` is neuron ``nid``'s potential at the end of
+    step ``k``.  ``accept_step`` and ``spikes`` are read from ``fired``."""
+
     accepted: bool
     accept_step: int | None
     spikes: int
-    fires: dict[int, set[int]]          # neuron -> steps fired
-    potential_after: dict[int, list[int]]  # neuron -> V at end of each step
+    fired: list[frozenset[int]]
+    potential_after: dict[int, list[int]]
 
 
 def simulate_constrained(cfg: ReductionConfig) -> SimulationOutcome:
@@ -297,20 +306,17 @@ def simulate_constrained(cfg: ReductionConfig) -> SimulationOutcome:
         sim.add_schedule(cfg.constant_id, step_idx)
 
     state = SimulationState.initial(sim)
-    fires: dict[int, set[int]] = {nid: set() for nid in sim.neurons}
+    fired: list[frozenset[int]] = []
     potential_after: dict[int, list[int]] = {nid: [] for nid in sim.neurons}
-    for s_idx in range(t_bound):
-        _, fired = snn_step(sim, state)
-        for nid in fired:
-            fires[nid].add(s_idx)
+    for _ in range(t_bound):
+        fired.append(snn_step(sim, state))
         for nid, after in potential_after.items():
             # leak is 1 throughout, so an untouched potential is current
             after.append(state.potentials[nid])
-    accept_steps = fires[cfg.accept_id]
-    accept_step = min(accept_steps) if accept_steps else None
-    spikes = sum(len(v) for v in fires.values())
+    accept_step = next((k for k, ids in enumerate(fired) if cfg.accept_id in ids), None)
+    spikes = sum(map(len, fired))
     accepted = accept_step is not None and spikes <= cfg.energy_bound
-    return SimulationOutcome(accepted, accept_step, spikes, fires, potential_after)
+    return SimulationOutcome(accepted, accept_step, spikes, fired, potential_after)
 
 
 def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance:
@@ -337,13 +343,9 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
 
     # the energy chain carries the channel unit plus every spike so far; the
     # silence chain carries one unit per acceptance firing so far
-    spikes_per_step = [0] * t_bound
-    for steps in run.fires.values():
-        for step_idx in steps:
-            spikes_per_step[step_idx] += 1
-    energy_carried = list(itertools.accumulate(spikes_per_step, initial=1))
-    accept_fires = run.fires[cfg.accept_id]
-    silence_carried = list(itertools.accumulate(int(step_idx in accept_fires) for step_idx in range(t_bound)))
+    energy_carried = list(itertools.accumulate(map(len, run.fired), initial=1))
+    accept_id = cfg.accept_id
+    silence_carried = list(itertools.accumulate(int(accept_id in ids) for ids in run.fired))
 
     s = inst.add_node("src", SOURCE)
     t = inst.add_node("sink", SINK)
@@ -404,9 +406,7 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
 
     # step 2: unrolled potential chains for every other neuron; each carries
     # the neuron's end-of-step potential
-    unrolled: dict[tuple[int, int], str] = {}
-    for k, col in enumerate(con_cols, start=1):
-        unrolled[(cfg.constant_id, k)] = col
+    unrolled = {(cfg.constant_id, k): col for k, col in enumerate(con_cols, start=1)}
     plain_ids = [nid for nid in sorted(cfg.net.neurons) if nid != cfg.constant_id]
     for nid in plain_ids:
         T_i = cfg.net.threshold(nid)
@@ -445,9 +445,8 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
     # Every gadget arc is all-or-nothing: it carries its capacity exactly when
     # the neuron fires in that column.
     for nid in sorted(cfg.net.neurons):
-        is_accept = nid == cfg.accept_id
+        is_accept = nid == accept_id
         T_i = cfg.net.threshold(nid)  # 1 for the constant, as validate checks
-        fires = run.fires[nid]
         synapses = cfg.net.out_synapses[nid]
         for k in range(1, t_bound + 1):
             # deliveries that land within the horizon: (post, arrival column, weight)
@@ -460,7 +459,7 @@ def reduce_network(cfg: ReductionConfig, run: SimulationOutcome) -> TNFRInstance
             drained = 1 + w_live + is_accept
             res = T_i - drained
             total = drained + max(res, 0)
-            on = 1 if k - 1 in fires else 0
+            on = int(nid in run.fired[k - 1])
 
             out_node = inst.add_node(f"g:out:{nid}:{k}")
             dist = inst.add_node(f"g:dist:{nid}:{k}")

@@ -368,9 +368,8 @@ def test_all_arcs_chain_stops_one_step_before_its_limit(monkeypatch):
 
 def _planted(mode, records, episodes=0):
     return SolveResult(
-        assignment=FlowAssignment({}, 0), report=ResourceReport(), mode=mode,
-        episodes=episodes, total_consults=len(records), decode_jams=0,
-        voltage_sum=0, query_records=records,
+        assignment=FlowAssignment({}, 0), report=ResourceReport(consultations=records), mode=mode,
+        episodes=episodes, decode_jams=0, voltage_sum=0,
     )
 
 

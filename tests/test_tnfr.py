@@ -1,4 +1,6 @@
 import gc
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from spikeflow import tnfr
 from spikeflow.errors import GuardExceeded, ParseError, SearchBudgetExceeded
-from spikeflow.snn import Neuron, SpikingNetwork, Synapse
+from spikeflow.snn import Neuron, Role, SpikingNetwork, Synapse
 from spikeflow.tnfr import (
     MAX_DOMAIN,
     ReductionConfig,
@@ -22,6 +24,7 @@ from spikeflow.tnfr import (
     verify_reduction,
     witness_value,
 )
+import snn_reference as ref
 from tnfr_oracles import enumerate_feasible_naive, touches_failure, without_arcs
 
 ONE = Fraction(1)
@@ -185,6 +188,67 @@ def test_checker_guards():
     with pytest.raises(GuardExceeded, match="arc 0 domain too large"):
         check_feasible(single_arc(0, 200, 0))
     assert check_feasible(single_arc(0, MAX_DOMAIN - 2, 0))[0]
+
+
+def test_checker_tables_cover_only_the_nodes_arcs_name():
+    # one arc among 10**5 declared nodes: per-node tables over every declared
+    # node peaked at about 34 MiB here
+    inst = single_arc(1, 1, 0)
+    for i in range(10**5):
+        inst.add_node(f"x{i}")
+    tracemalloc.start()
+    try:
+        assert check_feasible(inst) == (True, {0: 1})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _kahn_arc_order(inst):
+    """Arcs by the tail's and then the head's rank in Kahn's algorithm over
+    every declared node, started and tie-broken in ``kinds`` order, then by
+    index; on a cycle a node's rank is its ``kinds`` position."""
+    indegree = dict.fromkeys(inst.kinds, 0)
+    for _, head, _, _ in inst.arcs:
+        indegree[head] += 1
+    ready = [n for n, deg in indegree.items() if deg == 0]
+    rank = {}
+    for n in ready:  # the list grows as heads reach in-degree 0
+        rank[n] = len(rank)
+        for tail, head, _, _ in inst.arcs:
+            if tail == n:
+                indegree[head] -= 1
+                if indegree[head] == 0:
+                    ready.append(head)
+    if len(rank) < len(inst.kinds):
+        rank = {n: i for i, n in enumerate(inst.kinds)}
+    return sorted(range(len(inst.arcs)), key=lambda i: (rank[inst.arcs[i][0]], rank[inst.arcs[i][1]], i))
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_isolated_nodes_change_no_arc_order(cyclic):
+    """Nodes no arc names take no rank, and the named ones keep their
+    ``kinds`` order among ties: the search order is Kahn's over every
+    declared node, with or without idle nodes, and so is the answer."""
+    rng = random.Random(11)
+    for _ in range(30):
+        arcs = [
+            (rng.choice("sabc"), rng.choice("abct"), rng.randint(0, 1), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 6))
+        ]
+        if cyclic:
+            arcs += [("a", "b", 0, 1), ("b", "a", 0, 1)]
+        plain, padded = TNFRInstance(d=1), TNFRInstance(d=1)
+        for name, kind in (("s", "s"), ("a", "plain"), ("b", "plain"), ("c", "plain"), ("t", "t")):
+            plain.add_node(name, kind)
+            padded.add_node(f"idle:{name}")
+            padded.add_node(name, kind)
+        for inst in (plain, padded):
+            inst.add_arcs(arcs)
+        for inst in (plain, padded):
+            assert tnfr._topological_arc_order(inst) == _kahn_arc_order(inst), arcs
+        assert check_feasible(padded) == check_feasible(plain), arcs
 
 
 # --- the reduction -----------------------------------------------------------
@@ -382,6 +446,51 @@ def test_dynamic_range_guard_covers_a_rejecting_run():
     assert not run.accepted and run.potential_after[2][-1] == 2
     with pytest.raises(GuardExceeded, match="neuron 2 carries potential 2"):
         verify_reduction(cfg)
+
+
+def _random_constrained_rows(rng):
+    """Neuron and synapse rows of a constrained network: constant 0 (unit
+    threshold, start 0 or 1), accept 1 and up to four more neurons, all leak
+    1; synapses with delay >= 1 and weight >= 0, none into the constant."""
+    n = rng.randint(2, 6)
+    neurons = [(0, 1, 0, 1, rng.randint(0, 1), Role.STANDARD)]
+    neurons += [(nid, rng.randint(1, 4), 0, 1, 0, Role.STANDARD) for nid in range(1, n)]
+    synapses = [
+        (rng.randrange(n), rng.randint(1, n - 1), rng.randint(1, 3), rng.randint(0, 3))
+        for _ in range(rng.randint(1, 2 * n))
+    ]
+    return neurons, synapses
+
+
+def test_simulate_constrained_matches_reference_step_by_step():
+    """``fired`` and ``potential_after`` against the reference simulator run
+    on the same rows with the constant scheduled at every step."""
+    rng = random.Random(5)
+    for _ in range(200):
+        neurons, synapses = _random_constrained_rows(rng)
+        t_bound = rng.randint(1, 8)
+        net, scheduled = SpikingNetwork(overflow_reset=True), SpikingNetwork(overflow_reset=True)
+        for built in (net, scheduled):
+            built.add_neurons(neurons)
+            built.add_synapses(synapses)
+        for k in range(t_bound):
+            scheduled.add_schedule(0, k)
+        cfg = ReductionConfig(net, 0, 1, t_bound, rng.randint(0, len(neurons) * t_bound))
+        outcome = simulate_constrained(cfg)
+
+        state = ref.RefState.initial(scheduled)
+        fired, after = [], {nid: [] for nid, *_ in neurons}
+        for _ in range(t_bound):
+            fired.append(ref.step(scheduled, state))
+            for nid, v in ref.current_potentials(scheduled, state).items():
+                after[nid].append(v)
+        assert outcome.fired == fired, (neurons, synapses, t_bound)
+        assert all(type(ids) is frozenset for ids in outcome.fired)
+        assert outcome.potential_after == after, (neurons, synapses, t_bound)
+        accept_steps = [k for k, ids in enumerate(fired) if 1 in ids]
+        assert outcome.accept_step == (accept_steps[0] if accept_steps else None)
+        assert outcome.spikes == len(state.trace)
+        assert outcome.accepted == (bool(accept_steps) and len(state.trace) <= cfg.energy_bound)
 
 
 def test_verify_reduction_runs_and_validates_once(monkeypatch):
