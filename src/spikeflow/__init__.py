@@ -3,7 +3,7 @@
 from .flow import FlowAssignment, FlowNetwork, edmonds_karp, generate_random, validate_flow
 from .maxflow import PAPER_FAITHFUL, RESIDUAL, SolveResult, solve
 from .naive import decide_naive
-from .oracle import ConsultMode, NeuromorphicOracle, OutputTape, ResourceReport, WorkingMemory
+from .oracle import NeuromorphicOracle, OutputTape, ResourceReport, WorkingMemory
 from .snn import Neuron, Role, SimulationState, SpikingNetwork, Synapse, run, step
 from .tnfr import ReductionConfig, TNFRInstance, check_feasible, reduce_network, verify_reduction
 
@@ -18,7 +18,6 @@ __all__ = [
     "SolveResult",
     "solve",
     "decide_naive",
-    "ConsultMode",
     "NeuromorphicOracle",
     "OutputTape",
     "ResourceReport",

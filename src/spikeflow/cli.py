@@ -200,14 +200,17 @@ def cmd_bench(args) -> int:
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not existing.is_dir():
         raise UsageError(f"--out-dir: {existing} is not a directory")
-    config = BenchConfig(
-        suite=args.suite,
-        sizes=sizes,
-        samples=args.samples,
-        c_max=args.cmax,
-        seed=args.seed,
-        mode=args.mode,
-    )
+    try:
+        config = BenchConfig(
+            suite=args.suite,
+            sizes=sizes,
+            samples=args.samples,
+            c_max=args.cmax,
+            seed=args.seed,
+            mode=args.mode,
+        )
+    except ValueError as exc:  # the other fields are checked above or by their choices
+        raise UsageError(f"--sizes: {exc}") from None
     rows, summary = run_bench(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"bench_{config.suite}_{config.mode}"

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import ConstructionBugError
 from .flow import Edge, FlowAssignment, FlowNetwork
-from .oracle import ConsultMode, ConsultRecord, NeuromorphicOracle, OutputTape, ResourceReport, WorkingMemory
+from .oracle import ConsultRecord, NeuromorphicOracle, OutputTape, ResourceReport, WorkingMemory
 from .snn import Role
 
 PAPER_FAITHFUL = "paper-faithful"
@@ -199,11 +199,7 @@ def build_search_network(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> Non
 def run_search_query(oracle: NeuromorphicOracle, emap: EdgeNeuronMap) -> tuple[OutputTape, ConsultRecord]:
     """One episode's query: run until a sink-edge readout spikes, or for the
     full 2*arcs+1 steps when no augmenting path remains."""
-    return oracle.consult(
-        ConsultMode.TRANSDUCER,
-        time_limit=emap.query_time_limit(),
-        stop_on_fire=emap.sink_readout_ids,
-    )
+    return oracle.consult(emap.query_time_limit(), stop_on_fire=emap.sink_readout_ids)
 
 
 def _remaining_capacity(oracle: NeuromorphicOracle, emap: EdgeNeuronMap, arc: Edge) -> int:
@@ -338,9 +334,7 @@ def descend_path(
             if not wm.read("started"):
                 return None
             raise ConstructionBugError("descent reached a node with no out-arcs")
-        tape, _ = oracle.consult(
-            ConsultMode.TRANSDUCER, time_limit=emap.query_time_limit(), stop_on_fire=stop
-        )
+        tape, _ = oracle.consult(emap.query_time_limit(), stop_on_fire=stop)
         for _, nid in tape:
             accepted = emap.arc_of_search(nid)
             if accepted.tail == wm.read("head"):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import GuardExceeded
 from .flow import FlowNetwork
-from .oracle import ConsultMode, NeuromorphicOracle, ResourceReport
+from .oracle import NeuromorphicOracle, ResourceReport
 from .snn import Role
 
 STANDARD = Role.STANDARD
@@ -191,7 +191,7 @@ def decide_naive(net: FlowNetwork, d: int) -> NaiveDecision:
     layout = build_decider(net, d, oracle)
     # the run halts at its first accept or reject spike, so an accepting
     # run's stop step is the accept neuron's firing time
-    _, record = oracle.consult(ConsultMode.DECIDER, time_limit=layout.accept_time + 2)
+    _, record = oracle.consult(time_limit=layout.accept_time + 2)
     accepted = record.bit == 1
     return NaiveDecision(
         accepted=accepted,

@@ -28,7 +28,6 @@ the network's v0 table with the written values laid over it.
 
 from __future__ import annotations
 
-import enum
 import json
 from bisect import bisect_left
 from collections.abc import Collection, Iterator, Sequence
@@ -38,11 +37,6 @@ from .errors import UndecidedError, UnknownNeuronError, WorkingMemoryExceeded
 from .snn import SimulationState, SpikingNetwork, run
 
 SpikeEvent = tuple[int, int]  # (time, neuron id)
-
-
-class ConsultMode(enum.Enum):
-    TRANSDUCER = "transducer"
-    DECIDER = "decider"
 
 
 class OutputTape:
@@ -261,37 +255,37 @@ class NeuromorphicOracle:
         return saved, steps, cut
 
     def consult(
-        self,
-        mode: ConsultMode,
-        time_limit: int,
-        stop_on_fire: Collection[int] | None = None,
+        self, time_limit: int, stop_on_fire: Collection[int] | None = None
     ) -> tuple[OutputTape, ConsultRecord]:
+        """Run the network for ``time_limit`` steps, halting at the first
+        spike in ``stop_on_fire``.  A network with accept or reject neurons
+        is a decider: with no stop set it halts at their first spike, and its
+        record holds the bit read (an accept outweighs a reject), or it
+        raises :class:`UndecidedError` when neither fired.  Any other
+        network is a transducer, read only through its tape."""
         if time_limit < 1:
             raise ValueError("time_limit must be >= 1")
         net = self.net
         bits = net.decider_bits
-        if mode is ConsultMode.DECIDER and stop_on_fire is None:
+        if bits and stop_on_fire is None:
             stop_on_fire = bits.keys()
         saved, steps, cut = self._replay(time_limit, frozenset(stop_on_fire or ()))
         tape_events, spikes, repeats = saved.cut(steps)
         tape = OutputTape(tape_events, self.report)
         record = ConsultRecord(
-            mode=mode.value,
+            mode="decider" if bits else "transducer",
             timesteps=steps,
             spikes=spikes,
             network_size=net.size(),
             stop_step=cut,
             repeat_spikes=repeats,
         )
-        if mode is ConsultMode.DECIDER:
-            read = {bits[nid] for _, nid in tape.events if nid in bits}
-            if not read:
-                self.report.consultations.append(record)
-                raise UndecidedError(
-                    f"decider ran {record.timesteps} steps with neither accept nor reject"
-                )
-            record.bit = max(read)  # an accept outweighs a reject
         self.report.consultations.append(record)
+        if bits:
+            read = {bits[nid] for _, nid in tape_events if nid in bits}
+            if not read:
+                raise UndecidedError(f"decider ran {steps} steps with neither accept nor reject")
+            record.bit = max(read)  # an accept outweighs a reject
         return tape, record
 
 

@@ -481,8 +481,6 @@ def parse_netlist(text: str) -> SpikingNetwork:
                 pending_schedule.append((line_no, int(fields[1]), int(fields[2])))
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
-        except ParseError:
-            raise
         except (ValueError, UnknownNeuronError) as exc:
             raise ParseError(str(exc), line_no) from exc
     # Synapses may reference neurons declared later in the file.

@@ -28,7 +28,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import GuardExceeded, ParseError, SearchBudgetExceeded
-from .flow import check_node_guard
+from .flow import NODE_GUARD, check_node_guard
 from .snn import SimulationState, SpikingNetwork
 from .snn import step as snn_step
 
@@ -146,8 +146,9 @@ def check_feasible(inst: TNFRInstance, budget: int = 10**8) -> tuple[bool, dict[
     instance) from the domains {0} u [c_min, c_max], largest flow first.
     Four running tables hold each node's attainable in- and outflow:
     ``in_lo``/``out_lo`` sum the flows assigned so far, and ``in_hi``/``out_hi``
-    add the c_max of every arc not yet assigned.  An assignment updates its
-    tail's and head's entries and backtracking undoes them.  A partial
+    add the c_max of every arc not yet assigned.  Each value tried moves its
+    tail's and head's entries by its change from the position's previous
+    contribution, and a position out of values is unassigned.  A partial
     assignment is pruned when the source's outflow can no longer exceed d or
     when a conserving endpoint's in- and outflow intervals no longer meet.
     One loop walks the positions with an explicit stack, and two bounds stop
@@ -188,34 +189,31 @@ def check_feasible(inst: TNFRInstance, budget: int = 10**8) -> tuple[bool, dict[
         expansions += 1
         if expansions > budget:
             raise SearchBudgetExceeded(f"exceeded {budget} expansions")
-        values = iter(domain)
+        # the position's contribution to the lo and hi tables: (0, c_max) unassigned
+        values, lo, hi = iter(domain), 0, c_max
         while True:  # try the position's values left; back up a position while none passes
             for f in values:
-                gap = f - c_max
-                out_lo[tail] += f
-                out_hi[tail] += gap
-                in_lo[head] += f
-                in_hi[head] += gap
+                out_lo[tail] += f - lo
+                in_lo[head] += f - lo
+                out_hi[tail] += f - hi
+                in_hi[head] += f - hi
+                lo = hi = f
                 if (
                     out_hi[source] > d
                     and (not check_tail or (in_lo[tail] <= out_hi[tail] and out_lo[tail] <= in_hi[tail]))
                     and (not check_head or (in_lo[head] <= out_hi[head] and out_lo[head] <= in_hi[head]))
                 ):
                     break
-                out_lo[tail] -= f
-                out_hi[tail] -= gap
-                in_lo[head] -= f
-                in_hi[head] -= gap
-            else:
+            else:  # unassign the position and resume the one before it
                 if not stack:
                     return False, None
-                values, f = stack.pop()
+                out_lo[tail] -= lo
+                in_lo[head] -= lo
+                out_hi[tail] += c_max - hi
+                in_hi[head] += c_max - hi
+                values, lo = stack.pop()
                 _, c_max, tail, head, check_tail, check_head, _ = steps[len(stack)]
-                gap = f - c_max
-                out_lo[tail] -= f
-                out_hi[tail] -= gap
-                in_lo[head] -= f
-                in_hi[head] -= gap
+                hi = lo
                 continue
             break
         stack.append((values, f))
@@ -238,6 +236,8 @@ class ReductionConfig:
     acceptance neuron.
     The rejection neuron is behavioral (fires until acceptance) and is
     represented in the flow instance by forced per-step tokens.
+    ``validate`` refuses, with ``GuardExceeded``, a configuration whose
+    ``node_bound`` exceeds ``NODE_GUARD``, before anything is simulated.
     """
 
     net: SpikingNetwork
@@ -281,6 +281,18 @@ class ReductionConfig:
             raise ValueError("assumption 2 violated: the constant input must have unit threshold")
         if not (0 <= self.energy_bound <= len(n.neurons) * self.time_bound):
             raise ValueError("energy bound must satisfy 0 <= e <= n*t")
+        bound = self.node_bound
+        if bound > NODE_GUARD:
+            raise GuardExceeded(f"the instance may lay out {bound} nodes, more than the node guard {NODE_GUARD}")
+
+    @property
+    def node_bound(self) -> int:
+        """An upper bound on the nodes ``reduce_network`` lays out for n
+        neurons and time bound t, 5nt + 3t + n + 14: 15 fixed nodes, 4 per
+        step, t + 1 per neuron other than the constant, and at most 4 gadget
+        nodes per neuron and step."""
+        n, t = len(self.net.neurons), self.time_bound
+        return 5 * n * t + 3 * t + n + 14
 
 
 @dataclass

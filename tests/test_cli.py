@@ -19,6 +19,7 @@ import spikeflow.cli as cli
 from spikeflow.cli import EXIT_GUARD, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from spikeflow.errors import UnknownNeuronError
 from spikeflow.flow import FlowAssignment, format_dimacs, generate_random
+from spikeflow.snn import SpikingNetwork
 from spikeflow.tnfr import ReductionConfig, check_feasible, parse_tnfr
 
 
@@ -168,6 +169,10 @@ def test_bench_usage_errors_come_before_the_sweep(tmp_path, capsys, monkeypatch)
     code, out, err = run_cli(capsys, "bench", "--sizes", "5,x", "--out-dir", str(tmp_path / "s"))
     assert (code, out, err) == (EXIT_USAGE, "", "usage error: --sizes: 'x' is not a size\n")
     assert not (tmp_path / "s").exists()
+    for sizes, message in (("5,5", "sizes must not repeat"), ("1", "size 1 is too small for the sparse suite")):
+        code, out, err = run_cli(capsys, "bench", "--sizes", sizes, "--out-dir", str(tmp_path / "s"))
+        assert (code, out, err) == (EXIT_USAGE, "", f"usage error: --sizes: {message}\n")
+        assert not (tmp_path / "s").exists()
 
     # so is a size whose candidate pairs exceed the generator's pool guard (exit 3)
     code, out, err = run_cli(capsys, "bench", "--sizes", "5,1500", "--out-dir", str(tmp_path / "g"))
@@ -298,7 +303,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
     # usage: a repeated bench size would solve the same seeded instances twice
     code, _, err = run_cli(capsys, "bench", "--sizes", "5,5", "--samples", "1", "--out-dir", str(tmp_path / "r"))
-    assert (code, err) == (EXIT_USAGE, "usage error: sizes must not repeat\n")
+    assert (code, err) == (EXIT_USAGE, "usage error: --sizes: sizes must not repeat\n")
     assert not (tmp_path / "r").exists()
 
     # usage: a size whose suite edge count no instance can have, named as given
@@ -307,7 +312,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         code, _, err = run_cli(
             capsys, "bench", "--suite", suite, "--sizes", size, "--samples", "1", "--out-dir", str(out_dir)
         )
-        assert (code, err) == (EXIT_USAGE, f"usage error: size {size} is too small for the {suite} suite\n")
+        assert (code, err) == (EXIT_USAGE, f"usage error: --sizes: size {size} is too small for the {suite} suite\n")
         assert not out_dir.exists(), (suite, size)
 
     # guard: naive decider on an oversized instance
@@ -409,6 +414,18 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
             assert (code, out) == (EXIT_GUARD, ""), (netlist.name, command)
             assert err.startswith("guard/budget: ") and "carries potential" in err, (netlist.name, command)
 
+    # guard: a time bound whose instance may exceed the node guard is refused
+    # before the network is copied or run; this one's bound is 13t + 16 nodes
+    accepting = tmp_path / "accepting.snn"
+    accepting.write_text("N 0 1 0 1 1 input\nN 1 1 0 1 0 accept\nS 0 1 1 1\n")
+    monkeypatch.setattr(SpikingNetwork, "copy", lambda net: pytest.fail("the network was copied"))
+    for command in ("reduce", "verify-reduction"):
+        code, out, err = run_cli(
+            capsys, command, str(accepting), "--constant", "0", "--accept", "1", "-t", "76922", "-e", "1",
+        )
+        assert (code, out) == (EXIT_GUARD, ""), command
+        assert err == "guard/budget: the instance may lay out 1000002 nodes, more than the node guard 1000000\n"
+
 
 def test_usage_error_for_missing_subcommand(capsys):
     assert main([]) == EXIT_USAGE
@@ -418,7 +435,7 @@ def test_usage_error_for_missing_subcommand(capsys):
 
 NUMBER = st.sampled_from(["-1", "0", "1", "2", "3", "x", "1.5"])
 LARGE = st.sampled_from(["-1", "0", "1", "2", "3", "x", "1.5", "100000"])  # bounded by a guard or a skip
-REDUCTION_OPTIONS = [("--constant", NUMBER), ("--accept", NUMBER), ("-t", NUMBER), ("-e", NUMBER)]
+REDUCTION_OPTIONS = [("--constant", NUMBER), ("--accept", NUMBER), ("-t", LARGE), ("-e", NUMBER)]
 # command -> (whether it reads a file, required options, optional options); None marks a flag
 COMMANDS = {
     "simulate": (True, [("--steps", LARGE)], [("--stop-on", NUMBER)]),

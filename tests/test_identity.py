@@ -8,7 +8,8 @@ arc.  The random instances themselves are pinned as DIMACS text over an
 (n, m, seed) grid that reaches the largest bench sizes.
 The construction pins cover ``decide_naive``'s decisions, layouts and
 reports, and the netlists and write counts of the naive decider and of the
-max-flow search network in both modes.  The exact TNFR search is pinned by
+max-flow search network in both modes, beside the role split the oracle
+reads a network's kind from.  The exact TNFR search is pinned by
 its expansion counts and by its answers and witnesses on small random
 instances.
 A change that alters an output on purpose re-pins its hash and says why in
@@ -19,6 +20,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -40,7 +42,7 @@ from spikeflow.flow import FlowNetwork, format_dimacs, generate_random, max_feas
 from spikeflow.maxflow import PAPER_FAITHFUL, RESIDUAL, EdgeNeuronMap, build_capacity_neurons, build_search_network
 from spikeflow.naive import build_decider, decide_naive
 from spikeflow.oracle import NeuromorphicOracle
-from spikeflow.snn import Neuron, SpikingNetwork, Synapse, format_netlist
+from spikeflow.snn import Neuron, Role, SpikingNetwork, Synapse, format_netlist
 from spikeflow.tnfr import (
     ReductionConfig,
     TNFRInstance,
@@ -367,3 +369,23 @@ def build_hashes() -> tuple[str, str, str]:
 
 def test_oracle_network_construction_is_byte_identical():
     assert build_hashes() == BUILD_PINNED
+
+
+def test_only_decider_networks_hold_accept_and_reject_neurons():
+    """The oracle reads a network's kind from its roles: the max-flow search
+    networks, in both modes, hold no accept or reject neuron, and every naive
+    decider holds exactly one of each."""
+    for net, residual in search_suite():
+        oracle = NeuromorphicOracle()
+        emap = EdgeNeuronMap(net, residual=residual)
+        build_capacity_neurons(oracle, emap)
+        build_search_network(oracle, emap)
+        assert oracle.net.decider_bits == {}
+        assert not any(n.role in (Role.ACCEPT, Role.REJECT) for n in oracle.net.neurons.values())
+    for net in naive_suite():
+        for d in range(4):
+            oracle = NeuromorphicOracle()
+            layout = build_decider(net, d, oracle)
+            roles = Counter(n.role for n in oracle.net.neurons.values())
+            assert (roles[Role.ACCEPT], roles[Role.REJECT]) == (1, 1)
+            assert oracle.net.decider_bits == {layout.accept_id: 1, layout.reject_id: 0}

@@ -11,7 +11,7 @@ from spikeflow.naive import (
     decide_naive,
     enumerate_candidates,
 )
-from spikeflow.oracle import ConsultMode, NeuromorphicOracle
+from spikeflow.oracle import NeuromorphicOracle
 from spikeflow.snn import Neuron, Role
 
 from fractions import Fraction
@@ -31,7 +31,7 @@ def probe_subnet(flow_in, flow_out, horizon=12):
     oracle = NeuromorphicOracle()
     oracle.write_neurons(neurons)
     oracle.write_synapses(synapses)
-    tape, _ = oracle.consult(ConsultMode.TRANSDUCER, time_limit=horizon)
+    tape, _ = oracle.consult(time_limit=horizon)
     return [t for t, _ in tape.events]
 
 

@@ -8,7 +8,6 @@ import spikeflow.oracle
 from conftest import build_chain_search_net
 from spikeflow.errors import UndecidedError, UnknownNeuronError, WorkingMemoryExceeded
 from spikeflow.oracle import (
-    ConsultMode,
     NeuromorphicOracle,
     OutputTape,
     ResourceReport,
@@ -17,6 +16,7 @@ from spikeflow.oracle import (
 from spikeflow.snn import TAPE_ROLES, Neuron, Role, Synapse, run
 
 ONE = Fraction(1)
+DECIDER_ROLES = (Role.ACCEPT, Role.REJECT)
 
 
 def test_consulted_tape_charges_one_op_per_event_read():
@@ -25,7 +25,7 @@ def test_consulted_tape_charges_one_op_per_event_read():
     oracle.write_neurons(list(net.neurons.values()))
     oracle.write_synapses([s for out in net.out_synapses.values() for s in out])
     report = oracle.report
-    tape, _ = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5)
+    tape, _ = oracle.consult(time_limit=5)
     before = report.controller_time
     assert list(tape) == tape.events == [(3, R1), (4, R2)]
     assert report.controller_time == before + 2
@@ -39,18 +39,19 @@ def test_transducer_tape_contains_only_tape_roles():
     oracle = NeuromorphicOracle()
     oracle.write_neurons([Neuron(0, 1, 0, ONE, v0=1, role=Role.READOUT)])
     oracle.write_neurons([Neuron(1, 1, 0, ONE, v0=1, role=Role.STANDARD)])
-    tape, record = oracle.consult(ConsultMode.TRANSDUCER, time_limit=3)
+    tape, record = oracle.consult(time_limit=3)
     assert tape.events == [(0, 0)]
     assert record.spikes == 2  # the standard neuron fired but stays off-tape
     assert record.timesteps == 3
+    assert (record.mode, record.bit) == ("transducer", None)
 
 
 def test_decider_accept_bit():
     oracle = NeuromorphicOracle()
     oracle.write_neurons([Neuron(0, 10, 0, ONE, v0=0, role=Role.ACCEPT)])
     oracle.write_schedule(0, 2)
-    tape, record = oracle.consult(ConsultMode.DECIDER, time_limit=5)
-    assert record.bit == 1
+    tape, record = oracle.consult(time_limit=5)
+    assert (record.mode, record.bit, record.stop_step) == ("decider", 1, 2)
     assert tape.events == [(2, 0)]
 
 
@@ -58,7 +59,7 @@ def test_decider_reject_bit():
     oracle = NeuromorphicOracle()
     oracle.write_neurons([Neuron(0, 10, 0, ONE, v0=0, role=Role.REJECT)])
     oracle.write_schedule(0, 1)
-    _, record = oracle.consult(ConsultMode.DECIDER, time_limit=5)
+    _, record = oracle.consult(time_limit=5)
     assert record.bit == 0
 
 
@@ -66,7 +67,7 @@ def test_decider_undecided_error():
     oracle = NeuromorphicOracle()
     oracle.write_neurons([Neuron(0, 10, 0, ONE, v0=0, role=Role.ACCEPT)])
     with pytest.raises(UndecidedError):
-        oracle.consult(ConsultMode.DECIDER, time_limit=4)
+        oracle.consult(time_limit=4)
     # the failed consultation is still accounted for
     assert len(oracle.report.consultations) == 1
 
@@ -76,9 +77,7 @@ def test_chain_consult_matches_hand_propagated_tape():
     oracle = NeuromorphicOracle()
     oracle.write_neurons(list(net.neurons.values()))
     oracle.write_synapses([s for out in net.out_synapses.values() for s in out])
-    tape, record = oracle.consult(
-        ConsultMode.TRANSDUCER, time_limit=2 * 2 + 1, stop_on_fire={R2}
-    )
+    tape, record = oracle.consult(time_limit=2 * 2 + 1, stop_on_fire={R2})
     assert list(tape) == [(3, R1), (4, R2)]
     assert record.timesteps == 5
     assert record.spikes == 5
@@ -88,11 +87,11 @@ def test_chain_consult_matches_hand_propagated_tape():
 def test_written_voltage_persists_across_consultations():
     oracle = NeuromorphicOracle()
     oracle.write_neurons([Neuron(0, 8, 0, ONE, v0=5, role=Role.READOUT)])
-    tape, _ = oracle.consult(ConsultMode.TRANSDUCER, time_limit=2)
+    tape, _ = oracle.consult(time_limit=2)
     assert tape.events == []
     oracle.write_voltage(0, 3)
     assert oracle.read_voltage(0) == 8
-    tape, _ = oracle.consult(ConsultMode.TRANSDUCER, time_limit=2)
+    tape, _ = oracle.consult(time_limit=2)
     assert tape.events == [(0, 0)]
     # episode dynamics (the reset to 0) do not touch the written value
     assert oracle.read_voltage(0) == 8
@@ -117,17 +116,17 @@ def test_only_written_voltages_are_held(monkeypatch):
     monkeypatch.setattr(spikeflow.oracle, "run", recording_run)
     oracle = NeuromorphicOracle()
     oracle.write_neurons([Neuron(nid, 3, 0, ONE, v0=v0, role=Role.READOUT) for nid, v0 in enumerate((3, 1, 2))])
-    assert oracle.consult(ConsultMode.TRANSDUCER, time_limit=2)[0].events == [(0, 0)]
+    assert oracle.consult(time_limit=2)[0].events == [(0, 0)]
     oracle.write_voltage(0, -1)  # off threshold: no spike at t=0
     oracle.write_voltage(1, 2)  # onto threshold: a spike at t=0
-    assert oracle.consult(ConsultMode.TRANSDUCER, time_limit=2)[0].events == [(0, 1)]
+    assert oracle.consult(time_limit=2)[0].events == [(0, 1)]
     assert starts == [{}, {0: 2, 1: 3}]
     assert [oracle.read_voltage(nid) for nid in range(3)] == [2, 3, 2]  # 2 was never written
     with pytest.raises(UnknownNeuronError):
         oracle.read_voltage(3)
     with pytest.raises(UnknownNeuronError):
         oracle.write_voltage(3, 1)
-    oracle.consult(ConsultMode.TRANSDUCER, time_limit=2)
+    oracle.consult(time_limit=2)
     assert starts[-1] == {0: 2, 1: 3}  # a refused write leaves nothing behind
 
 
@@ -158,7 +157,7 @@ def test_bulk_writes_charge_one_op_per_row_and_equal_single_writes():
     assert dict(bulk.net.neurons) == dict(single.net.neurons) == dict(net.neurons)
     assert dict(bulk.net.out_synapses) == dict(single.net.out_synapses) == dict(net.out_synapses)
     assert [bulk.read_voltage(i) for i in range(7)] == [n.v0 for n in net.neurons.values()]
-    assert bulk.consult(ConsultMode.TRANSDUCER, 6)[0].events == single.consult(ConsultMode.TRANSDUCER, 6)[0].events
+    assert bulk.consult(6)[0].events == single.consult(6)[0].events
 
 
 @pytest.mark.parametrize(
@@ -184,8 +183,8 @@ def test_resource_report_aggregates():
     oracle.write_neurons([Neuron(0, 1, 0, ONE, v0=1, role=Role.READOUT)])
     oracle.write_neurons([Neuron(1, 1, 0, ONE, v0=0)])
     oracle.write_synapses([Synapse(0, 1, 1, 1)])
-    oracle.consult(ConsultMode.TRANSDUCER, time_limit=2)
-    oracle.consult(ConsultMode.TRANSDUCER, time_limit=4)
+    oracle.consult(time_limit=2)
+    oracle.consult(time_limit=4)
     assert report.oracle_time == 4
     assert report.oracle_space == 3
     assert report.oracle_energy == 2 + 2  # readout plus driven neuron, twice
@@ -217,12 +216,12 @@ def test_working_memory_capacity_and_peak():
 def test_time_limit_must_be_positive():
     oracle = NeuromorphicOracle()
     with pytest.raises(ValueError):
-        oracle.consult(ConsultMode.TRANSDUCER, time_limit=0)
+        oracle.consult(time_limit=0)
 
 
-def _consult_or_undecided(oracle, mode, limit, stop):
+def _consult_or_undecided(oracle, limit, stop):
     try:
-        return oracle.consult(mode, time_limit=limit, stop_on_fire=stop)
+        return oracle.consult(time_limit=limit, stop_on_fire=stop)
     except UndecidedError:
         return None, oracle.report.consultations[-1]
 
@@ -233,10 +232,13 @@ def test_replayed_consultations_equal_fresh_runs(data):
     """Random consults with random stop sets and limits, with voltage and
     synapse writes in between: every tape and record equals a fresh run.
     When every neuron has a tape role, the tape is the whole trace, so each
-    spike is compared."""
+    spike is compared.  A network with an accept or reject neuron is
+    consulted as a decider, and any other as a transducer."""
     oracle = NeuromorphicOracle()
     n = data.draw(st.integers(2, 6))
-    roles = [Role.READOUT, Role.ACCEPT, Role.REJECT]
+    roles = [Role.READOUT]
+    if data.draw(st.booleans()):
+        roles += [Role.ACCEPT, Role.REJECT]
     if data.draw(st.booleans()):
         roles.append(Role.STANDARD)
     resting = {}
@@ -267,13 +269,17 @@ def test_replayed_consultations_equal_fresh_runs(data):
         if action == "synapse":
             oracle.write_synapses([data.draw(synapses)])
             continue
-        mode = data.draw(st.sampled_from([ConsultMode.TRANSDUCER, ConsultMode.DECIDER]))
         stop = data.draw(st.none() | st.sets(st.integers(0, n - 1), max_size=3))
         limit = data.draw(st.integers(1, 16))
-        tape, record = _consult_or_undecided(oracle, mode, limit, stop)
-        if mode is ConsultMode.DECIDER and stop is None:
-            stop = {i for i, nr in oracle.net.neurons.items() if nr.role in (Role.ACCEPT, Role.REJECT)}
+        tape, record = _consult_or_undecided(oracle, limit, stop)
+        bits = {i: int(nr.role is Role.ACCEPT) for i, nr in oracle.net.neurons.items() if nr.role in DECIDER_ROLES}
+        if bits and stop is None:
+            stop = set(bits)
         fresh = run(oracle.net.copy(), limit, stop_on_fire=stop, initial_potentials=dict(resting))
+        read = {bits[nid] for _, nid in fresh.trace if nid in bits}
+        assert record.mode == ("decider" if bits else "transducer")
+        assert record.bit == (max(read) if read else None)
+        assert (tape is None) == bool(bits and not read)
         assert record.timesteps == fresh.steps_used
         assert record.spikes == len(fresh.trace)
         assert record.stop_step == (fresh.t if fresh.halted else None)
@@ -298,9 +304,9 @@ def test_one_simulation_per_network_version(monkeypatch):
     oracle = NeuromorphicOracle()
     oracle.write_neurons(list(net.neurons.values()))
     oracle.write_synapses([s for out in net.out_synapses.values() for s in out])
-    first_tape, first = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
-    again_tape, again = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
-    shorter_tape, shorter = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={H1})
+    first_tape, first = oracle.consult(time_limit=5, stop_on_fire={R2})
+    again_tape, again = oracle.consult(time_limit=5, stop_on_fire={R2})
+    shorter_tape, shorter = oracle.consult(time_limit=5, stop_on_fire={H1})
     assert calls == [5]
     assert first_tape.events == again_tape.events == [(3, R1), (4, R2)]
     assert (first.spikes, first.timesteps, first.stop_step) == (again.spikes, again.timesteps, 4)
@@ -309,20 +315,20 @@ def test_one_simulation_per_network_version(monkeypatch):
     assert shorter_tape.events == [] and shorter.spikes == 3
     assert shorter.stop_step == 2 and shorter.timesteps == 3
     # a consultation the saved run cannot decide runs the version afresh
-    longer_tape, longer = oracle.consult(ConsultMode.TRANSDUCER, time_limit=9)
+    longer_tape, longer = oracle.consult(time_limit=9)
     assert calls == [5, 9]
     assert longer_tape.events == first_tape.events and longer.spikes == first.spikes
     assert longer.timesteps == 9 and longer.stop_step is None
-    oracle.consult(ConsultMode.TRANSDUCER, time_limit=7)
+    oracle.consult(time_limit=7)
     assert calls == [5, 9]  # the longer run is kept for the version
     # R2 spikes at step 4 of the kept run, past a limit of 4: cut at the limit
-    limited_tape, limited = oracle.consult(ConsultMode.TRANSDUCER, time_limit=4, stop_on_fire={R2})
+    limited_tape, limited = oracle.consult(time_limit=4, stop_on_fire={R2})
     assert calls == [5, 9]
     assert limited_tape.events == [(3, R1)] and limited.spikes == 4
     assert limited.timesteps == 4 and limited.stop_step is None
     # a write starts a new version: the next consultation simulates afresh
     oracle.write_voltage(C2, 5)
-    blocked_tape, blocked = oracle.consult(ConsultMode.TRANSDUCER, time_limit=5, stop_on_fire={R2})
+    blocked_tape, blocked = oracle.consult(time_limit=5, stop_on_fire={R2})
     assert calls == [5, 9, 5]
     # only T and the saturated C2 spike, at step 0; the wave is blocked
     assert blocked_tape.events == [] and blocked.spikes == 2
@@ -350,8 +356,8 @@ def test_first_consultation_equals_its_replay(monkeypatch):
     oracle.write_schedule(1, 3)
     oracle.write_synapses([(1, 2, 1, 1)])
     for stop, limit in ((None, 6), ({2}, 6)):
-        first_tape, first = oracle.consult(ConsultMode.TRANSDUCER, time_limit=limit, stop_on_fire=stop)
-        again_tape, again = oracle.consult(ConsultMode.TRANSDUCER, time_limit=limit, stop_on_fire=stop)
+        first_tape, first = oracle.consult(time_limit=limit, stop_on_fire=stop)
+        again_tape, again = oracle.consult(time_limit=limit, stop_on_fire=stop)
         assert again_tape.events == first_tape.events
         assert (again.spikes, again.repeat_spikes, again.timesteps, again.stop_step) == (
             first.spikes, first.repeat_spikes, first.timesteps, first.stop_step
@@ -366,15 +372,16 @@ def test_first_consultation_equals_its_replay(monkeypatch):
 def test_decider_sees_accept_and_reject_neurons_written_after_a_consultation():
     oracle = NeuromorphicOracle()
     oracle.write_neurons([Neuron(0, 1, 1, ONE, v0=1, role=Role.READOUT)])
-    _, record = oracle.consult(ConsultMode.TRANSDUCER, time_limit=3)
-    assert record.stop_step is None
+    _, record = oracle.consult(time_limit=3)
+    assert (record.mode, record.stop_step) == ("transducer", None)
     oracle.write_neurons([Neuron(1, 10, 0, ONE, role=Role.ACCEPT)])
     oracle.write_schedule(1, 4)
-    tape, record = oracle.consult(ConsultMode.DECIDER, time_limit=8)
+    tape, record = oracle.consult(time_limit=8)
+    assert record.mode == "decider"
     assert (record.bit, record.stop_step, tape.events[-1]) == (1, 4, (4, 1))
     oracle.write_neurons([Neuron(2, 10, 0, ONE, role=Role.REJECT)])
     oracle.write_schedule(2, 2)
-    tape, record = oracle.consult(ConsultMode.DECIDER, time_limit=8)
+    tape, record = oracle.consult(time_limit=8)
     assert (record.bit, record.stop_step, tape.events[-1]) == (0, 2, (2, 2))
 
 

@@ -493,6 +493,42 @@ def test_simulate_constrained_matches_reference_step_by_step():
         assert outcome.accepted == (bool(accept_steps) and len(state.trace) <= cfg.energy_bound)
 
 
+def test_node_bound_covers_every_laid_out_instance():
+    """``ReductionConfig.node_bound`` is at least the node count of the
+    instance ``reduce_network`` lays out on 300 random constrained networks;
+    ``make_cfg``'s two neurons lay out 12t + 14 nodes against 13t + 16."""
+    rng = random.Random(11)
+    laid_out = 0
+    for _ in range(300):
+        neurons, synapses = _random_constrained_rows(rng)
+        t_bound = rng.randint(1, 10)
+        net = SpikingNetwork(overflow_reset=True)
+        net.add_neurons(neurons)
+        net.add_synapses(synapses)
+        cfg = ReductionConfig(net, 0, 1, t_bound, rng.randint(0, len(neurons) * t_bound))
+        try:
+            inst = reduce_network(cfg, simulate_constrained(cfg))
+        except GuardExceeded:  # a run outside the dynamic range lays nothing out
+            continue
+        laid_out += 1
+        assert len(inst.kinds) <= cfg.node_bound, (neurons, synapses, t_bound)
+    assert laid_out >= 100
+    for t in (1, 10, 100, 1000):
+        cfg = make_cfg(t=t, e=2 * t)
+        assert len(reduce_network(cfg, simulate_constrained(cfg)).kinds) == 12 * t + 14
+        assert cfg.node_bound == 13 * t + 16
+
+
+def test_validate_refuses_a_configuration_over_the_node_guard(monkeypatch):
+    # 13t + 16 > 10**6 from t = 76922 on; nothing is copied or simulated
+    monkeypatch.setattr(SpikingNetwork, "copy", lambda net: pytest.fail("the network was copied"))
+    monkeypatch.setattr(tnfr, "snn_step", lambda *args: pytest.fail("a step was simulated"))
+    make_cfg(t=76921, e=1).validate()
+    for t in (76922, 10**9):
+        with pytest.raises(GuardExceeded, match=f"{13 * t + 16} nodes, more than the node guard 1000000"):
+            verify_reduction(make_cfg(t=t, e=1))
+
+
 def test_verify_reduction_runs_and_validates_once(monkeypatch):
     calls = {"simulate": 0, "validate": 0}
     simulate, validate = tnfr.simulate_constrained, ReductionConfig.validate
