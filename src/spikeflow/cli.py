@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error (including an output path that cannot
 be written), 2 malformed input, 3 guard, search budget or working-memory
-capacity exceeded, 4 internal invariant violation (including a neuron id
-that a constructed network lacks).
+capacity exceeded, or an undecided decider (``UndecidedError``: neither
+accept nor reject fired), 4 internal invariant violation (including a
+neuron id that a constructed network lacks).
 """
 
 from __future__ import annotations
@@ -178,9 +179,10 @@ def cmd_tnfr_check(args) -> int:
     if args.budget < 0:
         raise UsageError(f"--budget: {args.budget} is negative")
     feasible, witness = check_feasible(parse_tnfr(_read_in(args.input)), budget=args.budget)
-    _write_out("yes\n" if feasible else "no\n", args.out)
+    # the witness first: a witness path that cannot be written leaves no verdict
     if feasible and args.witness:
         Path(args.witness).write_text(format_witness_csv(witness))
+    _write_out("yes\n" if feasible else "no\n", args.out)
     return EXIT_OK
 
 

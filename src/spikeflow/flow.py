@@ -77,8 +77,10 @@ class FlowAssignment:
 
 
 def validate_flow(net: FlowNetwork, assignment: FlowAssignment) -> list[str]:
-    """Return all capacity/conservation/value violations (empty means valid)."""
-    violations = []
+    """Return all capacity/conservation/value violations (empty means valid),
+    and each flow on an id that names no edge."""
+    edge_ids = range(len(net.edges))
+    violations = [f"flow {f} on unknown edge {k}" for k, f in assignment.flows.items() if k not in edge_ids]
     for e in net.edges:
         f = assignment.flows.get(e.id, 0)
         if f < 0 or f > e.cap:

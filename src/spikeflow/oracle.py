@@ -21,9 +21,10 @@ times there, so it costs the steps it walks and its tape, not the spikes.
 The controller sees only the output tape, and no record keeps a
 consultation's spikes.
 
-The oracle holds only the resting potentials that ``write_voltage`` changed;
-every other neuron rests at the v0 it was written with, and a run starts from
-the network's v0 table with the written values laid over it.
+``write_voltage`` rewrites a neuron's resting potential in the network
+itself (``SpikingNetwork.set_resting_potential``), so the network's rows,
+its copies and its netlist carry every written value, and a run starts from
+the network's v0 table as it stands.
 """
 
 from __future__ import annotations
@@ -169,7 +170,6 @@ class NeuromorphicOracle:
     def __init__(self, report: ResourceReport | None = None):
         self.report = report or ResourceReport()
         self.net = SpikingNetwork()
-        self._written: dict[int, int] = {}  # resting potentials write_voltage changed
         self._path: list[int] = []
         self._saved: _IndexedRun | None = None  # run of the current version
 
@@ -196,19 +196,13 @@ class NeuromorphicOracle:
         """Additively adjust a neuron's resting potential (Write_Voltage)."""
         self.report.controller_time += 1
         self._saved = None
-        value = self._resting(neuron_id) + delta
-        if value < 0:
-            raise ValueError(f"write would drive neuron {neuron_id} below zero")
-        self._written[neuron_id] = value
+        self.net.set_resting_potential(neuron_id, self._resting(neuron_id) + delta)
 
     def read_voltage(self, neuron_id: int) -> int:
         self.report.controller_time += 1
         return self._resting(neuron_id)
 
     def _resting(self, neuron_id: int) -> int:
-        written = self._written.get(neuron_id)
-        if written is not None:
-            return written
         try:
             return self.net.resting_potential(neuron_id)
         except KeyError:
@@ -247,9 +241,8 @@ class NeuromorphicOracle:
         saved = self._saved
         cut = None if saved is None else saved.first_spike(stop, time_limit)
         if cut is None and (saved is None or saved.steps < time_limit):
-            net = self.net
-            state = run(net, time_limit, stop_on_fire=stop, initial_potentials=self._written)
-            saved = self._saved = _IndexedRun(state, net.tape_ids)
+            state = run(self.net, time_limit, stop_on_fire=stop)
+            saved = self._saved = _IndexedRun(state, self.net.tape_ids)
             cut = state.t if state.halted else None
         steps = time_limit if cut is None else cut + 1
         return saved, steps, cut

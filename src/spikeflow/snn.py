@@ -38,7 +38,8 @@ threshold and no scheduled fire still to come.
 A network is written through one path, as rows of plain tuples that are
 checked, stored as given and copied into the simulator's flat tables in one
 pass (see :class:`SpikingNetwork`); ``Neuron`` and ``Synapse`` records are
-rebuilt from the rows only when a reader asks for them.
+rebuilt from the rows only when a reader asks for them.  A run starts from
+the network's v0 table, which ``set_resting_potential`` rewrites in place.
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ class SpikingNetwork:
     threshold, the tape-role set, the decider bits (accept 1, reject 0)
     and the synapse count.  A leak-1 neuron holds its potential, a leak-0
     one forgets it after each step, and no other leak is accepted.
-    ``neurons`` and ``out_synapses`` rebuild records from the rows.
+    ``neurons`` and ``out_synapses`` rebuild records from the rows, and
+    ``set_resting_potential`` is the one writer of a v0 after its row.
 
     A spike delivers the synapse rows themselves: a firing neuron queues
     its out-synapse rows one by one, by delay, into its run's state.
@@ -223,6 +225,19 @@ class SpikingNetwork:
         """The neuron's initial potential v0; ``KeyError`` for an unknown id."""
         return self._v0[nid]
 
+    def set_resting_potential(self, nid: int, v: int) -> None:
+        """Rewrite the neuron's initial potential v0: its row, the v0 table,
+        and whether it starts at threshold; ``KeyError`` for an unknown id."""
+        row = self._rows[nid]
+        if v < 0:
+            raise ValueError(f"neuron {nid}: initial potential must be >= 0")
+        self._rows[nid] = (*row[:4], v, row[5])
+        self._v0[nid] = v
+        if v >= self._threshold[nid]:
+            self._at_threshold.add(nid)
+        else:
+            self._at_threshold.discard(nid)
+
     def threshold(self, nid: int) -> int:
         """The neuron's threshold; ``KeyError`` for an unknown id."""
         return self._threshold[nid]
@@ -258,27 +273,12 @@ class SimulationState:
     _zero_at: int = 1
 
     @classmethod
-    def initial(
-        cls, net: SpikingNetwork, potentials: dict[int, int] | None = None
-    ) -> "SimulationState":
+    def initial(cls, net: SpikingNetwork) -> "SimulationState":
         state = cls()
-        values = dict(net._v0)
+        values = state.potentials = dict(net._v0)
         # Neurons already at threshold fire at t=0, before any synaptic input.
-        recheck = set(net._at_threshold)
-        if potentials:
-            threshold = net._threshold
-            for nid, v in potentials.items():
-                th = threshold.get(nid)
-                if th is None:  # ids outside the network are ignored
-                    continue
-                values[nid] = v
-                if v >= th:
-                    recheck.add(nid)
-                else:
-                    recheck.discard(nid)
-        state.potentials = values
+        state._recheck = set(net._at_threshold)
         state._zero = {nid for nid in net._leak0 if values[nid]}
-        state._recheck = recheck
         return state
 
     @property
@@ -395,17 +395,11 @@ def step(net: SpikingNetwork, state: SimulationState) -> frozenset[int]:
     return spikes
 
 
-def run(
-    net: SpikingNetwork,
-    max_steps: int,
-    stop_on_fire: Iterable[int] | None = None,
-    initial_potentials: dict[int, int] | None = None,
-) -> SimulationState:
+def run(net: SpikingNetwork, max_steps: int, stop_on_fire: Iterable[int] | None = None) -> SimulationState:
     """Drive :func:`step` from a fresh state for up to ``max_steps`` timesteps.
 
     With ``stop_on_fire`` the run halts at the first step in which any listed
     neuron spikes; ``state.t`` then names that step and ``halted`` is set.
-    ``initial_potentials`` overrides per-neuron starting values.
 
     A run that falls quiescent, with no spike pending, no neuron due a
     re-check and none scheduled at or after ``t``, can fire no more: it jumps
@@ -415,7 +409,7 @@ def run(
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     stop_set = frozenset(stop_on_fire) if stop_on_fire is not None else None
-    state = SimulationState.initial(net, initial_potentials)
+    state = SimulationState.initial(net)
     last_scheduled = max(net._schedule_by_time, default=-1)
     while state.t < max_steps:
         if state.t > last_scheduled and not state.pending and not state._recheck:

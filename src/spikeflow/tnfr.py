@@ -89,8 +89,10 @@ class TNFRInstance:
 
 
 def validate_witness(inst: TNFRInstance, flows: dict[int, int]) -> list[str]:
-    """All threshold/conservation violations of a flow assignment (empty = valid)."""
-    problems = []
+    """All threshold/conservation violations of a flow assignment (empty =
+    valid), and each flow on an id that names no arc."""
+    arc_ids = range(len(inst.arcs))
+    problems = [f"flow {f} on unknown arc {k}" for k, f in flows.items() if k not in arc_ids]
     inflow, outflow = dict.fromkeys(inst.kinds, 0), dict.fromkeys(inst.kinds, 0)
     for idx, (tail, head, c_min, c_max) in enumerate(inst.arcs):
         f = flows.get(idx, 0)

@@ -25,11 +25,10 @@ class RefState:
     recheck: set[int] = field(default_factory=set)
 
     @classmethod
-    def initial(cls, net: SpikingNetwork, potentials: dict[int, int] | None = None) -> "RefState":
+    def initial(cls, net: SpikingNetwork) -> "RefState":
         state = cls()
         for nid, neuron in net.neurons.items():
-            v = neuron.v0 if potentials is None else potentials.get(nid, neuron.v0)
-            state.potentials[nid] = v
+            state.potentials[nid] = neuron.v0
             state.last_update[nid] = 0
         state.recheck = {
             nid for nid, n in net.neurons.items() if state.potentials[nid] >= n.threshold
@@ -117,14 +116,9 @@ def step(net: SpikingNetwork, state: RefState) -> frozenset[int]:
     return frozenset(fired)
 
 
-def run(
-    net: SpikingNetwork,
-    max_steps: int,
-    stop_on_fire: Iterable[int] | None = None,
-    initial_potentials: dict[int, int] | None = None,
-) -> RefState:
+def run(net: SpikingNetwork, max_steps: int, stop_on_fire: Iterable[int] | None = None) -> RefState:
     """Step from a fresh state until ``max_steps`` or the first stop spike."""
-    state = RefState.initial(net, initial_potentials)
+    state = RefState.initial(net)
     stop_set = frozenset(stop_on_fire) if stop_on_fire is not None else None
     while state.t < max_steps:
         fired = step(net, state)

@@ -237,6 +237,24 @@ def test_reduce_and_tnfr_check_and_verify(tmp_path, capsys, monkeypatch):
     assert len(validations) == 1
 
 
+def test_tnfr_check_writes_no_verdict_when_the_witness_cannot_be_written(tmp_path, capsys):
+    netlist = tmp_path / "d.snn"
+    netlist.write_text("N 0 1 0 1 1 input\nN 1 1 0 1 0 accept\nS 0 1 1 1\n")
+    tnfr_path = tmp_path / "d.tnfr"
+    code, _, _ = run_cli(
+        capsys, "reduce", str(netlist), "--constant", "0", "--accept", "1",
+        "-t", "3", "-e", "6", "--out", str(tnfr_path),
+    )
+    assert code == EXIT_OK
+    witness = str(tmp_path / "nodir" / "w.csv")
+    verdict = tmp_path / "v.txt"
+    for out in ((), ("--out", str(verdict))):
+        code, stdout, err = run_cli(capsys, "tnfr-check", str(tnfr_path), "--witness", witness, *out)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: ")
+    assert not verdict.exists()
+
+
 def test_bench_command_writes_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "bench"
     code, out, _ = run_cli(

@@ -127,6 +127,10 @@ def test_validate_flow_reports_violations():
     messages = " ".join(validate_flow(net, unbalanced))
     assert "node 1" in messages
 
+    one_edge = FlowNetwork(2, [(0, 1, 1)], 0, 1)
+    stray = FlowAssignment({0: 1, 7: 5, -1: 2}, 1)
+    assert validate_flow(one_edge, stray) == ["flow 5 on unknown edge 7", "flow 2 on unknown edge -1"]
+
 
 def test_generator_two_nodes_single_edge():
     net = generate_random(2, 1, c_max=1, seed=0)

@@ -97,7 +97,8 @@ def test_single_edge_capacity_saturates_with_one_unit():
     assert tape.events == []
     assert record.timesteps == 2 * 1 + 1
     # the saturated capacity fired at step 0, beside the transmitter
-    fresh = run(oracle.net, record.timesteps, initial_potentials={cid: oracle.read_voltage(cid)})
+    assert oracle.net.resting_potential(cid) == 3  # the write is in the network
+    fresh = run(oracle.net, record.timesteps)
     assert (0, cid) in fresh.trace
     assert record.spikes == len(fresh.trace) == 2
 

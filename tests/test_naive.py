@@ -133,3 +133,16 @@ def test_guard_rejects_large_instances():
     oracle = NeuromorphicOracle()
     with pytest.raises(GuardExceeded):
         build_decider(net, 0, oracle)
+
+
+def test_accept_waits_out_the_slowest_violation_detector():
+    # node 1 can take in 8 and pass on 6, so a candidate that breaks its
+    # conservation may be reported only at step 6 + 2; the accept schedule
+    # must wait past that, beyond f_max + 5 = 8
+    net = FlowNetwork(3, [(0, 1, 3), (1, 2, 1), (0, 1, 2), (0, 1, 3), (1, 2, 3), (1, 2, 2)], 0, 2)
+    optimum = edmonds_karp(net).value
+    assert optimum == 6
+    for d in range(8):
+        out = decide_naive(net, d)
+        assert out.layout.accept_time == 10, d
+        assert out.accepted == (optimum > d), d

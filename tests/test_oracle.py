@@ -13,7 +13,7 @@ from spikeflow.oracle import (
     ResourceReport,
     WorkingMemory,
 )
-from spikeflow.snn import TAPE_ROLES, Neuron, Role, Synapse, run
+from spikeflow.snn import TAPE_ROLES, Neuron, Role, Synapse, format_netlist, parse_netlist, run
 
 ONE = Fraction(1)
 DECIDER_ROLES = (Role.ACCEPT, Role.REJECT)
@@ -107,10 +107,12 @@ def test_write_voltage_validation():
 
 
 def test_only_written_voltages_are_held(monkeypatch):
+    """Each run starts from the network's v0 table: the written values, and
+    the v0 of every neuron never written."""
     starts = []
 
     def recording_run(net, max_steps, **kwargs):
-        starts.append(dict(kwargs["initial_potentials"]))
+        starts.append({nid: net.resting_potential(nid) for nid in net.neurons})
         return run(net, max_steps, **kwargs)
 
     monkeypatch.setattr(spikeflow.oracle, "run", recording_run)
@@ -120,14 +122,16 @@ def test_only_written_voltages_are_held(monkeypatch):
     oracle.write_voltage(0, -1)  # off threshold: no spike at t=0
     oracle.write_voltage(1, 2)  # onto threshold: a spike at t=0
     assert oracle.consult(time_limit=2)[0].events == [(0, 1)]
-    assert starts == [{}, {0: 2, 1: 3}]
+    assert starts == [{0: 3, 1: 1, 2: 2}, {0: 2, 1: 3, 2: 2}]
     assert [oracle.read_voltage(nid) for nid in range(3)] == [2, 3, 2]  # 2 was never written
     with pytest.raises(UnknownNeuronError):
         oracle.read_voltage(3)
     with pytest.raises(UnknownNeuronError):
         oracle.write_voltage(3, 1)
+    with pytest.raises(ValueError, match="neuron 0: initial potential must be >= 0"):
+        oracle.write_voltage(0, -3)
     oracle.consult(time_limit=2)
-    assert starts[-1] == {0: 2, 1: 3}  # a refused write leaves nothing behind
+    assert starts[-1] == {0: 2, 1: 3, 2: 2}  # a refused write leaves nothing behind
 
 
 def test_metering_counts_abstract_ops():
@@ -275,7 +279,14 @@ def test_replayed_consultations_equal_fresh_runs(data):
         bits = {i: int(nr.role is Role.ACCEPT) for i, nr in oracle.net.neurons.items() if nr.role in DECIDER_ROLES}
         if bits and stop is None:
             stop = set(bits)
-        fresh = run(oracle.net.copy(), limit, stop_on_fire=stop, initial_potentials=dict(resting))
+        written = oracle.net.copy()
+        for nid, v in resting.items():
+            written.set_resting_potential(nid, v)
+        fresh = run(written, limit, stop_on_fire=stop)
+        # the network itself carries the written potentials, into its copies and its netlist
+        for carried in (oracle.net.copy(), parse_netlist(format_netlist(oracle.net))):
+            again = run(carried, limit, stop_on_fire=stop)
+            assert (again.fired_steps, again.steps_used) == (fresh.fired_steps, fresh.steps_used)
         read = {bits[nid] for _, nid in fresh.trace if nid in bits}
         assert record.mode == ("decider" if bits else "transducer")
         assert record.bit == (max(read) if read else None)

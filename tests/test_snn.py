@@ -95,15 +95,16 @@ def test_leak_zero_touched_in_the_last_step_reads_zero_after_it(limit):
 
 
 def test_leak_zero_nonzero_start_is_zeroed_at_step_one():
-    # an override of 3 is read at step 0 only: the arrival of 2 at step 1
+    # a written start of 3 is read at step 0 only: the arrival of 2 at step 1
     # finds 0, so threshold 5 is never reached
     net = _leak_zero_net()
+    net.set_resting_potential(0, 3)
     for _ in range(2):
-        state = _assert_run_matches_reference(net, 1, potentials={0: 3})
+        state = _assert_run_matches_reference(net, 1)
         assert state.potentials[0] == 3 and current_potentials(net, state)[0] == 0
-        halted = _assert_run_matches_reference(net, 6, stop={9}, potentials={0: 3})
+        halted = _assert_run_matches_reference(net, 6, stop={9})
         assert halted.t == 0 and current_potentials(net, halted)[0] == 3
-        state = _assert_run_matches_reference(net, 6, potentials={0: 3})
+        state = _assert_run_matches_reference(net, 6)
         assert state.trace == [(0, 9), (1, 1)]
 
 
@@ -322,7 +323,8 @@ LEAKS = (Fraction(0), ONE)
 @st.composite
 def netlists(draw):
     """Random networks over scattered neuron ids, with every leak kind,
-    delays 0-3, negative weights, both reset modes and a schedule."""
+    delays 0-3, negative weights, both reset modes and a schedule, and
+    resting potentials rewritten after the build, onto or off threshold."""
     ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=7, unique=True))
     net = SpikingNetwork(overflow_reset=draw(st.booleans()))
     for nid in ids:
@@ -347,10 +349,9 @@ def netlists(draw):
         )
     for _ in range(draw(st.integers(0, 4))):
         net.add_schedule(draw(st.sampled_from(ids)), draw(st.integers(0, 8)))
-    potentials = draw(
-        st.none() | st.dictionaries(st.sampled_from(ids + [99]), st.integers(0, 6), max_size=4)
-    )
-    return net, potentials
+    for nid, v in draw(st.dictionaries(st.sampled_from(ids), st.integers(0, 6), max_size=4)).items():
+        net.set_resting_potential(nid, v)
+    return net
 
 
 def current_potentials(net, state):
@@ -362,11 +363,10 @@ def current_potentials(net, state):
 
 @settings(max_examples=300, deadline=None)
 @given(netlists(), st.integers(0, 14))
-def test_step_matches_reference_after_every_step(case, n_steps):
-    net, potentials = case
+def test_step_matches_reference_after_every_step(net, n_steps):
     for _ in range(2):  # a later run of the network equals the first
-        state = SimulationState.initial(net, potentials)
-        expected = ref.RefState.initial(net, potentials)
+        state = SimulationState.initial(net)
+        expected = ref.RefState.initial(net)
         for _ in range(n_steps):
             fired = step(net, state)
             assert type(fired) is frozenset
@@ -378,18 +378,17 @@ def test_step_matches_reference_after_every_step(case, n_steps):
 
 @settings(max_examples=300, deadline=None)
 @given(netlists(), st.data())
-def test_run_matches_reference(case, data):
-    net, potentials = case
+def test_run_matches_reference(net, data):
     ids = sorted(net.neurons)
     stops = st.none() | st.sets(st.sampled_from(ids), max_size=3)
     for _ in range(2):  # a first and a later run of the same network
         stop, limit = data.draw(stops), data.draw(st.integers(0, 20))
-        _assert_run_matches_reference(net, limit, stop, potentials)
+        _assert_run_matches_reference(net, limit, stop)
 
 
-def _assert_run_matches_reference(net, limit, stop=None, potentials=None):
-    state = run(net, limit, stop_on_fire=stop, initial_potentials=potentials)
-    expected = ref.run(net, limit, stop_on_fire=stop, initial_potentials=potentials)
+def _assert_run_matches_reference(net, limit, stop=None):
+    state = run(net, limit, stop_on_fire=stop)
+    expected = ref.run(net, limit, stop_on_fire=stop)
     assert (state.trace, state.t, state.halted) == (expected.trace, expected.t, expected.halted)
     assert state.steps_used == expected.steps_used
     assert current_potentials(net, state) == ref.current_potentials(net, expected)
@@ -487,16 +486,42 @@ def test_run_refires_an_overflow_reset_neuron_left_above_threshold():
 
 
 def test_overrides_move_neurons_onto_and_off_threshold(monkeypatch):
+    # resting potentials written after the build: 0 off threshold, 1 onto it
     net = make_net()
     net.add_neuron(Neuron(0, 3, 0, ONE, v0=3))
     net.add_neuron(Neuron(1, 3, 0, ONE, v0=1))
     net.add_neuron(Neuron(2, 3, 0, ONE, v0=3))
-    state = _assert_run_matches_reference(net, 4, potentials={0: 2, 1: 3, 99: 5})
+    net.set_resting_potential(0, 2)
+    net.set_resting_potential(1, 3)
+    state = _assert_run_matches_reference(net, 4)
     assert state.trace == [(0, 1), (0, 2)]
+    # then 1 back off, and 2 off too
+    net.set_resting_potential(1, 1)
+    net.set_resting_potential(2, 0)
     steps = _counting_steps(monkeypatch)
-    state = _assert_run_matches_reference(net, 4, potentials={0: 2, 2: 0})
+    state = _assert_run_matches_reference(net, 4)
     assert state.trace == [] and state.steps_used == 4
     assert steps == []  # nothing at threshold: quiescent from the start
+
+
+def test_a_written_resting_potential_is_in_the_row_copy_and_netlist():
+    net = make_net()
+    net.add_neuron(Neuron(0, 3, 1, Fraction(0), v0=1, role=Role.READOUT))
+    net.add_neuron(Neuron(1, 2, 0, ONE))
+    net.add_synapse(Synapse(0, 1, 1, 2))
+    net.set_resting_potential(0, 5)
+    assert net.neurons[0] == Neuron(0, 3, 1, 0, v0=5, role=Role.READOUT)
+    assert net.resting_potential(0) == 5
+    text = format_netlist(net)
+    assert text.splitlines()[0] == "N 0 3 1 0 5 readout"
+    for other in (net.copy(), parse_netlist(text)):
+        assert format_netlist(other) == text
+        assert run(other, 4).trace == run(net, 4).trace == [(0, 0), (1, 1)]
+    with pytest.raises(ValueError, match="neuron 0: initial potential must be >= 0"):
+        net.set_resting_potential(0, -1)
+    with pytest.raises(KeyError):
+        net.set_resting_potential(99, 1)
+    assert format_netlist(net) == text  # a refused write leaves nothing behind
 
 
 def test_netlist_roundtrip():

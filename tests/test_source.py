@@ -138,3 +138,62 @@ def test_every_parameter_is_read_and_every_private_function_is_referenced():
     that only looks used."""
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     assert unused_code(trees) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def owned_private_attributes(tree: ast.AST) -> set[str]:
+    """The private attributes (``_x``, not dunder) a module owns: each it
+    assigns as ``self._x``, and each a class body of it declares as a field."""
+    owned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                owned.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = [stmt.target] if isinstance(stmt, ast.AnnAssign) else getattr(stmt, "targets", [])
+                owned.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in owned if _private(name)}
+
+
+def foreign_private_attributes(trees: dict[str, ast.AST]) -> list[str]:
+    """``file:line:_x`` for every access to a private attribute ``obj._x``
+    in a module of ``trees`` that does not own ``_x`` while another one
+    does.  An attribute no module owns, such as a ``NamedTuple``'s
+    ``_make``, is not checked."""
+    owners = {file: owned_private_attributes(tree) for file, tree in trees.items()}
+    found = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr) and node.attr not in owners[file]:
+                if any(node.attr in owned for owned in owners.values()):
+                    found.append(f"{file}:{node.lineno}:{node.attr}")
+    return sorted(found)
+
+
+def test_foreign_private_attributes_finds_reads_and_writes_from_other_modules():
+    planted = {
+        "a.py": (
+            "class A:\n    _field: int = 0\n    _slot = None\n\n"
+            "    def __init__(self):\n        self._x, self.__hidden = 1, 2\n\n"
+            "    def m(self, other):\n        return other._x + self._field + self.__hidden\n"
+        ),
+        "b.py": (
+            "from typing import NamedTuple\n\n"
+            "class P(NamedTuple):\n    a: int\n\n"
+            "def f(obj):\n    obj._x = 3\n    return obj._field, obj._slot, P._make([1]), obj._unowned\n"
+        ),
+    }
+    trees = {file: ast.parse(text) for file, text in planted.items()}
+    assert foreign_private_attributes(trees) == ["b.py:7:_x", "b.py:8:_field", "b.py:8:_slot"]
+
+
+def test_a_private_attribute_is_touched_only_in_the_module_that_owns_it():
+    """Only ``snn.py`` reads or writes the network's and a run's tables;
+    every other module goes through their public methods."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert "_v0" in owned_private_attributes(trees["snn.py"])
+    assert foreign_private_attributes(trees) == []

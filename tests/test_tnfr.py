@@ -131,6 +131,12 @@ def test_conservation_break_names_the_node():
     assert validate_witness(inst, {0: 1, 1: 0}) == ["node 3: 1 in != 0 out"]
 
 
+def test_flow_on_an_id_that_names_no_arc_is_reported():
+    inst = parse_tnfr("p tnfr 2 1 0\nn 1 s\nn 2 t\na 1 2 1 1\n")
+    assert validate_witness(inst, {0: 1}) == []
+    assert validate_witness(inst, {0: 1, 5: 9}) == ["flow 9 on unknown arc 5"]
+
+
 def test_checker_agrees_with_naive_enumeration():
     import itertools
     import random
